@@ -8,6 +8,7 @@ All outputs are UTF-8 CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from dataclasses import replace
 from . import montecarlo as mc
 from .coefficients import gamma_of_M, kappa, limit_coefficients
 from .collision import CollisionContext
-from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
+from .equilibrium import solve_F, solve_lambda
 from .harness import emit, initial_bump, run_convergence, run_operator_study, _macro_drift
 from .macro import MacroState, advance_macro
 from .params import ModelParams, load_config, validate, with_seed
@@ -53,9 +54,10 @@ def cmd_equilibrium(args) -> int:
     scale = 1.0 if params.alpha == 1.0 else min(params.epsilon_schedule) ** (params.alpha - 1.0)
     Eeff = E if args.raw_field else scale * E
     F = solve_F(Eeff, ctx)
-    lam = solve_lambda(ctx)
-    G, _ = remainder_G(Eeff, ctx)
-    R = deviation_R(Eeff, ctx)
+    lam = solve_lambda(ctx).profile.values
+    # same operation order as equilibrium.remainder_G and deviation_R
+    G = F.profile.values - ctx.M.values - Eeff * lam
+    R = F.profile.values - ctx.M.values
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "equilibrium.csv")
     _write_csv(
@@ -63,7 +65,7 @@ def cmd_equilibrium(args) -> int:
         "v,M,F,lambda,G,R",
         zip(
             ctx.grid.nodes.tolist(), ctx.M.values.tolist(), F.profile.values.tolist(),
-            lam.profile.values.tolist(), G.values.tolist(), R.values.tolist(),
+            lam.tolist(), G.tolist(), R.tolist(),
         ),
     )
     print(f"wrote {path} (E={Eeff}, method={F.method}, residual={F.residual:.3e})")
@@ -165,7 +167,9 @@ def cmd_all(args) -> int:
     return max(codes)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later `main` calls."""
     parser = argparse.ArgumentParser(prog="fraclimit",
                                      description="Fractional-diffusion limit laboratory")
     parser.add_argument("--config", help="JSON config path (defaults built in)")

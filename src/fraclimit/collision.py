@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import GridMismatch, NonEquilibriumF
@@ -10,6 +12,9 @@ from .velocity import VelocityGrid, VelocityProfile, eval_M
 
 _LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
+# quadrature points per block when assembling a flight plan: bounds the
+# (points x PANEL_PTS) scatter arrays
+_PLAN_BLOCK = 512
 
 
 class CollisionContext:
@@ -18,7 +23,8 @@ class CollisionContext:
     nu is the plain quadrature sum nu(v) = sum_j w_j sigma(v_j, v) M(v_j);
     keeping it discrete makes mass conservation of Q exact by symmetry (at the
     price of an O(tail-mass) offset from nu0 for the constant cross section).
-    Immutable after construction.
+    Immutable after construction, except for a memo of the last flight plan
+    of A^-1 (see `apply_A_inverse`), keyed by the field value E.
     """
 
     def __init__(self, grid: VelocityGrid, cross_section: CrossSection, alpha: float):
@@ -38,6 +44,7 @@ class CollisionContext:
         self._N_nodes = np.concatenate([(-npos)[::-1], npos])
         self._N_vmax = float(edge_cum[-1])
         self._nu_inf = float(nu_vals[-1])
+        self._flight_plan: _FlightPlan | None = None
 
     def check_profile(self, f: VelocityProfile):
         if f.grid is not self.grid and f.grid != self.grid:
@@ -70,36 +77,33 @@ def apply_Q(f: VelocityProfile, ctx: CollisionContext) -> VelocityProfile:
     return VelocityProfile(ctx.grid, apply_K(f, ctx).values - ctx.nu.values * f.values)
 
 
-def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> VelocityProfile:
-    """Inverse of A = nu + E d/dv along accelerated flights.
+class _FlightPlan(NamedTuple):
+    """A^-1 at one field value E > 0: (A^-1 h)_i = (P h)_i + sum w h(q) over
+    the tail points (q, w) of row i, which lie beyond vmax."""
 
-    (A^-1 h)(v) = int_0^inf exp(-int_0^s nu(v - E tau) dtau) h(v - E s) ds,
-    with the damping integral taken as the exact antiderivative difference
-    (N(v) - N(v - E s))/E.  nu and h may have a |v|-type kink at v = 0, so
-    the s-integral is split at the crossing s = v/E: composite Gauss-Legendre
-    before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.
+    E: float
+    P: np.ndarray
+    rows_out: np.ndarray
+    q_out: np.ndarray
+    w_out: np.ndarray
+
+
+def _flight_points(E: float, ctx: CollisionContext):
+    """Quadrature of the flight integral at E > 0 as flat point arrays.
+
+    Returns (row, s, c, z): point k adds c_k exp(z_k - damp_k) h(v_row - E s_k)
+    to row `row`, with damp = (N(v) - N(v - E s))/E.
     """
-    ctx.check_profile(h)
-    g = ctx.grid
-    if E == 0.0:
-        return VelocityProfile(g, h.values / ctx.nu.values)
-    if E < 0.0:
-        # mirror symmetry: N is odd and the grid is symmetric
-        hm = VelocityProfile(g, h.values[::-1])
-        return VelocityProfile(g, apply_A_inverse(hm, -E, ctx).values[::-1])
-    v = g.nodes
-    Nv = ctx.N(v)
+    v = ctx.grid.nodes
     nmin = ctx.nu_min
     s0 = np.maximum(v, 0.0) / E
     # beyond the kink: s = s0 + z/nu_min, plain Laguerre
-    s = s0[:, None] + _LAG_Z[None, :] / nmin
-    q = (v[:, None] - E * s).ravel()
-    hq = g.interp(h.values, q).reshape(g.n, -1)
-    damp = (Nv[:, None] - ctx.N(q).reshape(g.n, -1)) / E
-    out = (_LAG_W[None, :] * np.exp(_LAG_Z[None, :] - damp) * hq).sum(axis=1) / nmin
+    rows = [np.repeat(np.arange(len(v)), len(_LAG_Z))]
+    ss = [(s0[:, None] + _LAG_Z[None, :] / nmin).ravel()]
+    cs = [np.tile(_LAG_W / nmin, len(v))]
+    zs = [np.tile(_LAG_Z, len(v))]
     # before the kink (v > 0 only): smooth on (0, v], panels doubling in s to
     # resolve the exp(-nu s) decay, truncated once the damping is ~e^-45
-    xg, wg = _XG16, _WG16
     scap = 45.0 / nmin
     for i in np.nonzero(s0 > 0)[0]:
         smax = min(s0[i], scap)
@@ -109,16 +113,65 @@ def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> Velo
             edges.append(t)
             t *= 2.0
         edges.append(smax)
-        acc = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            sn = (a + b) / 2 + (b - a) / 2 * xg
-            qn = v[i] - E * sn
-            dmp = (Nv[i] - ctx.N(qn)) / E
-            acc += (b - a) / 2 * np.sum(wg * np.exp(-dmp) * g.interp(h.values, qn))
-        out[i] += acc
-    return VelocityProfile(g, out)
+        a, b = np.array(edges[:-1]), np.array(edges[1:])
+        rows.append(np.full(len(a) * len(_XG16), i))
+        ss.append(((a + b)[:, None] / 2 + (b - a)[:, None] / 2 * _XG16[None, :]).ravel())
+        cs.append(((b - a)[:, None] / 2 * _WG16[None, :]).ravel())
+        zs.append(np.zeros(len(a) * len(_XG16)))
+    return tuple(np.concatenate(parts) for parts in (rows, ss, cs, zs))
+
+
+def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
+    g = ctx.grid
+    n = g.n
+    row, s, c, z = _flight_points(E, ctx)
+    q = g.nodes[row] - E * s
+    Nv = ctx.N(g.nodes)
+    P = np.zeros(n * n)
+    outside = []
+    for lo in range(0, len(q), _PLAN_BLOCK):
+        blk = slice(lo, lo + _PLAN_BLOCK)
+        r, qb = row[blk], q[blk]
+        w = c[blk] * np.exp(z[blk] - (Nv[r] - ctx.N(qb)) / E)
+        inside = np.abs(qb) <= g.vmax
+        cols, coef = g.interp_rows(qb[inside])
+        P += np.bincount((r[inside, None] * n + cols).ravel(),
+                         (coef * w[inside, None]).ravel(), minlength=n * n)
+        outside.append((r[~inside], qb[~inside], w[~inside]))
+    rows_out, q_out, w_out = (np.concatenate(parts) for parts in zip(*outside))
+    return _FlightPlan(E, P.reshape(n, n), rows_out, q_out, w_out)
+
+
+def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> VelocityProfile:
+    """Inverse of A = nu + E d/dv along accelerated flights.
+
+    (A^-1 h)(v) = int_0^inf exp(-int_0^s nu(v - E tau) dtau) h(v - E s) ds,
+    with the damping integral taken as the exact antiderivative difference
+    (N(v) - N(v - E s))/E.  nu and h may have a |v|-type kink at v = 0, so
+    the s-integral is split at the crossing s = v/E: composite Gauss-Legendre
+    before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.
+
+    Only h changes between calls at one E, so the quadrature is a flight
+    plan built once per E: the points inside [-vmax, vmax], where
+    barycentric interpolation is linear in h, collapse into one n x n
+    matrix P; the points beyond vmax keep the power-law tail fit of h,
+    which is not linear, and are evaluated on every call (so a diverging
+    tail fit is refused on every call).  The context memoises its last plan,
+    keyed by E; E < 0 mirrors onto |E|.
+    """
+    ctx.check_profile(h)
+    g = ctx.grid
+    if E == 0.0:
+        return VelocityProfile(g, h.values / ctx.nu.values)
+    if E < 0.0:
+        # mirror symmetry: N is odd and the grid is symmetric
+        hm = VelocityProfile(g, h.values[::-1])
+        return VelocityProfile(g, apply_A_inverse(hm, -E, ctx).values[::-1])
+    plan = ctx._flight_plan
+    if plan is None or plan.E != E:
+        plan = ctx._flight_plan = _build_flight_plan(E, ctx)
+    tail = np.bincount(plan.rows_out, plan.w_out * g.interp(h.values, plan.q_out), minlength=g.n)
+    return VelocityProfile(g, plan.P @ h.values + tail)
 
 
 def apply_T(f: VelocityProfile, E: float, ctx: CollisionContext) -> VelocityProfile:

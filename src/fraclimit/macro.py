@@ -56,14 +56,13 @@ def frac_laplacian_fourier(rho: MacroState, alpha: float, kappa: float) -> Macro
     return MacroState(np.fft.irfft(c, n=rho.n), rho.L, rho.t, rho.meta)
 
 
-def frac_laplacian_singular(f, alpha: float, x, df=None) -> np.ndarray:
+def frac_laplacian_singular(f, alpha: float, x) -> np.ndarray:
     """(-Laplacian)^(alpha/2) of a rapidly decaying real-line function f.
 
     Regularized kernel for 1 < alpha < 2 (the gradient term cancels in the
     symmetrized form):
         c_{1,alpha} int_0^inf (2f(x) - f(x+h) - f(x-h)) / h^(1+alpha) dh.
     Cross-validation path only; adaptive quadrature with an analytic far tail.
-    `df` is accepted for signature compatibility and unused.
     """
     if not 1.0 < alpha < 2.0:
         raise AlphaOutOfRange("singular-integral form implemented for 1 < alpha < 2")

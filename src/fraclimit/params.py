@@ -35,10 +35,6 @@ class CrossSection:
     def nu2(self) -> float:
         return self.nu0 + abs(self.amplitude) if self.kind == "perturbed" else self.nu0
 
-    @property
-    def symmetric(self) -> bool:
-        return True
-
     def sigma(self, v, vp):
         v = np.asarray(v, dtype=float)
         vp = np.asarray(vp, dtype=float)

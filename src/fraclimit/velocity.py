@@ -38,6 +38,13 @@ def _bary_weights(x: np.ndarray) -> np.ndarray:
 _BW = _bary_weights(_XG)
 
 
+def _bary_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric terms w_j / (t - x_j) at panel coordinates t, and the exact node hits."""
+    d = t[:, None] - _XG[None, :]
+    exact = np.abs(d) < 1e-14
+    return _BW[None, :] / np.where(exact, 1.0, d), exact
+
+
 def _diff_matrix(x: np.ndarray, bw: np.ndarray) -> np.ndarray:
     n = len(x)
     d = np.zeros((n, n))
@@ -157,10 +164,7 @@ class VelocityGrid:
             m = inside & (pidx == k)
             if not m.any():
                 continue
-            t = self._panel_coord(k, ax[m])
-            d = t[:, None] - _XG[None, :]
-            exact = np.abs(d) < 1e-14
-            wd = _BW[None, :] / np.where(exact, 1.0, d)
+            wd, exact = _bary_terms(self._panel_coord(k, ax[m]))
             sl = slice(k * PANEL_PTS, (k + 1) * PANEL_PTS)
             denom = wd.sum(axis=1)
             vr = (wd @ fr[sl]) / denom
@@ -178,6 +182,34 @@ class VelocityGrid:
             left = sl_ * cl * ax[to] ** -ql * (1 + bl * ax[to] ** -2)
             out[to] = np.where(neg[to], left, right)
         return out[0] if scalar else out
+
+    def interp_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Barycentric rows of points with |x| <= vmax.
+
+        Returns (cols, coef), both of shape (len(x), PANEL_PTS), such that
+        `interp(f, x)` equals sum(coef * f[cols], axis=1) up to roundoff:
+        inside the grid, interpolation is linear in the nodal values f.  A
+        point on a node gets a one-hot row.
+        """
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        n2 = self.n // 2
+        cols = np.empty((len(x), PANEL_PTS), dtype=np.intp)
+        coef = np.empty((len(x), PANEL_PTS))
+        pidx = np.clip(np.searchsorted(self.edges, ax, side="right") - 1, 0, self.K - 1)
+        for k in range(self.K):
+            m = pidx == k
+            if not m.any():
+                continue
+            wd, exact = _bary_terms(self._panel_coord(k, ax[m]))
+            c = wd / wd.sum(axis=1, keepdims=True)
+            hit = exact.any(axis=1)
+            c[hit] = exact[hit]
+            coef[m] = c
+            # panel k holds the nodes n2 + 16k + j (v > 0) and n2 - 1 - 16k - j (v < 0)
+            j = k * PANEL_PTS + np.arange(PANEL_PTS)
+            cols[m] = np.where(x[m, None] < 0, n2 - 1 - j, n2 + j)
+        return cols, coef
 
     def deriv(self, values: np.ndarray) -> np.ndarray:
         """Per-panel spectral derivative d/dv of nodal values."""

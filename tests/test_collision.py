@@ -13,6 +13,7 @@ from fraclimit import (
     dissipation_Q,
     dissipation_T,
     equilibrium_profile,
+    perturbed_sigma,
     tail_gamma,
 )
 from fraclimit.equilibrium import solve_F
@@ -141,3 +142,65 @@ def test_dissipation_T_rejects_non_equilibrium(ctx15):
     # M is not the kernel of T at E = 0.5
     with pytest.raises(NonEquilibriumF):
         dissipation_T(ctx15.M, 0.5, ctx15.M, ctx15)
+
+
+def _A_inverse_reference(h, E, ctx):
+    """Per-point flight quadrature of A^-1 (E != 0): Gauss-Laguerre past the
+    kink s = v/E, doubling Gauss-Legendre panels before it, h and N
+    interpolated at every point.  Returns (A^-1 h, number of points beyond vmax)."""
+    g = ctx.grid
+    if E < 0:
+        out, n_out = _A_inverse_reference(VelocityProfile(g, h.values[::-1]), -E, ctx)
+        return out[::-1], n_out
+    zl, wl = np.polynomial.laguerre.laggauss(64)
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    nmin = ctx.nu_min
+    out = np.zeros(g.n)
+    n_out = 0
+    for i, v in enumerate(g.nodes):
+        Nv = ctx.N(v)[0]
+        s0 = max(v, 0.0) / E
+        q = v - E * (s0 + zl / nmin)
+        n_out += int(np.sum(np.abs(q) > g.vmax))
+        out[i] = np.sum(wl * np.exp(zl - (Nv - ctx.N(q)) / E) * g.interp(h.values, q)) / nmin
+        if s0 <= 0:
+            continue
+        smax = min(s0, 45.0 / nmin)
+        edges = [0.0]
+        t = min(0.5 / nmin, smax)
+        while t < smax:
+            edges.append(t)
+            t *= 2.0
+        edges.append(smax)
+        for a, b in zip(edges[:-1], edges[1:]):
+            q = v - E * ((a + b) / 2 + (b - a) / 2 * xg)
+            out[i] += (b - a) / 2 * np.sum(wg * np.exp(-(Nv - ctx.N(q)) / E) * g.interp(h.values, q))
+    return out, n_out
+
+
+@pytest.fixture(scope="module")
+def ctx15p_short():
+    # short grid: the Laguerre points leave [-vmax, vmax] and use the tail fit
+    return CollisionContext(build_grid(128, 40.0), perturbed_sigma(1.0, 0.5), 1.5)
+
+
+@pytest.mark.parametrize("E", [0.5, -0.5, 0.05])
+def test_A_inverse_matches_per_point_quadrature(ctx15p_short, E):
+    ctx = ctx15p_short
+    v = ctx.grid.nodes
+    h = VelocityProfile(ctx.grid, ctx.nu.values * ctx.M.values * (1 + 0.4 * np.tanh(v)))
+    ref, n_out = _A_inverse_reference(h, E, ctx)
+    assert n_out > 0
+    out = apply_A_inverse(h, E, ctx).values
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(out))
+
+
+def test_A_inverse_plan_memo_not_stale(ctx15p_short):
+    # one context solving at E1, E2, E1 gives bitwise what fresh contexts give
+    grid = ctx15p_short.grid
+    ctx = CollisionContext(grid, perturbed_sigma(1.0, 0.5), 1.5)
+    fields = (0.3, 0.1, 0.3)
+    shared = [solve_F(E, ctx).profile.values for E in fields]
+    for E, got in zip(fields, shared):
+        fresh = solve_F(E, CollisionContext(grid, perturbed_sigma(1.0, 0.5), 1.5))
+        assert np.array_equal(got, fresh.profile.values)

@@ -151,3 +151,13 @@ def test_tail_fit_refuses_roundoff_triple():
     for sign in (1.0, -1.0):
         with pytest.raises(TailDivergence, match="left tail fit"):
             _side_tail(vv, sign * pp, "left")
+
+
+def test_interp_rows_linear_form(grid128):
+    m = eval_M(grid128.nodes, 1.5)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([grid128.nodes, rng.uniform(-grid128.vmax, grid128.vmax, 200), [0.0]])
+    cols, coef = grid128.interp_rows(x)
+    lin = np.sum(coef * m[cols], axis=1)
+    assert np.array_equal(lin[: grid128.n], m)
+    assert np.allclose(lin, grid128.interp(m, x), rtol=1e-14, atol=0)
