@@ -105,18 +105,19 @@ def cmd_kinetic_run(args) -> int:
     snaps = sorted(args.snapshot or [T])
     _, rho_fun = initial_bump(params)
     ens = mc.init_ensemble(params.particles, params.domain_length, params.alpha,
-                           params.seed, rho_init=rho_fun, n_partitions=args.threads)
+                           params.seed, rho_init=rho_fun)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for t in snaps:
-        ens = mc.advance(ens, eps, params, params.field_spec, t, scaling=args.scaling)
+        ens = mc.advance(ens, eps, params, params.field_spec, t, scaling=args.scaling,
+                         threads=args.threads)
         dens = mc.estimate_density(ens, params.x_bins)
         rows.extend((t, float(x), float(r)) for x, r in zip(dens.x + dens.dx / 2, dens.rho))
     path = os.path.join(args.out, "kinetic_run.csv")
     _write_csv(path, "t,bin_center,rho", rows)
     manifest = {
         "seed": params.seed, "eps": eps, "particles": params.particles,
-        "partitions": ens.n_partitions, "collisions": ens.collisions,
+        "threads": args.threads, "block": mc.BLOCK, "collisions": ens.collisions,
         "snapshots": snaps, "scaling": args.scaling,
     }
     with open(os.path.join(args.out, "kinetic_manifest.json"), "w", encoding="utf-8") as fh:
@@ -151,7 +152,7 @@ def cmd_macro_run(args) -> int:
 
 def cmd_converge(args) -> int:
     params = _load(args)
-    report = run_convergence(params, scaling=args.scaling, n_partitions=args.threads)
+    report = run_convergence(params, scaling=args.scaling, threads=args.threads)
     code = emit(report, args.out)
     for case in report.cases:
         finest = case["rows"][-1]
@@ -176,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="Monte Carlo stream partitions")
+                        help="Monte Carlo worker threads (scheduling only: streams are "
+                        "keyed by seed and particle block, so results do not depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("equilibrium", help="tabulate v, M, F, lambda, G, R")

@@ -76,9 +76,13 @@ def run_convergence(
     label: str | None = None,
     margin: float = 0.05,
     bump_width: float = 1.8,
-    n_partitions: int = 1,
+    threads: int = 1,
 ) -> ConvergenceReport:
-    """Kinetic MC vs limit-equation solve across the epsilon schedule."""
+    """Kinetic MC vs limit-equation solve across the epsilon schedule.
+
+    `threads` sets how many workers advance the particle blocks; it does not
+    change the result.
+    """
     validate(params)
     if params.dim != 1:
         raise ConfigRegimeMismatch("solvers are one-dimensional")
@@ -99,11 +103,8 @@ def run_convergence(
     rows = []
     noise = None
     for eps in params.epsilon_schedule:
-        ens = mc.init_ensemble(
-            params.particles, L, params.alpha, params.seed, rho_init=rho_fun,
-            n_partitions=max(1, n_partitions),
-        )
-        ens = mc.advance(ens, eps, params, params.field_spec, T, scaling=scaling)
+        ens = mc.init_ensemble(params.particles, L, params.alpha, params.seed, rho_init=rho_fun)
+        ens = mc.advance(ens, eps, params, params.field_spec, T, scaling=scaling, threads=threads)
         dens = mc.estimate_density(ens, bins)
         l1 = float(np.sum(np.abs(dens.rho - macro_binned)) * dx)
         linf = float(np.max(np.abs(dens.rho - macro_binned)))

@@ -1,14 +1,26 @@
 """Event-driven Monte Carlo for the scaled kinetic equation.
 
-Per particle: free flight with drift E/eps, collision candidates from a
-Poisson clock with the majorant rate nu2/eps^alpha, thinning acceptance
-nu(v)/nu2, post-collision velocity from the gain kernel.  Counter-based
-(Philox) streams keyed by (seed, partition) make runs bitwise reproducible
-for a fixed partition count.
+Per particle: free flight with drift E/eps, collisions at the events of a
+Poisson clock with the majorant rate nu2/eps^alpha, post-collision velocity
+from the gain kernel.
+
+With constant sigma every candidate is a collision and each post-collision
+velocity is a fresh M sample, independent of the past.  With a constant (or
+zero) field the whole clock is then drawn up front: K ~ Poisson(rate*tau)
+collisions in the interval tau, K+1 flight times as Dirichlet spacings
+(normalised exponentials), and one flat pass sums the flights per particle.
+Perturbed sigma (thinning acceptance nu(v)/nu2, gain-kernel rejection) and
+x-dependent fields take the candidate loop, one exponential candidate per
+live particle and round.
+
+Particles are split into fixed blocks of BLOCK; each block owns a
+counter-based (Philox) stream keyed by (seed, block index).  Results depend
+on the seed alone, not on how many threads advance the blocks.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,20 +31,24 @@ from .macro import MacroState
 from .params import CrossSection, FieldSpec, ModelParams
 from .velocity import eval_M
 
+BLOCK = 4096  # particles per random stream
 
-def _rng_for(seed: int, partition: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.random.SeedSequence([seed, partition]).generate_state(2, np.uint64)))
+
+def _rng_for(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.random.SeedSequence([seed, block]).generate_state(2, np.uint64)))
+
+
+def _blocks(N: int) -> list[slice]:
+    return [slice(a, min(a + BLOCK, N)) for a in range(0, N, BLOCK)]
 
 
 def sample_M(rng: np.random.Generator, alpha: float, size=None):
-    """Exact equilibrium sample: v = Z / sqrt(W), Z normal, W chi-square(alpha).
+    """Exact equilibrium sample: a Student-t(alpha) variate over sqrt(alpha).
 
-    (M is the Student-t(alpha) density contracted by sqrt(alpha): the t
-    variate is Z/sqrt(W/alpha), and dividing by sqrt(alpha) gives Z/sqrt(W).)
+    (M is the Student-t(alpha) density contracted by sqrt(alpha); the t
+    variate is Z/sqrt(W/alpha) with W chi-square(alpha), so this is Z/sqrt(W).)
     """
-    z = rng.standard_normal(size)
-    w = rng.chisquare(alpha, size)
-    return z / np.sqrt(w)
+    return rng.standard_t(alpha, size) / np.sqrt(alpha)
 
 
 def M_cdf(v, alpha: float):
@@ -63,48 +79,31 @@ class ParticleEnsemble:
     L: float
     t: float
     seed: int
-    n_partitions: int
-    rngs: tuple = field(repr=False, default=())
+    rngs: tuple = field(repr=False, default=())  # one stream per block
     collisions: int = 0
 
     @property
     def N(self) -> int:
         return len(self.x)
 
-    def partitions(self):
-        edges = np.linspace(0, self.N, self.n_partitions + 1).astype(int)
-        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-
-def init_ensemble(
-    N: int,
-    L: float,
-    alpha: float,
-    seed: int,
-    rho_init=None,
-    n_partitions: int = 1,
-) -> ParticleEnsemble:
+def init_ensemble(N: int, L: float, alpha: float, seed: int, rho_init=None) -> ParticleEnsemble:
     """Well-prepared data: x from rho_init (uniform if None), v from M."""
-    rngs = tuple(_rng_for(seed, p) for p in range(n_partitions))
-    xs, vs = [], []
     if rho_init is not None:
         # inverse-CDF table of the initial density
         xe = np.linspace(0.0, L, 4097)
         pdf = np.maximum(rho_init(xe), 0.0)
         cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(xe))])
         cdf /= cdf[-1]
-    edges = np.linspace(0, N, n_partitions + 1).astype(int)
-    for p, rng in enumerate(rngs):
-        n_p = edges[p + 1] - edges[p]
-        u = rng.random(n_p)
-        if rho_init is None:
-            xs.append(u * L)
-        else:
-            xs.append(np.interp(u, cdf, xe))
-        vs.append(sample_M(rng, alpha, n_p))
-    return ParticleEnsemble(
-        np.concatenate(xs), np.concatenate(vs), L, 0.0, seed, n_partitions, rngs
-    )
+    x, v = np.empty(N), np.empty(N)
+    rngs = []
+    for b, sl in enumerate(_blocks(N)):
+        rng = _rng_for(seed, b)
+        u = rng.random(sl.stop - sl.start)
+        x[sl] = u * L if rho_init is None else np.interp(u, cdf, xe)
+        v[sl] = sample_M(rng, alpha, len(u))
+        rngs.append(rng)
+    return ParticleEnsemble(x, v, L, 0.0, seed, tuple(rngs))
 
 
 def _flight(x, v, E_of_x, L, dt, eps, alpha, scaling, field_constant):
@@ -136,6 +135,73 @@ def _flight(x, v, E_of_x, L, dt, eps, alpha, scaling, field_constant):
     np.mod(x, L, out=x)
 
 
+def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
+    """Constant sigma, constant field: draw each particle's whole clock and
+    sum its flights in one pass.  Returns the number of collisions."""
+    k = rng.poisson(rate * tau, len(x))
+    starts = np.zeros(len(x), dtype=np.int64)
+    np.cumsum(k[:-1] + 1, out=starts[1:])
+    s = rng.standard_exponential(starts[-1] + k[-1] + 1)
+    s *= np.repeat(tau / np.add.reduceat(s, starts), k + 1)
+    first = np.zeros(len(s), dtype=bool)
+    first[starts] = True
+    w = np.empty_like(s)  # velocity at the start of each flight
+    w[first] = v
+    w[~first] = sample_M(rng, alpha, len(s) - len(x))
+    last = starts + k
+    v[:] = w[last] + (E / eps) * s[last]
+    w *= s
+    w += (E / (2.0 * eps)) * s * s
+    x += xfac * np.add.reduceat(w, starts)
+    np.mod(x, L, out=x)
+    return int(k.sum())
+
+
+def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, field, L, scaling, rate,
+                    collisions_off) -> int:
+    """One exponential candidate per live particle and round, thinning with
+    acceptance nu(v)/nu2, gain-kernel rejection.  Returns the collisions."""
+    nu2 = cs.nu2
+    E_of_x = lambda xx: field(xx, L)
+    n_coll = 0
+    t = np.full(len(x), t0)
+    alive = np.ones(len(x), dtype=bool)
+    while alive.any():
+        idx = np.nonzero(alive)[0]
+        if collisions_off:
+            dt = until - t[idx]
+            hit = np.zeros(len(idx), dtype=bool)
+        else:
+            cand = rng.exponential(1.0 / rate, len(idx))
+            dt = np.minimum(cand, until - t[idx])
+            hit = cand <= until - t[idx]
+        xi = x[idx]
+        vi = v[idx]
+        _flight(xi, vi, E_of_x, L, dt, eps, alpha, scaling, field.is_constant)
+        x[idx] = xi
+        v[idx] = vi
+        t[idx] += dt
+        if hit.any():
+            ha = idx[hit]
+            if cs.nu1 != nu2:  # otherwise the acceptance is identically 1
+                ha = ha[rng.random(len(ha)) < np.asarray(nu_fun(v[ha])) / nu2]
+            if len(ha):
+                if cs.kind == "constant":
+                    v[ha] = sample_M(rng, alpha, len(ha))
+                else:
+                    # gain kernel sigma(w, v) M(w)/nu(v): rejection against
+                    # M with acceptance sigma(w, v)/nu2
+                    pending = ha.copy()
+                    while len(pending):
+                        w = sample_M(rng, alpha, len(pending))
+                        keep = rng.random(len(pending)) < cs.sigma(w, v[pending]) / nu2
+                        v[pending[keep]] = w[keep]
+                        pending = pending[~keep]
+                n_coll += len(ha)
+        alive = t < until - 1e-15
+    return n_coll
+
+
 def advance(
     ens: ParticleEnsemble,
     eps: float,
@@ -144,63 +210,39 @@ def advance(
     until: float,
     scaling: str = "diffusive",
     collisions_off: bool = False,
+    threads: int = 1,
 ) -> ParticleEnsemble:
-    """Advance the ensemble to t=until (macroscopic time)."""
+    """Advance the ensemble to t=until (macroscopic time).
+
+    Blocks are advanced by a pool of `threads` workers; the result does not
+    depend on their number.
+    """
     if until < ens.t - 1e-15:
         raise NonMonotoneTime(f"until={until} < current t={ens.t}")
     cs = params.cross_section
     alpha = params.alpha
-    nu2 = cs.nu2
-    rate = nu2 / eps**alpha if scaling == "diffusive" else nu2 / eps
-    nu_fun = nu_continuum(cs, alpha)
-    field_constant = field.is_constant
-    E_of_x = lambda xx: field(xx, ens.L)
-    n_coll = ens.collisions
-    for p, sl in zip(range(ens.n_partitions), ens.partitions()):
-        rng = ens.rngs[p]
-        x = ens.x[sl]
-        v = ens.v[sl]
-        t = np.full(len(x), ens.t)
-        alive = np.ones(len(x), dtype=bool)
-        while alive.any():
-            idx = np.nonzero(alive)[0]
-            if collisions_off:
-                dt = until - t[idx]
-                hit = np.zeros(len(idx), dtype=bool)
-            else:
-                cand = rng.exponential(1.0 / rate, len(idx))
-                dt = np.minimum(cand, until - t[idx])
-                hit = cand <= until - t[idx]
-            xi = x[idx]
-            vi = v[idx]
-            _flight(xi, vi, E_of_x, ens.L, dt, eps, alpha, scaling, field_constant)
-            x[idx] = xi
-            v[idx] = vi
-            t[idx] += dt
-            if hit.any():
-                h = idx[hit]
-                u = rng.random(len(h))
-                acc = u < np.asarray(nu_fun(v[h])) / nu2
-                ha = h[acc]
-                if len(ha):
-                    if cs.kind == "constant":
-                        v[ha] = sample_M(rng, alpha, len(ha))
-                    else:
-                        # gain kernel sigma(w, v) M(w)/nu(v): rejection against
-                        # M with acceptance sigma(w, v)/nu2
-                        pending = ha.copy()
-                        while len(pending):
-                            w = sample_M(rng, alpha, len(pending))
-                            keep = rng.random(len(pending)) < cs.sigma(w, v[pending]) / nu2
-                            v[pending[keep]] = w[keep]
-                            pending = pending[~keep]
-                    n_coll += len(ha)
-            alive = t < until - 1e-15
-        ens.x[sl] = x
-        ens.v[sl] = v
-    return ParticleEnsemble(
-        ens.x, ens.v, ens.L, until, ens.seed, ens.n_partitions, ens.rngs, n_coll
-    )
+    rate = cs.nu2 / eps**alpha if scaling == "diffusive" else cs.nu2 / eps
+    flat = cs.kind == "constant" and field.is_constant and not collisions_off
+    xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
+    E = field.e0 if field.kind == "constant" else 0.0
+    tau = max(until - ens.t, 0.0)
+    nu_fun = None if flat else nu_continuum(cs, alpha)
+
+    blocks = _blocks(ens.N)
+
+    def run(b):
+        x, v, rng = ens.x[blocks[b]], ens.v[blocks[b]], ens.rngs[b]
+        if flat:
+            return _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, ens.L)
+        return _candidate_loop(x, v, rng, ens.t, until, eps, alpha, cs, nu_fun, field, ens.L,
+                               scaling, rate, collisions_off)
+
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            counts = list(pool.map(run, range(len(blocks))))
+    else:
+        counts = [run(b) for b in range(len(blocks))]
+    return ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.seed, ens.rngs, ens.collisions + sum(counts))
 
 
 def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:

@@ -147,7 +147,7 @@ def test_cli_kinetic_run(tmp_path):
                  "kinetic-run", "--eps", "0.2", "--snapshot", "0.1",
                  "--snapshot", "0.2"]) == 0
     manifest = json.loads((tmp_path / "kinetic_manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seed"] == 11 and manifest["partitions"] == 2
+    assert manifest["seed"] == 11 and manifest["threads"] == 2
     assert manifest["collisions"] > 0
     lines = (tmp_path / "kinetic_run.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,bin_center,rho"

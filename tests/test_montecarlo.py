@@ -1,8 +1,13 @@
+import json
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from fraclimit import (
+    CrossSection,
     M_cdf,
     ModelParams,
     advance,
@@ -13,6 +18,7 @@ from fraclimit import (
     perturbed_sigma,
     sample_M,
 )
+from fraclimit.cli import main
 from fraclimit.montecarlo import _rng_for
 from fraclimit.params import FieldSpec
 from fraclimit.errors import NonMonotoneTime
@@ -54,7 +60,7 @@ def test_bitwise_reproducibility():
     p = _params()
     runs = []
     for _ in range(2):
-        ens = init_ensemble(p.particles, L, p.alpha, p.seed, n_partitions=4)
+        ens = init_ensemble(p.particles, L, p.alpha, p.seed)
         ens = advance(ens, 0.1, p, p.field_spec, 0.2)
         runs.append((ens.x.copy(), ens.v.copy(), ens.collisions))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -141,3 +147,105 @@ def test_perturbed_collisions_relax_to_M():
     out = advance(ens, 0.2, p, p.field_spec, 0.5)
     ks = stats.kstest(out.v, lambda q: M_cdf(q, p.alpha)).statistic
     assert ks < 0.01
+
+
+def _bump(x):
+    return (1.0 + np.cos(2 * np.pi * x / L)) / L
+
+
+@pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
+@pytest.mark.parametrize("e0", [0.0, 0.5])
+def test_clock_pass_matches_candidate_loop(scaling, e0):
+    # constant sigma takes the flat clock pass; a perturbed sigma of zero
+    # amplitude has the same law but takes the candidate loop
+    field = FieldSpec("constant", e0) if e0 else FieldSpec("zero")
+    eps, T, n = 0.2, 0.5, 50_000
+    out = []
+    for seed, cs in ((1, constant_sigma(1.0)), (2, CrossSection("perturbed", 1.0, 0.0))):
+        p = _params(cross_section=cs, field_spec=field, particles=n)
+        ens = init_ensemble(n, L, p.alpha, seed, rho_init=_bump)
+        out.append(advance(ens, eps, p, field, T, scaling=scaling))
+    assert stats.ks_2samp(out[0].x, out[1].x).pvalue > 1e-3
+    assert stats.ks_2samp(out[0].v, out[1].v).pvalue > 1e-3
+    m = n * T / (eps if scaling == "high_field" else eps**1.5)
+    for o in out:
+        assert abs(o.collisions - m) <= 6 * np.sqrt(m)
+
+
+def test_consecutive_advances_use_elapsed_time():
+    # 0 -> 0.1 -> 0.2 has the law of one advance 0 -> 0.2
+    field = FieldSpec("constant", 0.5)
+    p = _params(field_spec=field, particles=50_000)
+    eps = 0.2
+    ens = init_ensemble(p.particles, L, p.alpha, 1, rho_init=_bump)
+    ens = advance(advance(ens, eps, p, field, 0.1), eps, p, field, 0.2)
+    once = advance(init_ensemble(p.particles, L, p.alpha, 2, rho_init=_bump), eps, p, field, 0.2)
+    assert ens.t == 0.2
+    m = p.particles * 0.2 / eps**p.alpha
+    assert abs(ens.collisions - m) <= 6 * np.sqrt(m)
+    assert stats.ks_2samp(ens.x, once.x).pvalue > 1e-3
+    assert stats.ks_2samp(ens.v, once.v).pvalue > 1e-3
+
+
+def test_clock_pass_memory_is_per_block():
+    p = _params(field_spec=FieldSpec("constant", 0.5), particles=250_000)
+    ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+    tracemalloc.start()
+    try:
+        advance(ens, 0.05, p, p.field_spec, p.final_time)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of flights at a time: ~5 MB here; the per-round candidate
+    # loop over the whole ensemble peaked at 31 MB
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("cs", [constant_sigma(1.0), perturbed_sigma(1.0, 0.5)])
+def test_more_threads_than_cores_same_result(cs):
+    # blocks write disjoint slices of the shared arrays; frequent thread
+    # switches would expose any lost update
+    p = _params(cross_section=cs, field_spec=FieldSpec("constant", 0.5), particles=30_000)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 5):
+            ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+            ens = advance(ens, 0.2, p, p.field_spec, 0.3, threads=threads)
+            runs.append((ens.x, ens.v, ens.collisions))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
+    assert runs[0][2] == runs[1][2]
+
+
+def _cli_outputs(tmp_path, threads, cfg, argv):
+    out = tmp_path / f"threads{threads}"
+    assert main(["--config", str(cfg), "--out", str(out), "--threads", str(threads), *argv]) in (0, 1)
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    if "kinetic_manifest.json" in files:
+        manifest = json.loads(files.pop("kinetic_manifest.json"))
+        assert manifest.pop("threads") == threads
+        files["manifest"] = manifest
+    return files
+
+
+@pytest.mark.parametrize("case", ["kinetic-constant", "kinetic-sinusoidal", "converge"])
+def test_cli_outputs_do_not_depend_on_threads(tmp_path, case):
+    cfg = {
+        "alpha": 1.5, "domain_length": L, "final_time": 0.2, "epsilon_schedule": [0.2, 0.1],
+        "seed": 5, "particles": 20_000, "x_bins": 16,
+        "field": {"kind": "constant", "e0": 0.5},
+    }
+    argv = ["kinetic-run", "--snapshot", "0.1", "--snapshot", "0.2"]
+    if case == "kinetic-sinusoidal":
+        cfg["field"] = {"kind": "sinusoidal", "e0": 0.5}
+        cfg["cross_section"] = {"kind": "PerturbedConstant", "nu0": 1.0, "amplitude": 0.5}
+    elif case == "converge":
+        argv = ["converge"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    one, two = (_cli_outputs(tmp_path, t, path, argv) for t in (1, 2))
+    assert one == two
