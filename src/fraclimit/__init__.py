@@ -6,6 +6,7 @@ from .coefficients import (
     gamma_of_M,
     kappa,
     limit_coefficients,
+    limit_model,
     matrix_D,
 )
 from .collision import (
@@ -56,6 +57,7 @@ from .params import (
     validate,
 )
 from .velocity import (
+    Tail,
     VelocityGrid,
     VelocityProfile,
     build_grid,

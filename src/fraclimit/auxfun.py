@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import LimitCoefficients
 from .collision import CollisionContext
 from .equilibrium import solve_F
 from .macro import MacroState
 from .params import FieldSpec
-from .velocity import _both_tails, _XG, _WG
+from .velocity import Tail, _XG, _WG
 
 _LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
 
@@ -142,13 +141,15 @@ def L_eps(
             cache[key] = solve_F(key, ctx).profile.values
     Fmat = np.stack([cache[float(e)] for e in Eff])  # (nx, nv)
 
-    # tail machinery shared across modes
+    # per cached F: its fitted tail on the panels, weighted by nu there, and
+    # the closed-form remainder beyond v_far, where the mode factor is ~ -1
     tv, tw, v_far = _tail_panels(g.vmax)
     nu_inf = ctx._nu_inf
     tails = {}
     for key, Fv in cache.items():
-        (cr, qr, br, sr), (cl, ql, bl, sl) = _both_tails(g.nodes, Fv)
-        tails[key] = (sr * cr, qr, br, sl * cl, ql, bl)
+        t = Tail(g, Fv)
+        rem = -nu_inf * sum(t.integral(0.0, v_far))
+        tails[key] = (tw * nu_inf * t(tv), tw * nu_inf * t(-tv), rem)
 
     out = np.zeros(len(x))
     for k in phi.band:
@@ -160,24 +161,16 @@ def L_eps(
         # analytic tails, one value per cached field value
         tfac_p = _chi_mode_factor(kp, eps, tv, np.full_like(tv, nu_inf)) - 1.0
         tfac_m = _chi_mode_factor(kp, eps, -tv, np.full_like(tv, nu_inf)) - 1.0
-        tail_val = {}
-        for key, (cR, qR, bR, cL, qL, bL) in tails.items():
-            right = np.sum(tw * nu_inf * cR * tv**-qR * (1 + bR * tv**-2) * tfac_p)
-            left = np.sum(tw * nu_inf * cL * tv**-qL * (1 + bL * tv**-2) * tfac_m)
-            # beyond v_far the factor is ~ -1 and the remainder is analytic
-            rem = -(
-                nu_inf * cR * v_far ** (1 - qR) / (qR - 1)
-                + nu_inf * cL * v_far ** (1 - qL) / (qL - 1)
-            )
-            tail_val[key] = right + left + rem
+        tail_val = {
+            key: np.sum(wr * tfac_p) + np.sum(wl * tfac_m) + rem
+            for key, (wr, wl, rem) in tails.items()
+        }
         tcol = np.array([tail_val[float(e)] for e in Eff])
         out = out + 2.0 * np.real(phi.coeffs[k] * np.exp(1j * kp * x) * (core + tcol))
     return MacroState(out / eps**alpha, phi.L, 0.0, {"eps": eps, "alpha": alpha})
 
 
-def limit_operator(phi: TestFunction, coeffs: LimitCoefficients, drift) -> MacroState:
+def limit_operator(phi: TestFunction, alpha: float, kappa: float, drift) -> MacroState:
     """L(phi) = -kappa (-Lap)^(alpha/2) phi - drift * d_x phi (drift scalar or per-x)."""
-    frac = np.fft.irfft(
-        -coeffs.kappa * phi.kphys ** coeffs.alpha * phi.coeffs * phi.n, n=phi.n
-    )
+    frac = np.fft.irfft(-kappa * phi.kphys**alpha * phi.coeffs * phi.n, n=phi.n)
     return MacroState(frac - np.asarray(drift) * phi.deriv_values(), phi.L)

@@ -15,10 +15,10 @@ import sys
 from dataclasses import replace
 
 from . import montecarlo as mc
-from .coefficients import gamma_of_M, kappa, limit_coefficients
+from .coefficients import limit_coefficients
 from .collision import CollisionContext
 from .equilibrium import solve_F, solve_lambda
-from .harness import emit, initial_bump, run_convergence, run_operator_study, _macro_drift
+from .harness import emit, initial_bump, macro_limit, run_convergence, run_operator_study
 from .macro import MacroState, advance_macro
 from .params import ModelParams, load_config, validate, with_seed
 from .velocity import build_grid
@@ -130,13 +130,7 @@ def cmd_macro_run(args) -> int:
     params = _load(args)
     T = args.final_time if args.final_time is not None else params.final_time
     snaps = sorted(args.snapshot or [T])
-    scaling = args.scaling
-    kap = 0.0 if scaling == "high_field" else kappa(
-        params.alpha, params.cross_section.nu0, gamma_of_M(params.alpha))
-    drift = _macro_drift(params, scaling)
-    if drift is None:
-        print("macro-run supports constant fields only", file=sys.stderr)
-        return 2
+    kap, drift = macro_limit(params, args.scaling)
     init, _ = initial_bump(params)
     state = MacroState(init.rho, params.domain_length)
     rows = []

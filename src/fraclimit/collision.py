@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatch, NonEquilibriumF
+from .errors import InvalidInput
 from .params import CrossSection
 from .velocity import VelocityGrid, VelocityProfile, eval_M
 
@@ -48,7 +48,7 @@ class CollisionContext:
 
     def check_profile(self, f: VelocityProfile):
         if f.grid is not self.grid and f.grid != self.grid:
-            raise GridMismatch("profile grid differs from context grid")
+            raise InvalidInput("profile grid differs from context grid")
 
     def N(self, x) -> np.ndarray:
         """Antiderivative of nu at arbitrary points."""
@@ -212,7 +212,7 @@ def dissipation_T(
     ctx.check_profile(F)
     res = float(np.max(np.abs(apply_T(F, E, ctx).values)))
     if res > 1e-3:
-        raise NonEquilibriumF(f"T(F) residual {res:.2e} too large for a coercivity test")
+        raise InvalidInput(f"T(F) residual {res:.2e} too large for a coercivity test")
     g = ctx.grid
     tf = apply_T(f, E, ctx).values
     lhs = float(np.sum(g.weights * tf * f.values / F.values))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import CollisionContext, apply_A_inverse, apply_K, apply_Q, apply_T
-from .errors import NegativeEntries, PowerIterationStalled, SingularSystem
+from .errors import InvalidInput, SolverFailure
 from .velocity import VelocityProfile, moment, norm_Z
 
 _LAG_Z128, _LAG_W128 = np.polynomial.laguerre.laggauss(128)
@@ -57,7 +57,7 @@ def solve_F(E: float, ctx: CollisionContext, method: str | None = None) -> Equil
 
     if method == "explicit":
         if ctx.cross_section.kind != "constant":
-            raise ValueError("explicit formula requires the constant cross section")
+            raise InvalidInput("explicit formula requires the constant cross section")
         # rate = the context's (discrete) nu so both solve routes describe the
         # same discretized operator
         from .velocity import eval_M
@@ -83,12 +83,12 @@ def solve_F(E: float, ctx: CollisionContext, method: str | None = None) -> Equil
             break
         W = Wn
     else:
-        raise PowerIterationStalled("no convergence in 10^4 sweeps")
+        raise SolverFailure("no convergence in 10^4 sweeps")
     if abs(eig - 1.0) > 1e-6:
-        raise PowerIterationStalled(f"dominant eigenvalue {eig} != 1")
+        raise SolverFailure(f"dominant eigenvalue {eig} != 1")
     vals = apply_A_inverse(VelocityProfile(g, W), E, ctx).values
     if vals.min() < -1e-12:
-        raise NegativeEntries(f"min F = {vals.min():.3e}")
+        raise SolverFailure(f"min F = {vals.min():.3e}")
     F = _normalize(ctx, vals)
     res = float(np.max(np.abs(apply_T(F, E, ctx).values)))
     return EquilibriumF(F, E, res, "power_iteration", eigenvalue=eig)
@@ -120,11 +120,11 @@ def solve_lambda(ctx: CollisionContext) -> LambdaField:
     try:
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - grid pathology
-        raise SingularSystem(str(exc)) from exc
+        raise SolverFailure(str(exc)) from exc
     lam = VelocityProfile(g, M * sol[:n])
     res = float(np.max(np.abs(apply_Q(lam, ctx).values - rhs) / M))
     if not res <= 1e-10:
-        raise SingularSystem(f"lambda residual {res:.2e} (M-weighted) exceeds 1e-10")
+        raise SolverFailure(f"lambda residual {res:.2e} (M-weighted) exceeds 1e-10")
     return LambdaField(lam, res)
 
 

@@ -5,65 +5,13 @@ class FracLimitError(Exception):
     """Base class for all package errors."""
 
 
-class AlphaOutOfRange(FracLimitError):
-    pass
+class InvalidInput(FracLimitError, ValueError):
+    """A parameter, grid, profile or request the laboratory cannot work with."""
 
 
-class NonPositiveDomain(FracLimitError):
-    pass
+class SolverFailure(FracLimitError):
+    """A numerical step did not reach its documented accuracy or sign."""
 
 
-class EmptyEpsilonSchedule(FracLimitError):
-    pass
-
-
-class CrossSectionBoundsViolated(FracLimitError):
-    pass
-
-
-class OddNodeCount(FracLimitError):
-    pass
-
-
-class NonPositiveExtent(FracLimitError):
-    pass
-
-
-class GridMismatch(FracLimitError):
-    pass
-
-
-class NonEquilibriumF(FracLimitError):
-    pass
-
-
-class PowerIterationStalled(FracLimitError):
-    pass
-
-
-class NegativeEntries(FracLimitError):
-    pass
-
-
-class SingularSystem(FracLimitError):
-    pass
-
-
-class QuadratureMismatch(FracLimitError):
-    pass
-
-
-class TailDivergence(FracLimitError):
-    pass
-
-
-class NonMonotoneTime(FracLimitError):
-    pass
-
-
-class StabilityViolation(FracLimitError):
-    pass
-
-
-class ConfigRegimeMismatch(FracLimitError):
-    pass
+class TailDivergence(SolverFailure):
+    """A power-law tail fit or tail integral is not finite."""

@@ -10,13 +10,18 @@ import numpy as np
 
 from . import montecarlo as mc
 from .auxfun import TestFunction, L_eps, limit_operator
-from .coefficients import gamma_of_M, kappa, LimitCoefficients, c_d_alpha, matrix_D
+from .coefficients import limit_model
 from .collision import CollisionContext
-from .equilibrium import drift_mu, solve_lambda
-from .errors import ConfigRegimeMismatch
+from .errors import InvalidInput
 from .macro import MacroState, advance_macro, gaussian_bump
 from .params import ModelParams, validate
 from .velocity import build_grid
+
+# width of the initial density bump of the kinetic and macro runs
+BUMP_WIDTH = 1.8
+# band and width of the operator study's test function
+PHI_BANDWIDTH = 4
+PHI_WIDTH = 0.8
 
 
 @dataclass
@@ -39,8 +44,8 @@ def _params_dict(params: ModelParams) -> dict:
     return d
 
 
-def initial_bump(params: ModelParams, width: float = 1.8):
-    init = gaussian_bump(params.domain_length, width, 512)
+def initial_bump(params: ModelParams):
+    init = gaussian_bump(params.domain_length, BUMP_WIDTH, 512)
 
     def rho_fun(x):
         return np.interp(np.mod(x, params.domain_length), init.x, init.rho, period=params.domain_length)
@@ -48,34 +53,18 @@ def initial_bump(params: ModelParams, width: float = 1.8):
     return init, rho_fun
 
 
-def _macro_drift(params: ModelParams, scaling: str):
-    """Drift coefficient of the limit equation for the configured regime."""
-    fs = params.field_spec
-    if scaling == "high_field":
-        return fs.e0 if fs.is_constant else None
-    if fs.kind == "zero":
-        return 0.0
-    if params.alpha > 1.0:
-        grid = build_grid(params.velocity_nodes, max(params.vmax, 1000.0))
-        ctx = CollisionContext(grid, params.cross_section, params.alpha)
-        D = matrix_D(solve_lambda(ctx), ctx)
-        if fs.is_constant:
-            return D * fs.e0
-        return None  # resolved per grid point by the caller
-    # critical case: mu(E)
+def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
+    """(kappa, drift) of the macro run, from `limit_model` on a grid reaching
+    at least |v| = 1000, far enough for D and mu(E) whatever the epsilon schedule."""
     grid = build_grid(params.velocity_nodes, max(params.vmax, 1000.0))
     ctx = CollisionContext(grid, params.cross_section, params.alpha)
-    if fs.is_constant:
-        return drift_mu(fs.e0, ctx)
-    return None
+    return limit_model(ctx, params.field_spec, scaling)
 
 
 def run_convergence(
     params: ModelParams,
     scaling: str = "diffusive",
-    label: str | None = None,
     margin: float = 0.05,
-    bump_width: float = 1.8,
     threads: int = 1,
 ) -> ConvergenceReport:
     """Kinetic MC vs limit-equation solve across the epsilon schedule.
@@ -85,17 +74,10 @@ def run_convergence(
     """
     validate(params)
     if params.dim != 1:
-        raise ConfigRegimeMismatch("solvers are one-dimensional")
-    if scaling not in ("diffusive", "high_field"):
-        raise ConfigRegimeMismatch(f"unknown scaling {scaling!r}")
+        raise InvalidInput("solvers are one-dimensional")
     L, T = params.domain_length, params.final_time
-    init, rho_fun = initial_bump(params, bump_width)
-    kap = 0.0 if scaling == "high_field" else kappa(
-        params.alpha, params.cross_section.nu0, gamma_of_M(params.alpha)
-    )
-    drift = _macro_drift(params, scaling)
-    if drift is None:
-        raise ConfigRegimeMismatch("x-dependent fields need a per-point drift; use constant fields here")
+    init, rho_fun = initial_bump(params)
+    kap, drift = macro_limit(params, scaling)
     macro = advance_macro(MacroState(init.rho, L), params.time_step_macro, params.alpha, kap, drift, T)
     bins = params.x_bins
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
@@ -119,7 +101,7 @@ def run_convergence(
     finest_ok = errs[-1] - rows[-1]["noise_floor"] < margin
     order = float(np.polyfit(np.log(params.epsilon_schedule), np.log(errs), 1)[0])
     case = {
-        "label": label or f"alpha={params.alpha} field={params.field_spec.kind} scaling={scaling}",
+        "label": f"alpha={params.alpha} field={params.field_spec.kind} scaling={scaling}",
         "scaling": scaling,
         "kappa": kap,
         "drift": drift,
@@ -131,30 +113,18 @@ def run_convergence(
     return ConvergenceReport([case], _params_dict(params), params.seed)
 
 
-def run_operator_study(params: ModelParams, bandwidth: int = 4, width: float = 0.8) -> dict:
+def run_operator_study(params: ModelParams) -> dict:
     """L_eps vs the limit operator across the epsilon schedule."""
     validate(params)
     eps_list = params.epsilon_schedule
     grid = build_grid(params.velocity_nodes, params.vmax)
     ctx = CollisionContext(grid, params.cross_section, params.alpha)
     alpha = params.alpha
-    co = LimitCoefficients(
-        alpha, params.cross_section.nu0, gamma_of_M(alpha), c_d_alpha(1, alpha),
-        kappa(alpha, params.cross_section.nu0, gamma_of_M(alpha)), None,
-    )
     fs = params.field_spec
-    if fs.kind == "zero":
-        drift_gen = 0.0
-    elif not fs.is_constant:
-        raise ConfigRegimeMismatch("operator study ships constant-field drifts only")
-    elif alpha > 1.0:
-        Dctx = CollisionContext(build_grid(params.velocity_nodes, max(params.vmax, 1000.0)), params.cross_section, alpha)
-        drift_gen = matrix_D(solve_lambda(Dctx), Dctx) * fs.e0
-    else:
-        drift_gen = drift_mu(fs.e0, ctx)
-    phi = TestFunction.gaussian_bump(params.domain_length, width=width, bandwidth=bandwidth, n=64)
+    kap, drift_gen = limit_model(ctx, fs, "diffusive")
+    phi = TestFunction.gaussian_bump(params.domain_length, width=PHI_WIDTH, bandwidth=PHI_BANDWIDTH, n=64)
     # the limit acts on test functions, so the drift enters with the dual sign
-    lim = limit_operator(phi, co, -drift_gen)
+    lim = limit_operator(phi, alpha, kap, -drift_gen)
     rows = []
     for eps in eps_list:
         le = L_eps(phi, eps, fs, ctx)

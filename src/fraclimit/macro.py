@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .coefficients import c_d_alpha
-from .errors import AlphaOutOfRange, StabilityViolation
+from .errors import InvalidInput
 
 
 class MacroState:
@@ -65,7 +65,7 @@ def frac_laplacian_singular(f, alpha: float, x) -> np.ndarray:
     Cross-validation path only; adaptive quadrature with an analytic far tail.
     """
     if not 1.0 < alpha < 2.0:
-        raise AlphaOutOfRange("singular-integral form implemented for 1 < alpha < 2")
+        raise InvalidInput("singular-integral form implemented for 1 < alpha < 2")
     c = c_d_alpha(1, alpha)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(len(xs))
@@ -117,7 +117,7 @@ def advance_macro(rho: MacroState, dt: float, alpha: float, kappa: float, drift,
     b_arr = None if np.ndim(drift) == 0 else np.asarray(drift, dtype=float)
     bmax = abs(float(drift)) if b_arr is None else float(np.max(np.abs(b_arr)))
     if b_arr is not None and bmax > 0 and dt > state.dx / (2.0 * bmax):
-        raise StabilityViolation(
+        raise InvalidInput(
             f"dt={dt} exceeds advection bound {state.dx / (2 * bmax):.3e}"
         )
     while state.t < until - 1e-14:
@@ -136,12 +136,11 @@ def advance_macro(rho: MacroState, dt: float, alpha: float, kappa: float, drift,
     return state
 
 
-def gaussian_bump(L: float, width: float, n: int, center: float | None = None) -> MacroState:
-    """Normalized periodized Gaussian density on the torus."""
+def gaussian_bump(L: float, width: float, n: int) -> MacroState:
+    """Normalized periodized Gaussian density on the torus, centred at L/2."""
     x = np.arange(n) * (L / n)
-    c = L / 2 if center is None else center
     rho = np.zeros(n)
     for shift in range(-6, 7):
-        rho += np.exp(-((x - c + shift * L) ** 2) / (2.0 * width**2))
+        rho += np.exp(-((x - L / 2 + shift * L) ** 2) / (2.0 * width**2))
     rho /= np.sum(rho) * (L / n)
     return MacroState(rho, L)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NonMonotoneTime
+from .errors import InvalidInput
 from .macro import MacroState
 from .params import CrossSection, FieldSpec, ModelParams
 from .velocity import eval_M
@@ -218,7 +218,7 @@ def advance(
     depend on their number.
     """
     if until < ens.t - 1e-15:
-        raise NonMonotoneTime(f"until={until} < current t={ens.t}")
+        raise InvalidInput(f"until={until} < current t={ens.t}")
     cs = params.cross_section
     alpha = params.alpha
     rate = cs.nu2 / eps**alpha if scaling == "diffusive" else cs.nu2 / eps

@@ -6,12 +6,7 @@ import json
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    CrossSectionBoundsViolated,
-    EmptyEpsilonSchedule,
-    NonPositiveDomain,
-)
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -111,25 +106,28 @@ class ModelParams:
 def validate(params: ModelParams) -> ModelParams:
     """Check every invariant; returns the params unchanged on success."""
     if not 1.0 <= params.alpha < 2.0:
-        raise AlphaOutOfRange(f"alpha={params.alpha} outside [1,2)")
+        raise InvalidInput(f"alpha={params.alpha} outside [1,2)")
     if params.domain_length <= 0 or params.final_time <= 0:
-        raise NonPositiveDomain("domain_length and final_time must be positive")
+        raise InvalidInput("domain_length and final_time must be positive")
     eps = params.epsilon_schedule
     if len(eps) == 0:
-        raise EmptyEpsilonSchedule("epsilon_schedule is empty")
+        raise InvalidInput("epsilon_schedule is empty")
     if any(e <= 0 or e > 1 for e in eps):
-        raise EmptyEpsilonSchedule("epsilon values must lie in (0,1]")
+        raise InvalidInput("epsilon values must lie in (0,1]")
     if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise EmptyEpsilonSchedule("epsilon_schedule must be strictly decreasing")
+        raise InvalidInput("epsilon_schedule must be strictly decreasing")
     cs = params.cross_section
     if cs.kind not in ("constant", "perturbed"):
-        raise CrossSectionBoundsViolated(f"unknown cross section kind {cs.kind!r}")
+        raise InvalidInput(f"unknown cross section kind {cs.kind!r}")
     if cs.nu0 <= 0 or cs.nu1 <= 0:
-        raise CrossSectionBoundsViolated(
+        raise InvalidInput(
             f"need 0 < nu0 - |amplitude|; got nu0={cs.nu0}, amplitude={cs.amplitude}"
         )
-    if params.field_spec.kind not in ("zero", "constant", "sinusoidal"):
-        raise NonPositiveDomain(f"unknown field kind {params.field_spec.kind!r}")
+    fs = params.field_spec
+    if fs.kind not in ("zero", "constant", "sinusoidal"):
+        raise InvalidInput(f"unknown field kind {fs.kind!r}")
+    if fs.kind == "zero" and fs.e0 != 0.0:
+        raise InvalidInput(f"zero field with e0={fs.e0}; use kind 'constant' for a nonzero field")
     return params
 
 

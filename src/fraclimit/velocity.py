@@ -3,8 +3,9 @@
 The equilibrium M(v) = Z^-1 (1+v^2)^(-(1+alpha)/2) decays only polynomially,
 so the grid is a symmetric composite of Gauss-Legendre panels: one linear
 panel [0, inner] and geometrically log-spaced panels out to vmax, mirrored to
-v < 0.  Moments of profiles with power-law tails get an analytic closed-form
-correction from a per-side two-term tail fit c|v|^-q (1 + b v^-2).
+v < 0.  Beyond vmax a profile is continued by its `Tail`, a per-side
+two-term power law c|v|^-q (1 + b v^-2), which also gives moments their
+closed-form |v| > vmax part.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    GridMismatch,
-    NonPositiveExtent,
-    OddNodeCount,
-    TailDivergence,
-)
+from .errors import InvalidInput, TailDivergence
 
 # points per Gauss-Legendre panel; fixed (panel count scales with n_nodes)
 PANEL_PTS = 16
@@ -78,7 +73,7 @@ _CM, _FR = _cumulative_matrices(_XG)
 def eval_M(v, alpha: float):
     """Equilibrium density Z^-1 (1+v^2)^(-(1+alpha)/2), normalized on the line."""
     if not 1.0 <= alpha < 2.0:
-        raise AlphaOutOfRange(f"alpha={alpha} outside [1,2)")
+        raise InvalidInput(f"alpha={alpha} outside [1,2)")
     return (1.0 + np.asarray(v, dtype=float) ** 2) ** (-(1.0 + alpha) / 2.0) / norm_Z(alpha)
 
 
@@ -100,17 +95,17 @@ class VelocityGrid:
 
     def __init__(self, n_nodes: int, vmax: float, inner: float = 1.0):
         if n_nodes <= 0 or n_nodes % (2 * PANEL_PTS) != 0:
-            raise OddNodeCount(
+            raise InvalidInput(
                 f"n_nodes={n_nodes} must be a positive multiple of {2 * PANEL_PTS}"
             )
         if vmax <= 0:
-            raise NonPositiveExtent(f"vmax={vmax} must be positive")
+            raise InvalidInput(f"vmax={vmax} must be positive")
         if not 0 < inner < vmax:
-            raise NonPositiveExtent(f"inner={inner} must lie in (0, vmax)")
+            raise InvalidInput(f"inner={inner} must lie in (0, vmax)")
         half = n_nodes // 2
         K = half // PANEL_PTS
         if K < 2:
-            raise OddNodeCount("need at least two panels per side")
+            raise InvalidInput("need at least two panels per side")
         self.n = n_nodes
         self.vmax = float(vmax)
         self.inner = float(inner)
@@ -177,10 +172,7 @@ class VelocityGrid:
             out[m] = np.where(neg[m], vl, vr)
         to = ~inside
         if to.any():
-            (cr, qr, br, sr), (cl, ql, bl, sl_) = _both_tails(self.nodes, values)
-            right = sr * cr * ax[to] ** -qr * (1 + br * ax[to] ** -2)
-            left = sl_ * cl * ax[to] ** -ql * (1 + bl * ax[to] ** -2)
-            out[to] = np.where(neg[to], left, right)
+            out[to] = Tail(self, values)(x[to])
         return out[0] if scalar else out
 
     def interp_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,15 +281,15 @@ class VelocityProfile:
     def __init__(self, grid: VelocityGrid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
-            raise GridMismatch(f"values shape {values.shape} != ({grid.n},)")
+            raise InvalidInput(f"values shape {values.shape} != ({grid.n},)")
         if not np.all(np.isfinite(values)):
-            raise GridMismatch("profile contains non-finite entries")
+            raise InvalidInput("profile contains non-finite entries")
         self.grid = grid
         self.values = values
 
     def _check(self, other: "VelocityProfile"):
         if self.grid is not other.grid and self.grid != other.grid:
-            raise GridMismatch("profiles live on different grids")
+            raise InvalidInput("profiles live on different grids")
 
     def __add__(self, other):
         self._check(other)
@@ -350,52 +342,59 @@ def _tail_fit3(vv: np.ndarray, pp: np.ndarray, side: str) -> tuple[float, float,
     )
 
 
-def _side_tail(
-    vv: np.ndarray, pp: np.ndarray, side: str = "outer"
-) -> tuple[float, float, float, float]:
-    """Fit |profile| ~ c v^-q (1 + b v^-2) on one side; returns (c,q,b,sign).
+class Tail:
+    """Power-law continuation of a profile beyond +-vmax.
 
-    Falls back to a zero tail when the three outermost values do not have a
-    common sign (profile already negligible there); raises TailDivergence
-    when the fit is not finite.
+    Each side is s c |v|^-q (1 + b v^-2), fitted through that side's three
+    outermost nodes and stored as (s c, q, b).  A side whose three values do
+    not share a sign gets the zero tail; a fit that is not finite raises
+    TailDivergence.
     """
-    s = np.sign(pp[-1])
-    if s == 0 or np.any(s * pp <= 0):
-        return 0.0, 2.0, 0.0, 1.0
-    c, q, b = _tail_fit3(vv, s * pp, side)
-    return c, q, b, float(s)
 
+    __slots__ = ("right", "left", "vmax")
 
-def _both_tails(nodes: np.ndarray, values: np.ndarray):
-    """Right and left tail fits (c,q,b,sign) through the three outermost nodes."""
-    return (
-        _side_tail(nodes[-3:], values[-3:], "right"),
-        _side_tail(-nodes[:3][::-1], values[:3][::-1], "left"),
-    )
+    def __init__(self, grid: VelocityGrid, values: np.ndarray):
+        self.vmax = grid.vmax
+        self.right = Tail.fit(grid.nodes[-3:], values[-3:], "right")
+        self.left = Tail.fit(-grid.nodes[:3][::-1], values[:3][::-1], "left")
 
+    @staticmethod
+    def fit(vv: np.ndarray, pp: np.ndarray, side: str) -> tuple[float, float, float]:
+        """Signed (c, q, b) of pp ~ c v^-q (1 + b v^-2) at increasing v = vv."""
+        s = np.sign(pp[-1])
+        if s == 0 or np.any(s * pp <= 0):
+            return 0.0, 2.0, 0.0
+        c, q, b = _tail_fit3(vv, s * pp, side)
+        return float(s) * c, q, b
 
-def _tail_integral(c: float, q: float, b: float, p: float, vmax: float) -> float:
-    """int_vmax^inf c v^(-q)(1+b v^-2) v^p dv, requiring q > p+1 for convergence."""
-    if c == 0.0:
-        return 0.0
-    if q <= p + 1.0 + 1e-9:
-        return math.inf
-    return c * vmax ** (p + 1 - q) / (q - p - 1) + c * b * vmax ** (p - 1 - q) / (
-        q - p + 1
-    )
+    def __call__(self, x) -> np.ndarray:
+        """Tail values at points x (meant for |x| > vmax)."""
+        ax = np.abs(x)
+        (cr, qr, br), (cl, ql, bl) = self.right, self.left
+        right = cr * ax**-qr * (1 + br * ax**-2)
+        left = cl * ax**-ql * (1 + bl * ax**-2)
+        return np.where(np.asarray(x) < 0, left, right)
 
+    def integral(self, p: float, start: float | None = None) -> tuple[float, float]:
+        """Right and left integrals of the tail against |v|^p over |v| > start.
 
-def tail_correction(profile: VelocityProfile, p: float, signed_power: bool) -> float:
-    """Analytic |v|>vmax contribution to the moment with weight v^p or |v|^p."""
-    g = profile.grid
-    f = profile.values
-    (cr, qr, br, sr), (cl, ql, bl, sl) = _both_tails(g.nodes, f)
-    right = sr * _tail_integral(cr, qr, br, p, g.vmax)
-    left = sl * _tail_integral(cl, ql, bl, p, g.vmax)
-    if signed_power:
-        # weight v^p with integer p: left side picks up (-1)^p
-        left *= (-1.0) ** int(round(p))
-    return right + left
+        `start` defaults to vmax.  Raises TailDivergence when a fitted q
+        leaves the integral divergent (q <= p + 1).
+        """
+        a = self.vmax if start is None else start
+        out = []
+        for (c, q, b), side in ((self.right, "right"), (self.left, "left")):
+            if c == 0.0:
+                out.append(0.0)
+            elif q <= p + 1.0 + 1e-9:
+                raise TailDivergence(
+                    f"{side} tail |v|^-{q:.6g} times |v|^{p:g} is not integrable"
+                )
+            else:
+                out.append(
+                    c * a ** (p + 1 - q) / (q - p - 1) + c * b * a ** (p - 1 - q) / (q - p + 1)
+                )
+        return out[0], out[1]
 
 
 def moment(profile: VelocityProfile, weight, tail: bool = True) -> float:
@@ -403,8 +402,7 @@ def moment(profile: VelocityProfile, weight, tail: bool = True) -> float:
 
     `weight` is an integer p (weight v^p; p=0 gives the mass), a float p
     (weight |v|^p), or a callable of v (no tail correction in that case).
-    The power-law tail correction uses the per-side two-term fit of the
-    profile's three outermost nodes.
+    The |v| > vmax part is the closed-form integral of the profile's `Tail`.
     """
     g = profile.grid
     if callable(weight):
@@ -415,4 +413,8 @@ def moment(profile: VelocityProfile, weight, tail: bool = True) -> float:
     base = float(np.sum(g.weights * wv * profile.values))
     if not tail:
         return base
-    return base + tail_correction(profile, float(p), signed)
+    right, left = Tail(g, profile.values).integral(float(p))
+    if signed:
+        # weight v^p with integer p: left side picks up (-1)^p
+        left *= (-1.0) ** int(round(p))
+    return base + (right + left)

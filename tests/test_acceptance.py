@@ -36,7 +36,7 @@ from fraclimit import (
 )
 from fraclimit.equilibrium import eval_M_deriv
 from fraclimit.params import FieldSpec
-from fraclimit.velocity import VelocityProfile, _side_tail, _tail_integral
+from fraclimit.velocity import Tail, VelocityProfile
 
 L = 4 * np.pi
 SEED = 11
@@ -186,10 +186,7 @@ def _F_cdf_factory(Fprof, grid):
     vs = np.linspace(-400.0, 400.0, 20001)
     dens = Fprof(vs)
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(vs))])
-    cl, ql, bl, sl = _side_tail(-grid.nodes[:3][::-1], Fprof.values[:3][::-1])
-    cr, qr, br, sr = _side_tail(grid.nodes[-3:], Fprof.values[-3:])
-    left = sl * _tail_integral(cl, ql, bl, 0.0, 400.0)
-    right = sr * _tail_integral(cr, qr, br, 0.0, 400.0)
+    right, left = Tail(grid, Fprof.values).integral(0.0, 400.0)
     total = left + cum[-1] + right
 
     def cdf(v):

@@ -57,7 +57,7 @@ def test_L_eps_constant_phi_is_zero(ctx15):
 def test_L_eps_converges_to_fractional_diffusion(ctx15):
     phi = TestFunction.gaussian_bump(L, width=0.8, bandwidth=4, n=64)
     co = limit_coefficients(ctx15)
-    lim = limit_operator(phi, co, 0.0)
+    lim = limit_operator(phi, co.alpha, co.kappa, 0.0)
     errs = []
     for eps in (0.1, 0.05):
         le = L_eps(phi, eps, FieldSpec("zero"), ctx15)
@@ -81,11 +81,8 @@ def test_L_eps_with_M_kills_drift(ctx15):
 
 
 def test_limit_operator_cos_mode():
-    from fraclimit.coefficients import LimitCoefficients
-
     phi = TestFunction.single_mode(L, m=1, n=64)
-    co = LimitCoefficients(1.5, 1.0, 0.4, 0.3, 2.0, 1.0)
-    out = limit_operator(phi, co, 0.5)
+    out = limit_operator(phi, 1.5, 2.0, 0.5)
     x = phi.x
     expect = -2.0 * np.cos(x) - 0.5 * (-np.sin(x))
     assert np.max(np.abs(out.rho - expect)) < 1e-12

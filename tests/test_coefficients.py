@@ -9,14 +9,17 @@ from fraclimit import (
     build_grid,
     c_d_alpha,
     constant_sigma,
+    drift_mu,
     gamma_of_M,
     kappa,
     limit_coefficients,
+    limit_model,
     matrix_D,
     solve_lambda,
 )
 from fraclimit.equilibrium import LambdaField, eval_M_deriv
-from fraclimit.errors import AlphaOutOfRange, TailDivergence
+from fraclimit.errors import InvalidInput, TailDivergence
+from fraclimit.params import FieldSpec
 from fraclimit.velocity import VelocityProfile
 
 
@@ -26,9 +29,9 @@ def test_c_d_alpha_known_value():
 
 
 def test_c_d_alpha_range():
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InvalidInput, match=r"alpha=2.0 outside \(0,2\)"):
         c_d_alpha(1, 2.0)
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InvalidInput, match=r"alpha=0.0 outside \(0,2\)"):
         c_d_alpha(1, 0.0)
 
 
@@ -56,7 +59,7 @@ def test_kappa_closed_form_vs_quadrature(alpha, nu0):
 
 
 def test_kappa_rejects_bad_args():
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InvalidInput, match="kappa needs positive alpha, nu0, gamma"):
         kappa(1.5, -1.0, 0.4)
 
 
@@ -95,3 +98,16 @@ def test_limit_coefficients_critical(ctx1):
     co = limit_coefficients(ctx1)
     assert co.D is None
     assert co.kappa == pytest.approx(1.0, rel=1e-12)
+
+
+def test_limit_model_regimes(ctx15, ctx1):
+    kap15 = kappa(1.5, 1.0, gamma_of_M(1.5))
+    assert limit_model(ctx15, FieldSpec("zero"), "diffusive") == (kap15, 0.0)
+    assert limit_model(ctx15, FieldSpec("constant", 0.5), "high_field") == (0.0, 0.5)
+    assert limit_model(ctx15, FieldSpec("zero"), "high_field") == (0.0, 0.0)
+    D = matrix_D(solve_lambda(ctx15), ctx15)
+    assert limit_model(ctx15, FieldSpec("constant", 0.5), "diffusive") == (kap15, D * 0.5)
+    kap1 = kappa(1.0, 1.0, gamma_of_M(1.0))
+    assert limit_model(ctx1, FieldSpec("constant", 0.5), "diffusive") == (kap1, drift_mu(0.5, ctx1))
+    with pytest.raises(InvalidInput, match="unknown scaling 'ballistic'"):
+        limit_model(ctx15, FieldSpec("zero"), "ballistic")

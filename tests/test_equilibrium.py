@@ -15,6 +15,7 @@ from fraclimit import (
     solve_lambda,
 )
 from fraclimit.equilibrium import check_dE_F, eval_M_deriv
+from fraclimit.errors import InvalidInput
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def test_F_normalized_and_bounded(ctx15):
 
 
 def test_explicit_requires_constant_sigma(ctx15p):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="explicit formula requires the constant cross section"):
         solve_F(0.25, ctx15p, method="explicit")
 
 

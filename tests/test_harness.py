@@ -7,7 +7,7 @@ from fraclimit import ModelParams, constant_sigma, run_convergence, run_operator
 from fraclimit.cli import main
 from fraclimit.harness import ConvergenceReport, emit
 from fraclimit.params import FieldSpec
-from fraclimit.errors import ConfigRegimeMismatch
+from fraclimit.errors import InvalidInput
 
 L = 4 * np.pi
 
@@ -59,7 +59,7 @@ def test_verdict_pure_function(small_report):
 
 
 def test_run_convergence_rejects_bad_scaling():
-    with pytest.raises(ConfigRegimeMismatch):
+    with pytest.raises(InvalidInput, match="unknown scaling 'hyperbolic'"):
         run_convergence(_params(), scaling="hyperbolic")
 
 
@@ -160,3 +160,10 @@ def test_cli_seed_override(tmp_path, capsys):
           "kinetic-run", "--eps", "0.2"])
     manifest = json.loads((tmp_path / "kinetic_manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 99
+
+
+@pytest.mark.parametrize("command", ["converge", "macro-run", "operator-check"])
+def test_cli_refuses_x_dependent_field(tmp_path, command):
+    cfg = _write_cfg(tmp_path, field={"kind": "sinusoidal", "e0": 0.5})
+    with pytest.raises(InvalidInput, match="sinusoidal field: x-dependent fields need a per-point drift"):
+        main(["--config", cfg, "--out", str(tmp_path), command])

@@ -8,7 +8,7 @@ from fraclimit import (
     frac_laplacian_singular,
     gaussian_bump,
 )
-from fraclimit.errors import AlphaOutOfRange, StabilityViolation
+from fraclimit.errors import InvalidInput
 
 
 def _single_mode(L=2 * np.pi, n=64, m=1, amp=0.25):
@@ -63,7 +63,7 @@ def test_cfl_guard():
     L = 2 * np.pi
     init = gaussian_bump(L, 0.6, 64)
     b = np.full(64, 5.0)
-    with pytest.raises(StabilityViolation):
+    with pytest.raises(InvalidInput, match="exceeds advection bound"):
         advance_macro(init, 0.5, 1.5, 0.0, b, 1.0)
 
 
@@ -75,7 +75,7 @@ def test_gaussian_bump_normalized():
 
 
 def test_singular_integral_alpha_range():
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InvalidInput, match="implemented for 1 < alpha < 2"):
         frac_laplacian_singular(lambda x: np.exp(-(x**2)), 1.0, 0.0)
 
 

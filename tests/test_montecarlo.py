@@ -21,7 +21,7 @@ from fraclimit import (
 from fraclimit.cli import main
 from fraclimit.montecarlo import _rng_for
 from fraclimit.params import FieldSpec
-from fraclimit.errors import NonMonotoneTime
+from fraclimit.errors import InvalidInput
 
 L = 4 * np.pi
 
@@ -110,7 +110,7 @@ def test_time_monotonicity_guard():
     p = _params()
     ens = init_ensemble(100, L, p.alpha, p.seed)
     ens = advance(ens, 0.2, p, p.field_spec, 0.3)
-    with pytest.raises(NonMonotoneTime):
+    with pytest.raises(InvalidInput, match="until=0.1 < current t=0.3"):
         advance(ens, 0.2, p, p.field_spec, 0.1)
 
 

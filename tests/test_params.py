@@ -13,12 +13,7 @@ from fraclimit import (
     perturbed_sigma,
     validate,
 )
-from fraclimit.errors import (
-    AlphaOutOfRange,
-    CrossSectionBoundsViolated,
-    EmptyEpsilonSchedule,
-    NonPositiveDomain,
-)
+from fraclimit.errors import InvalidInput
 from fraclimit.params import with_seed
 
 
@@ -30,29 +25,29 @@ def test_defaults_validate():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.99, 2.0, 2.5])
 def test_alpha_range(alpha):
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InvalidInput, match=r"alpha=.* outside \[1,2\)"):
         validate(ModelParams(alpha=alpha))
 
 
 def test_epsilon_schedule_checks():
-    with pytest.raises(EmptyEpsilonSchedule):
+    with pytest.raises(InvalidInput, match="epsilon_schedule is empty"):
         validate(ModelParams(epsilon_schedule=()))
-    with pytest.raises(EmptyEpsilonSchedule):
+    with pytest.raises(InvalidInput, match="epsilon_schedule must be strictly decreasing"):
         validate(ModelParams(epsilon_schedule=(0.1, 0.2)))
-    with pytest.raises(EmptyEpsilonSchedule):
+    with pytest.raises(InvalidInput, match=r"epsilon values must lie in \(0,1\]"):
         validate(ModelParams(epsilon_schedule=(0.2, -0.1)))
 
 
 def test_domain_checks():
-    with pytest.raises(NonPositiveDomain):
+    with pytest.raises(InvalidInput, match="domain_length and final_time must be positive"):
         validate(ModelParams(domain_length=0.0))
-    with pytest.raises(NonPositiveDomain):
+    with pytest.raises(InvalidInput, match="domain_length and final_time must be positive"):
         validate(ModelParams(final_time=-1.0))
 
 
 def test_cross_section_bounds():
     # nu1 = nu0 - |a| must stay positive
-    with pytest.raises(CrossSectionBoundsViolated):
+    with pytest.raises(InvalidInput, match=r"need 0 < nu0 - \|amplitude\|"):
         validate(ModelParams(cross_section=perturbed_sigma(1.0, 1.5)))
     cs = perturbed_sigma(1.0, 0.5)
     assert cs.nu1 == 0.5 and cs.nu2 == 1.5
@@ -81,6 +76,13 @@ def test_field_spec():
     assert not sin.is_constant
     assert sin(x, L) == pytest.approx(np.sin(2 * x), abs=1e-12)
     assert sin.dx(x, L) == pytest.approx(2 * np.cos(2 * x), abs=1e-12)
+
+
+def test_zero_field_refuses_nonzero_e0():
+    # a "zero" field with e0 != 0 would drive the macro solve but not the particles
+    with pytest.raises(InvalidInput, match="zero field with e0=0.5"):
+        from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.5}})
+    assert from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.0}}).field_spec.sup == 0.0
 
 
 def test_from_config_round_trip(tmp_path):

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from fraclimit import (
@@ -12,18 +15,18 @@ from fraclimit import (
     tail_gamma,
 )
 from fraclimit.equilibrium import eval_M_deriv
-from fraclimit.errors import GridMismatch, NonPositiveExtent, OddNodeCount, TailDivergence
-from fraclimit.velocity import _side_tail
+from fraclimit.errors import InvalidInput, TailDivergence
+from fraclimit.velocity import Tail
 
 
 def test_build_grid_validation():
-    with pytest.raises(OddNodeCount):
+    with pytest.raises(InvalidInput, match="n_nodes=100 must be a positive multiple of 32"):
         build_grid(100, 50.0)  # not a multiple of 32
-    with pytest.raises(OddNodeCount):
+    with pytest.raises(InvalidInput, match="n_nodes=-64 must be a positive multiple"):
         build_grid(-64, 50.0)
-    with pytest.raises(NonPositiveExtent):
+    with pytest.raises(InvalidInput, match="vmax=-1.0 must be positive"):
         build_grid(128, -1.0)
-    with pytest.raises(NonPositiveExtent):
+    with pytest.raises(InvalidInput, match=r"inner=60.0 must lie in \(0, vmax\)"):
         build_grid(128, 50.0, stretch=60.0)
 
 
@@ -52,6 +55,14 @@ def test_equilibrium_mass(grid128, alpha):
 def test_odd_moment_vanishes(grid128):
     m = equilibrium_profile(grid128, 1.5)
     assert abs(moment(m, 1)) < 1e-12
+
+
+def test_divergent_moment_is_refused(grid128):
+    # at alpha = 1, M ~ |v|^-2: the first and second moments do not exist
+    m = equilibrium_profile(grid128, 1.0)
+    for p in (1, 2):
+        with pytest.raises(TailDivergence, match="right tail .* is not integrable"):
+            moment(m, p)
 
 
 def test_moment_against_adaptive_quadrature(grid128):
@@ -112,11 +123,11 @@ def test_profile_algebra(grid128):
     assert np.allclose((b - a).values, a.values)
     assert np.allclose((a + a).values, b.values)
     other = build_grid(160, 200.0)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(InvalidInput, match="profiles live on different grids"):
         a + equilibrium_profile(other, 1.5)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(InvalidInput, match="profile contains non-finite entries"):
         VelocityProfile(grid128, np.full(grid128.n, np.nan))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(InvalidInput, match=r"values shape \(3,\) != \(128,\)"):
         VelocityProfile(grid128, np.zeros(3))
 
 
@@ -150,7 +161,7 @@ def test_tail_fit_refuses_roundoff_triple():
     pp = np.array([2.04268445e-21, 1.77890362e-21, 4.50304838e-22])
     for sign in (1.0, -1.0):
         with pytest.raises(TailDivergence, match="left tail fit"):
-            _side_tail(vv, sign * pp, "left")
+            Tail.fit(vv, sign * pp, "left")
 
 
 def test_interp_rows_linear_form(grid128):
@@ -161,3 +172,24 @@ def test_interp_rows_linear_form(grid128):
     lin = np.sum(coef * m[cols], axis=1)
     assert np.array_equal(lin[: grid128.n], m)
     assert np.allclose(lin, grid128.interp(m, x), rtol=1e-14, atol=0)
+
+
+_pos = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    v1=st.floats(min_value=1.0, max_value=1e300, exclude_min=True),
+    gaps=st.tuples(st.floats(min_value=1e-9, max_value=1e3), st.floats(min_value=1e-9, max_value=1e3)),
+    pp=st.tuples(_pos, _pos, _pos),
+)
+def test_tail_fit_finite_or_refused(v1, gaps, pp):
+    # three positive finite values on increasing |v| > 1: a finite fit or
+    # TailDivergence, never a bare math, overflow or linear-algebra error
+    vv = np.array([v1, v1 * (1 + gaps[0]), v1 * (1 + gaps[0]) * (1 + gaps[1])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit = Tail.fit(vv, np.array(pp), "right")
+        except TailDivergence:
+            return
+    assert all(np.isfinite(fit))
