@@ -21,7 +21,6 @@ from .collision import (
 from .equilibrium import (
     EquilibriumF,
     LambdaField,
-    check_dE_F,
     deviation_R,
     drift_mu,
     remainder_G,

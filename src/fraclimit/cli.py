@@ -17,7 +17,7 @@ from dataclasses import replace
 from . import montecarlo as mc
 from .coefficients import limit_coefficients
 from .collision import CollisionContext
-from .equilibrium import solve_F, solve_lambda
+from .equilibrium import deviation_R, solve_F, solve_lambda
 from .harness import emit, initial_bump, macro_limit, run_convergence, run_operator_study
 from .macro import MacroState, advance_macro
 from .params import ModelParams, load_config, validate, with_seed
@@ -55,9 +55,9 @@ def cmd_equilibrium(args) -> int:
     Eeff = E if args.raw_field else scale * E
     F = solve_F(Eeff, ctx)
     lam = solve_lambda(ctx).profile.values
-    # same operation order as equilibrium.remainder_G and deviation_R
-    G = F.profile.values - ctx.M.values - Eeff * lam
-    R = F.profile.values - ctx.M.values
+    # R = E u and G = E (u - lambda), in equilibrium.remainder_G's operation order
+    R = deviation_R(Eeff, ctx).values
+    G = R - Eeff * lam
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "equilibrium.csv")
     _write_csv(

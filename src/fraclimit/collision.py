@@ -12,8 +12,8 @@ from .velocity import VelocityGrid, VelocityProfile, eval_M
 
 _LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
-# quadrature points per block when assembling a flight plan: bounds the
-# (points x PANEL_PTS) scatter arrays
+# quadrature points per block when assembling or applying a flight plan:
+# bounds the (points x PANEL_PTS) and (points x columns) arrays
 _PLAN_BLOCK = 512
 
 
@@ -24,7 +24,7 @@ class CollisionContext:
     keeping it discrete makes mass conservation of Q exact by symmetry (at the
     price of an O(tail-mass) offset from nu0 for the constant cross section).
     Immutable after construction, except for a memo of the last flight plan
-    of A^-1 (see `apply_A_inverse`), keyed by the field value E.
+    of A^-1 (see `flight_inverse`), keyed by the field value E.
     """
 
     def __init__(self, grid: VelocityGrid, cross_section: CrossSection, alpha: float):
@@ -149,29 +149,33 @@ def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> Velo
     with the damping integral taken as the exact antiderivative difference
     (N(v) - N(v - E s))/E.  nu and h may have a |v|-type kink at v = 0, so
     the s-integral is split at the crossing s = v/E: composite Gauss-Legendre
-    before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.
-
-    Only h changes between calls at one E, so the quadrature is a flight
-    plan built once per E: the points inside [-vmax, vmax], where
-    barycentric interpolation is linear in h, collapse into one n x n
-    matrix P; the points beyond vmax keep the power-law tail fit of h,
-    which is not linear, and are evaluated on every call (so a diverging
-    tail fit is refused on every call).  The context memoises its last plan,
-    keyed by E; E < 0 mirrors onto |E|.
+    before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.  Beyond
+    vmax, h is its power-law tail fit, and a diverging fit is refused.
     """
     ctx.check_profile(h)
-    g = ctx.grid
+    out = flight_inverse(E, ctx, h.values[:, None], lambda q: ctx.grid.interp(h.values, q)[:, None])
+    return VelocityProfile(ctx.grid, out[:, 0])
+
+
+def flight_inverse(E: float, ctx: CollisionContext, nodal: np.ndarray, beyond) -> np.ndarray:
+    """A^-1 (see `apply_A_inverse`) of the columns of `nodal` (n x m), whose
+    values at points |q| > vmax are `beyond(q)` (len(q) x m); exact values
+    make the result linear.  The context memoises a flight plan per E: its
+    points inside [-vmax, vmax] collapse into one interpolating n x n matrix P.
+    E = 0 divides by nu; E < 0 mirrors onto |E| (N is odd, the grid symmetric).
+    """
     if E == 0.0:
-        return VelocityProfile(g, h.values / ctx.nu.values)
+        return nodal / ctx.nu.values[:, None]
     if E < 0.0:
-        # mirror symmetry: N is odd and the grid is symmetric
-        hm = VelocityProfile(g, h.values[::-1])
-        return VelocityProfile(g, apply_A_inverse(hm, -E, ctx).values[::-1])
+        return flight_inverse(-E, ctx, nodal[::-1], lambda q: beyond(-q))[::-1]
     plan = ctx._flight_plan
     if plan is None or plan.E != E:
         plan = ctx._flight_plan = _build_flight_plan(E, ctx)
-    tail = np.bincount(plan.rows_out, plan.w_out * g.interp(h.values, plan.q_out), minlength=g.n)
-    return VelocityProfile(g, plan.P @ h.values + tail)
+    out = plan.P @ nodal
+    for lo in range(0, len(plan.q_out), _PLAN_BLOCK):
+        blk = slice(lo, lo + _PLAN_BLOCK)
+        np.add.at(out, plan.rows_out[blk], plan.w_out[blk, None] * beyond(plan.q_out[blk]))
+    return out
 
 
 def apply_T(f: VelocityProfile, E: float, ctx: CollisionContext) -> VelocityProfile:

@@ -264,13 +264,9 @@ class VelocityGrid:
         return f"VelocityGrid(n={self.n}, vmax={self.vmax}, inner={self.inner})"
 
 
-def build_grid(n_nodes: int, vmax: float, stretch: float = 1.0) -> VelocityGrid:
-    """Build a symmetric heavy-tail-aware grid.
-
-    `stretch` is the extent of the linear inner panel; outer panels are
-    geometrically spaced in |v| so node density decays like 1/|v|.
-    """
-    return VelocityGrid(n_nodes, vmax, inner=stretch)
+def build_grid(n_nodes: int, vmax: float) -> VelocityGrid:
+    """Symmetric heavy-tail-aware grid whose linear inner panel is [0, 1]."""
+    return VelocityGrid(n_nodes, vmax)
 
 
 class VelocityProfile:
@@ -306,10 +302,6 @@ class VelocityProfile:
 
     def __call__(self, x):
         return self.grid.interp(self.values, x)
-
-    def to_csv(self, path):
-        arr = np.column_stack([self.grid.nodes, self.values])
-        np.savetxt(path, arr, delimiter=",", header="v,value", comments="")
 
 
 def equilibrium_profile(grid: VelocityGrid, alpha: float) -> VelocityProfile:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from fraclimit import (
+    CollisionContext,
     L_eps,
     TestFunction,
     chi_decay_check,
     chi_eps,
     limit_operator,
     limit_coefficients,
+    perturbed_sigma,
 )
 from fraclimit.params import FieldSpec
 
@@ -86,3 +88,14 @@ def test_limit_operator_cos_mode():
     x = phi.x
     expect = -2.0 * np.cos(x) - 0.5 * (-np.sin(x))
     assert np.max(np.abs(out.rho - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_L_eps_sinusoidal_field_perturbed_sigma(grid128, alpha):
+    # sin(pi) is roundoff, not 0: that field value takes the u = lambda route
+    field = FieldSpec("sinusoidal", 0.5)
+    phi = TestFunction.gaussian_bump(L, width=0.8, bandwidth=4, n=16)
+    assert 0.0 < abs(field(phi.x[8], L)) < 1e-15
+    ctx = CollisionContext(grid128, perturbed_sigma(1.0, 0.5), alpha)
+    out = L_eps(phi, 0.1, field, ctx)
+    assert np.all(np.isfinite(out.rho))

@@ -3,6 +3,7 @@ import pytest
 
 from fraclimit import (
     CollisionContext,
+    VelocityProfile,
     apply_Q,
     build_grid,
     constant_sigma,
@@ -14,8 +15,8 @@ from fraclimit import (
     solve_F,
     solve_lambda,
 )
-from fraclimit.equilibrium import check_dE_F, eval_M_deriv
-from fraclimit.errors import InvalidInput
+from fraclimit.equilibrium import eval_M_deriv
+from fraclimit.errors import InvalidInput, SolverFailure
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +53,57 @@ def test_explicit_requires_constant_sigma(ctx15p):
         solve_F(0.25, ctx15p, method="explicit")
 
 
-def test_perturbed_sigma_uses_power_iteration(ctx15p):
+def test_perturbed_sigma_uses_linear_solve(ctx15p):
     F = solve_F(0.25, ctx15p)
-    assert F.method == "power_iteration"
-    assert F.eigenvalue == pytest.approx(1.0, abs=1e-6)
+    assert F.method == "linear"
     assert np.all(F.profile.values > 0)
+    assert solve_F(0.25, ctx15p, method="power_iteration").eigenvalue == pytest.approx(1.0, abs=1e-6)
+    # a field of the opposite sign mirrors F
+    Fm = solve_F(-0.25, ctx15p).profile.values
+    assert np.max(np.abs(Fm - F.profile.values[::-1])) < 1e-12 * np.max(F.profile.values)
+    # both routes refuse the same unresolved grid (Perron eigenvalue 0.9999988)
+    ctx = CollisionContext(build_grid(128, 40), perturbed_sigma(1.0, 0.5), 1.5)
+    with pytest.raises(SolverFailure, match="border multiplier"):
+        solve_F(0.5, ctx)
+    with pytest.raises(SolverFailure, match="dominant eigenvalue"):
+        solve_F(0.5, ctx, method="power_iteration")
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_linear_matches_power_iteration(alpha):
+    ctx = CollisionContext(build_grid(128, 400), perturbed_sigma(1.0, 0.5), alpha)
+    for E in (0.5, 0.05, 1e-4):
+        Fl = solve_F(E, ctx).profile.values
+        Fp = solve_F(E, ctx, method="power_iteration").profile.values
+        assert np.sum(ctx.grid.weights * np.abs(Fl - Fp)) <= 1e-8
+
+
+@pytest.mark.parametrize("E", [1e-12, 1e-16])
+def test_tiny_field_is_first_order(ctx15p, E):
+    # below the roundoff of the flight damping, u = lambda: F = M + E lambda
+    F = solve_F(E, ctx15p)
+    assert F.method == "linear"
+    assert np.all(F.profile.values > 0)
+    lam = solve_lambda(ctx15p).profile.values
+    expected = ctx15p.M.values + E * lam
+    expected /= moment(VelocityProfile(ctx15p.grid, expected), 0)
+    assert np.max(np.abs(F.profile.values - expected)) <= 1e-15 * np.max(expected)
+
+
+@pytest.mark.parametrize(
+    "nodes, vmax, cross_section, alpha",
+    [(128, 1000.0, perturbed_sigma(1.0, 0.5), 1.5), (160, 1e5, constant_sigma(1.0), 1.0)],
+)
+def test_drift_mu_over_E_tends_to_int_v_lambda(nodes, vmax, cross_section, alpha):
+    ctx = CollisionContext(build_grid(nodes, vmax), cross_section, alpha)
+    D = moment(solve_lambda(ctx).profile, 1)
+
+    def gap(E):
+        return abs(drift_mu(E, ctx) / E / D - 1.0)
+
+    assert gap(1e-4) <= gap(1e-2) / 10
+    for E in (1e-6, 1e-8, 1e-12, 1e-16):
+        assert gap(E) <= 1e-6
 
 
 def test_lambda_constant_sigma_is_minus_M_prime():
@@ -101,9 +148,3 @@ def test_deviation_R_signs(ctx15):
 def test_drift_mu_identity(big_ctx1):
     assert drift_mu(0.5, big_ctx1) == pytest.approx(0.5, abs=1e-4)
     assert drift_mu(0.0, big_ctx1) == 0.0
-
-
-def test_dE_F_bounded(ctx15):
-    rep = check_dE_F(0.5, ctx15)
-    assert rep["stable"]
-    assert rep["ratio"] < 50.0

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from fraclimit import (
+    VelocityGrid,
     VelocityProfile,
     build_grid,
     equilibrium_profile,
@@ -27,7 +28,7 @@ def test_build_grid_validation():
     with pytest.raises(InvalidInput, match="vmax=-1.0 must be positive"):
         build_grid(128, -1.0)
     with pytest.raises(InvalidInput, match=r"inner=60.0 must lie in \(0, vmax\)"):
-        build_grid(128, 50.0, stretch=60.0)
+        VelocityGrid(128, 50.0, inner=60.0)
 
 
 def test_grid_symmetry(grid128):
@@ -131,14 +132,9 @@ def test_profile_algebra(grid128):
         VelocityProfile(grid128, np.zeros(3))
 
 
-def test_profile_call_and_csv(grid128, tmp_path):
+def test_profile_call(grid128):
     m = equilibrium_profile(grid128, 1.5)
     assert m(0.5) == pytest.approx(eval_M(0.5, 1.5), rel=1e-10)
-    path = tmp_path / "m.csv"
-    m.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (grid128.n, 2)
-    assert np.allclose(data[:, 1], m.values)
 
 
 def test_callable_weight(grid128):
