@@ -37,7 +37,6 @@ from .macro import (
     gaussian_bump,
 )
 from .montecarlo import (
-    M_cdf,
     ParticleEnsemble,
     advance,
     estimate_density,

@@ -18,6 +18,7 @@ from . import montecarlo as mc
 from .coefficients import limit_coefficients
 from .collision import CollisionContext
 from .equilibrium import deviation_R, solve_F, solve_lambda
+from .errors import InvalidInput
 from .harness import emit, initial_bump, macro_limit, run_convergence, run_operator_study
 from .macro import MacroState, advance_macro
 from .params import ModelParams, load_config, validate, with_seed
@@ -162,6 +163,13 @@ def cmd_all(args) -> int:
     return max(codes)
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later `main` calls."""
@@ -170,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config path (defaults built in)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="Monte Carlo worker threads (scheduling only: streams are "
-                        "keyed by seed and particle block, so results do not depend on it)")
+    parser.add_argument("--threads", type=int, default=_usable_cores(),
+                        help="Monte Carlo worker threads, default: the usable cores "
+                        "(scheduling only: streams are keyed by seed and particle block, "
+                        "so results do not depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("equilibrium", help="tabulate v, M, F, lambda, G, R")
@@ -216,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        raise InvalidInput(f"--threads {args.threads} < 1")
     return args.fn(args)
 
 

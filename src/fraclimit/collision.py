@@ -23,8 +23,9 @@ class CollisionContext:
     nu is the plain quadrature sum nu(v) = sum_j w_j sigma(v_j, v) M(v_j);
     keeping it discrete makes mass conservation of Q exact by symmetry (at the
     price of an O(tail-mass) offset from nu0 for the constant cross section).
-    Immutable after construction, except for a memo of the last flight plan
-    of A^-1 (see `flight_inverse`), keyed by the field value E.
+    Immutable after construction, except for two memos keyed by the field
+    value E: the last flight plan of A^-1 (see `flight_inverse`), and
+    u = (F - M)/E at E = 0 and the last E (see `equilibrium._solve_u`).
     """
 
     def __init__(self, grid: VelocityGrid, cross_section: CrossSection, alpha: float):
@@ -45,6 +46,7 @@ class CollisionContext:
         self._N_vmax = float(edge_cum[-1])
         self._nu_inf = float(nu_vals[-1])
         self._flight_plan: _FlightPlan | None = None
+        self._u_memo: dict[float, np.ndarray] = {}
 
     def check_profile(self, f: VelocityProfile):
         if f.grid is not self.grid and f.grid != self.grid:

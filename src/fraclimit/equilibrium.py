@@ -46,6 +46,19 @@ def eval_M_deriv(v, alpha: float):
 
 
 def _solve_u(E: float, ctx: CollisionContext) -> np.ndarray:
+    """u = (F - M)/E, memoised on the context for E = 0 (lambda) and the last E."""
+    if abs(E) < np.sqrt(np.finfo(float).eps * ctx._N_vmax):
+        E = 0.0
+    u = ctx._u_memo.get(E)
+    if u is None:
+        u = _assemble_u(E, ctx)
+        if E != 0.0:  # evict the previous field value, keep lambda
+            ctx._u_memo = {k: w for k, w in ctx._u_memo.items() if k == 0.0}
+        ctx._u_memo[E] = u
+    return u.copy()
+
+
+def _assemble_u(E: float, ctx: CollisionContext) -> np.ndarray:
     """u = (F - M)/E: (I - B) u = -A^-1 dM/dv with sum w_i u_i = 0, B = A^-1 K.
 
     This is E dF/dv = Q(F) for F = M + E u, as K(M) = nu M.  K and dM/dv are
@@ -64,8 +77,6 @@ def _solve_u(E: float, ctx: CollisionContext) -> np.ndarray:
         return np.column_stack([gain, eval_M_deriv(q, alpha)])
 
     nodal = np.column_stack([M[:, None] * ctx.sigma_matrix * g.weights, eval_M_deriv(g.nodes, alpha)])
-    if abs(E) < np.sqrt(np.finfo(float).eps * ctx._N_vmax):
-        E = 0.0
     X = flight_inverse(E, ctx, nodal, beyond)
     A = np.block([[np.eye(n) - X[:, :n] * M / M[:, None], np.ones((n, 1))],
                   [g.weights * M, np.zeros(1)]])
@@ -98,6 +109,8 @@ def solve_F(E: float, ctx: CollisionContext, method: str | None = None) -> Equil
         return EquilibriumF(ctx.M, 0.0, res, "explicit")
     if method is None:
         method = "explicit" if ctx.cross_section.kind == "constant" else "linear"
+    if method not in ("explicit", "linear", "power_iteration"):
+        raise InvalidInput(f"unknown method {method!r}")
 
     if method == "explicit":
         if ctx.cross_section.kind != "constant":

@@ -2,7 +2,8 @@
 
 Per particle: free flight with drift E/eps, collisions at the events of a
 Poisson clock with the majorant rate nu2/eps^alpha, post-collision velocity
-from the gain kernel.
+from the gain kernel.  Equilibrium velocities come from `sample_M`, an exact
+rejection sampler with a Cauchy proposal.
 
 With constant sigma every candidate is a collision and each post-collision
 velocity is a fresh M sample, independent of the past.  With a constant (or
@@ -32,6 +33,7 @@ from .params import CrossSection, FieldSpec, ModelParams
 from .velocity import eval_M
 
 BLOCK = 4096  # particles per random stream
+_CHUNK = 1 << 13  # sample_M proposals per round: bounds its scratch to ~200 kB
 
 
 def _rng_for(seed: int, block: int) -> np.random.Generator:
@@ -42,20 +44,49 @@ def _blocks(N: int) -> list[slice]:
     return [slice(a, min(a + BLOCK, N)) for a in range(0, N, BLOCK)]
 
 
+def _cauchy(rng: np.random.Generator, out: np.ndarray):
+    """Fill `out` with standard Cauchy draws tan(pi (U - 1/2))."""
+    rng.random(out=out)
+    out -= 0.5
+    out *= np.pi
+    np.tan(out, out=out)
+
+
 def sample_M(rng: np.random.Generator, alpha: float, size=None):
-    """Exact equilibrium sample: a Student-t(alpha) variate over sqrt(alpha).
+    """Exact draws from M(v) = (1 + v^2)^(-(1+alpha)/2) / Z_M(alpha), alpha >= 1.
 
-    (M is the Student-t(alpha) density contracted by sqrt(alpha); the t
-    variate is Z/sqrt(W/alpha) with W chi-square(alpha), so this is Z/sqrt(W).)
+    Rejection from a Cauchy proposal (Devroye 1986, II.3): c = tan(pi (U - 1/2))
+    is accepted iff an Exp(1) variate exceeds (alpha-1)/2 log(1 + c^2), i.e.
+    U' < (1 + c^2)^((1-alpha)/2) = (pi/Z_M) M(c) / Cauchy(c) <= 1.  A proposal
+    is accepted with probability Z_M(alpha)/pi (0.76 at alpha = 1.5).  At
+    alpha = 1, M is the Cauchy law and c is returned without a test.
+    Otherwise proposals are made in rounds of at most _CHUNK, each covering
+    only the draws still missing.  `size=None` returns a scalar.
     """
-    return rng.standard_t(alpha, size) / np.sqrt(alpha)
-
-
-def M_cdf(v, alpha: float):
-    """Analytic CDF of M via the Student-t distribution."""
-    from scipy.stats import t as student_t
-
-    return student_t.cdf(np.sqrt(alpha) * np.asarray(v, dtype=float), df=alpha)
+    if alpha < 1.0:
+        raise InvalidInput(f"alpha={alpha} < 1: M is not dominated by the Cauchy law")
+    out = np.empty(() if size is None else size)
+    flat = out.reshape(-1)
+    if alpha == 1.0:
+        _cauchy(rng, flat)
+    else:
+        m = min(flat.size, _CHUNK)
+        c, t, e, keep = np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+        h = 0.5 * (alpha - 1.0)
+        filled = 0
+        while filled < flat.size:
+            m = min(flat.size - filled, _CHUNK)
+            cm, tm, em, km = c[:m], t[:m], e[:m], keep[:m]
+            _cauchy(rng, cm)
+            np.multiply(cm, cm, out=tm)
+            np.log1p(tm, out=tm)
+            tm *= h
+            rng.standard_exponential(out=em)
+            np.greater(em, tm, out=km)
+            k = np.count_nonzero(km)
+            np.compress(km, cm, out=flat[filled:filled + k])
+            filled += k
+    return out[()] if size is None else out
 
 
 def nu_continuum(cross_section: CrossSection, alpha: float):

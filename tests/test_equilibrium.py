@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,36 @@ def test_F_normalized_and_bounded(ctx15):
 def test_explicit_requires_constant_sigma(ctx15p):
     with pytest.raises(InvalidInput, match="explicit formula requires the constant cross section"):
         solve_F(0.25, ctx15p, method="explicit")
+
+
+@pytest.mark.parametrize("method", ["Linear", "perron", ""])
+def test_solve_F_rejects_unknown_method(ctx15p, method):
+    with pytest.raises(InvalidInput, match="unknown method"):
+        solve_F(0.25, ctx15p, method=method)
+
+
+def test_cli_equilibrium_assembles_each_u_once(tmp_path, monkeypatch):
+    # perturbed sigma at E != 0: one assembly for u(E), shared by F and R,
+    # and one for lambda = u(0)
+    from fraclimit import equilibrium
+    from fraclimit.cli import main
+
+    calls = []
+    assemble = equilibrium._assemble_u
+
+    def counting(E, ctx):
+        calls.append(E)
+        return assemble(E, ctx)
+
+    monkeypatch.setattr(equilibrium, "_assemble_u", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1.5, "cross_section": {"kind": "PerturbedConstant",
+                                                               "nu0": 1.0, "amplitude": 0.5},
+                               "velocity_grid": {"nodes": 128, "vmax_over_inv_eps": 10.0}}),
+                   encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "equilibrium", "--field", "0.5",
+                 "--raw-field"]) == 0
+    assert sorted(calls) == [0.0, 0.5]
 
 
 def test_perturbed_sigma_uses_linear_solve(ctx15p):

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from fraclimit import ModelParams, constant_sigma, run_convergence, run_operator_study
-from fraclimit.cli import main
+from fraclimit.cli import build_parser, main
 from fraclimit.harness import ConvergenceReport, emit
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
@@ -152,6 +153,19 @@ def test_cli_kinetic_run(tmp_path):
     lines = (tmp_path / "kinetic_run.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,bin_center,rho"
     assert len(lines) == 1 + 2 * 16
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_threads_below_one(tmp_path, threads):
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(InvalidInput, match=f"--threads {threads} < 1"):
+        main(["--config", cfg, "--out", str(tmp_path), "--threads", threads,
+              "kinetic-run", "--eps", "0.2"])
+    assert not (tmp_path / "kinetic_manifest.json").exists()
+
+
+def test_cli_threads_default_to_usable_cores():
+    assert build_parser().parse_args(["coefficients"]).threads == len(os.sched_getaffinity(0))
 
 
 def test_cli_seed_override(tmp_path, capsys):

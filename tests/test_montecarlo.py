@@ -8,7 +8,6 @@ from scipy import stats
 
 from fraclimit import (
     CrossSection,
-    M_cdf,
     ModelParams,
     advance,
     constant_sigma,
@@ -19,7 +18,7 @@ from fraclimit import (
     sample_M,
 )
 from fraclimit.cli import main
-from fraclimit.montecarlo import _rng_for
+from fraclimit.montecarlo import _CHUNK, _rng_for
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -41,19 +40,68 @@ def _params(**kw):
     return ModelParams(**base)
 
 
-def test_sample_M_distribution():
-    rng = _rng_for(0, 0)
-    for alpha in (1.0, 1.5):
-        v = sample_M(rng, alpha, 200_000)
-        ks = stats.kstest(v, lambda q: M_cdf(q, alpha)).statistic
-        assert ks < 0.005
-        # tail frequency matches the analytic tail mass
-        from fraclimit import tail_gamma
+def _M_cdf(v, alpha):
+    # M is the Student-t(alpha) density contracted by sqrt(alpha)
+    return stats.t.cdf(np.sqrt(alpha) * np.asarray(v), df=alpha)
 
-        thresh = 25.0
-        expect = 2 * tail_gamma(alpha) * thresh ** (-alpha) / alpha
-        got = np.mean(np.abs(v) > thresh)
-        assert got == pytest.approx(expect, rel=0.15)
+
+ALPHAS = (1.0, 1.25, 1.5, 1.75, 1.99)
+
+
+def test_sample_M_distribution():
+    for b, alpha in enumerate(ALPHAS):
+        v = sample_M(_rng_for(0, b), alpha, 200_000)
+        assert v.shape == (200_000,) and np.all(np.isfinite(v))
+        assert stats.kstest(v, lambda q: _M_cdf(q, alpha)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_sample_M_tail_frequency(alpha):
+    # the |v|^-(1+alpha) tail: counts beyond 50 and 1e3 in 1e6 draws lie
+    # within 5 sigma of their binomial means
+    n = 1_000_000
+    v = np.abs(sample_M(_rng_for(1, 0), alpha, n))
+    for a in (50.0, 1e3):
+        p = 2.0 * stats.t.sf(np.sqrt(alpha) * a, df=alpha)
+        assert abs(np.count_nonzero(v > a) - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p))
+
+
+def test_sample_M_edge_cases():
+    rng = _rng_for(2, 0)
+    for alpha in (1.0, 1.5):
+        empty = sample_M(rng, alpha, 0)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        one = sample_M(rng, alpha)
+        assert np.ndim(one) == 0 and np.isfinite(one)
+    with pytest.raises(InvalidInput, match="alpha=0.5 < 1"):
+        sample_M(rng, 0.5, 10)
+
+
+def test_sample_M_same_key_same_draws():
+    for alpha in (1.0, 1.5):
+        a = sample_M(_rng_for(3, 7), alpha, 50_000)
+        b = sample_M(_rng_for(3, 7), alpha, 50_000)
+        assert np.array_equal(a, b)
+
+
+def _sample_M_reference(rng, alpha, n):
+    # sample_M's rounds written out plainly: at most _CHUNK Cauchy proposals
+    # per round, only the shortfall, accepted iff Exp(1) > (alpha-1)/2 log(1+c^2)
+    out = []
+    while len(out) < n:
+        m = min(n - len(out), _CHUNK)
+        c = np.tan((rng.random(m) - 0.5) * np.pi)
+        keep = rng.standard_exponential(m) > 0.5 * (alpha - 1.0) * np.log1p(c * c)
+        out.extend(c[keep])
+    return np.array(out)
+
+
+def test_sample_M_chunk_boundary():
+    # one past a multiple of the chunk: the last rounds propose fewer than _CHUNK
+    n = 2 * _CHUNK + 1
+    v = sample_M(_rng_for(4, 0), 1.5, n)
+    assert np.array_equal(v, _sample_M_reference(_rng_for(4, 0), 1.5, n))
+    assert stats.kstest(v, lambda q: _M_cdf(q, 1.5)).pvalue > 1e-3
 
 
 def test_bitwise_reproducibility():
@@ -145,7 +193,7 @@ def test_perturbed_collisions_relax_to_M():
     p = _params(cross_section=perturbed_sigma(1.0, 0.5), particles=100_000)
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
     out = advance(ens, 0.2, p, p.field_spec, 0.5)
-    ks = stats.kstest(out.v, lambda q: M_cdf(q, p.alpha)).statistic
+    ks = stats.kstest(out.v, lambda q: _M_cdf(q, p.alpha)).statistic
     assert ks < 0.01
 
 
