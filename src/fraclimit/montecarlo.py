@@ -9,14 +9,14 @@ With constant sigma every candidate is a collision and each post-collision
 velocity is a fresh M sample, independent of the past.  With a constant (or
 zero) field the whole clock is then drawn up front: K ~ Poisson(rate*tau)
 collisions in the interval tau, K+1 flight times as Dirichlet spacings
-(normalised exponentials), and one flat pass sums the flights per particle.
+(normalised exponentials), and one fused pass sums the flights per particle.
 Perturbed sigma (thinning acceptance nu(v)/nu2, gain-kernel rejection) and
 x-dependent fields take the candidate loop, one exponential candidate per
 live particle and round.
 
-Particles are split into fixed blocks of BLOCK; each block owns a
-counter-based (Philox) stream keyed by (seed, block index).  Results depend
-on the seed alone, not on how many threads advance the blocks.
+Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
+stream keyed by SeedSequence([seed, block]).  Results depend on the seed
+alone, not on how many threads advance the blocks.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ _CHUNK = 1 << 13  # sample_M proposals per round: bounds its scratch to ~200 kB
 
 
 def _rng_for(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.random.SeedSequence([seed, block]).generate_state(2, np.uint64)))
+    """The random stream of one block: PCG64DXSM seeded by SeedSequence([seed, block])."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([seed, block])))
 
 
 def _blocks(N: int) -> list[slice]:
@@ -52,7 +53,7 @@ def _cauchy(rng: np.random.Generator, out: np.ndarray):
     np.tan(out, out=out)
 
 
-def sample_M(rng: np.random.Generator, alpha: float, size=None):
+def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None):
     """Exact draws from M(v) = (1 + v^2)^(-(1+alpha)/2) / Z_M(alpha), alpha >= 1.
 
     Rejection from a Cauchy proposal (Devroye 1986, II.3): c = tan(pi (U - 1/2))
@@ -61,11 +62,12 @@ def sample_M(rng: np.random.Generator, alpha: float, size=None):
     is accepted with probability Z_M(alpha)/pi (0.76 at alpha = 1.5).  At
     alpha = 1, M is the Cauchy law and c is returned without a test.
     Otherwise proposals are made in rounds of at most _CHUNK, each covering
-    only the draws still missing.  `size=None` returns a scalar.
+    only the draws still missing.  `size=None` returns a scalar; a contiguous
+    float array `out` is filled and returned in place of a new array.
     """
     if alpha < 1.0:
         raise InvalidInput(f"alpha={alpha} < 1: M is not dominated by the Cauchy law")
-    out = np.empty(() if size is None else size)
+    out = np.empty(() if size is None else size) if out is None else out
     flat = out.reshape(-1)
     if alpha == 1.0:
         _cauchy(rng, flat)
@@ -86,7 +88,7 @@ def sample_M(rng: np.random.Generator, alpha: float, size=None):
             k = np.count_nonzero(km)
             np.compress(km, cm, out=flat[filled:filled + k])
             filled += k
-    return out[()] if size is None else out
+    return out[()]
 
 
 def nu_continuum(cross_section: CrossSection, alpha: float):
@@ -146,50 +148,58 @@ def _flight(x, v, E_of_x, L, dt, eps, alpha, scaling, field_constant):
     """
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
     remaining = np.full_like(x, dt) if np.ndim(dt) == 0 else dt.copy()
-    while True:
-        act = remaining > 0
-        if not act.any():
-            break
+    while (act := remaining > 0).any():
         E = E_of_x(x[act])
-        if field_constant:
-            s = remaining[act]
-        else:
+        s = remaining[act]
+        if not field_constant:
             # bound |dx| per substep; dx ~ xfac*(v s + E s^2/(2 eps))
-            vmag = np.abs(v[act]) + np.abs(E) + 1e-30
-            cap = (L / 64.0) / (xfac * vmag)
-            s = np.minimum(remaining[act], cap)
+            s = np.minimum(s, (L / 64.0) / (xfac * (np.abs(v[act]) + np.abs(E) + 1e-30)))
         x[act] = x[act] + xfac * (v[act] * s + E * s**2 / (2.0 * eps))
         v[act] = v[act] + (E / eps) * s
         remaining[act] -= s
-        if field_constant:
-            break
     np.mod(x, L, out=x)
 
 
 def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
     """Constant sigma, constant field: draw each particle's whole clock and
-    sum its flights in one pass.  Returns the number of collisions."""
+    sum its flights in one fused pass.  Returns the number of collisions.
+
+    Draws k ~ Poisson(rate*tau), the first flights e0, then the K = sum(k)
+    later flights e and their start velocities w ~ M, each particle's at its
+    exclusive start, plus a zero sentinel slot for the trailing k = 0 ones.
+    The Dirichlet scale tau/(e0 + sum e) is applied after the per-particle
+    sums; without a collision the flight is exactly tau.
+    """
     k = rng.poisson(rate * tau, len(x))
+    e0 = rng.standard_exponential(len(x))
     starts = np.zeros(len(x), dtype=np.int64)
-    np.cumsum(k[:-1] + 1, out=starts[1:])
-    s = rng.standard_exponential(starts[-1] + k[-1] + 1)
-    s *= np.repeat(tau / np.add.reduceat(s, starts), k + 1)
-    first = np.zeros(len(s), dtype=bool)
-    first[starts] = True
-    w = np.empty_like(s)  # velocity at the start of each flight
-    w[first] = v
-    w[~first] = sample_M(rng, alpha, len(s) - len(x))
-    last = starts + k
-    v[:] = w[last] + (E / eps) * s[last]
-    w *= s
-    w += (E / (2.0 * eps)) * s * s
-    x += xfac * np.add.reduceat(w, starts)
+    np.cumsum(k[:-1], out=starts[1:])
+    K = int(starts[-1] + k[-1])
+    e, w = np.zeros(K + 1), np.zeros(K + 1)
+    rng.standard_exponential(out=e[:K])
+    sample_M(rng, alpha, out=w[:K])
+    empty = k == 0
+
+    def sums(a):  # per particle; reduceat gives an empty segment the next entry
+        out = np.add.reduceat(a, starts)
+        out[empty] = 0.0
+        return out
+
+    scale = tau / (e0 + sums(e))
+    last = starts + k - 1
+    v_end = np.where(empty, v + (E / eps) * tau, w[last] + (E / eps) * scale * e[last])
+    w *= e
+    dx = (v * e0 + sums(w)) * scale
+    if E != 0.0:
+        e *= e
+        dx += (E / (2.0 * eps)) * scale * scale * (e0 * e0 + sums(e))
+    x += xfac * dx
     np.mod(x, L, out=x)
-    return int(k.sum())
+    v[:] = v_end
+    return K
 
 
-def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, field, L, scaling, rate,
-                    collisions_off) -> int:
+def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, field, L, scaling, rate) -> int:
     """One exponential candidate per live particle and round, thinning with
     acceptance nu(v)/nu2, gain-kernel rejection.  Returns the collisions."""
     nu2 = cs.nu2
@@ -199,18 +209,12 @@ def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, field, L, scal
     alive = np.ones(len(x), dtype=bool)
     while alive.any():
         idx = np.nonzero(alive)[0]
-        if collisions_off:
-            dt = until - t[idx]
-            hit = np.zeros(len(idx), dtype=bool)
-        else:
-            cand = rng.exponential(1.0 / rate, len(idx))
-            dt = np.minimum(cand, until - t[idx])
-            hit = cand <= until - t[idx]
-        xi = x[idx]
-        vi = v[idx]
+        cand = rng.exponential(1.0 / rate, len(idx))
+        dt = np.minimum(cand, until - t[idx])
+        hit = cand <= until - t[idx]
+        xi, vi = x[idx], v[idx]
         _flight(xi, vi, E_of_x, L, dt, eps, alpha, scaling, field.is_constant)
-        x[idx] = xi
-        v[idx] = vi
+        x[idx], v[idx] = xi, vi
         t[idx] += dt
         if hit.any():
             ha = idx[hit]
@@ -240,7 +244,6 @@ def advance(
     field: FieldSpec,
     until: float,
     scaling: str = "diffusive",
-    collisions_off: bool = False,
     threads: int = 1,
 ) -> ParticleEnsemble:
     """Advance the ensemble to t=until (macroscopic time).
@@ -253,7 +256,7 @@ def advance(
     cs = params.cross_section
     alpha = params.alpha
     rate = cs.nu2 / eps**alpha if scaling == "diffusive" else cs.nu2 / eps
-    flat = cs.kind == "constant" and field.is_constant and not collisions_off
+    flat = cs.kind == "constant" and field.is_constant
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
     E = field.e0 if field.kind == "constant" else 0.0
     tau = max(until - ens.t, 0.0)
@@ -266,7 +269,7 @@ def advance(
         if flat:
             return _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, ens.L)
         return _candidate_loop(x, v, rng, ens.t, until, eps, alpha, cs, nu_fun, field, ens.L,
-                               scaling, rate, collisions_off)
+                               scaling, rate)
 
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:

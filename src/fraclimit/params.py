@@ -77,10 +77,6 @@ class FieldSpec:
     def is_constant(self) -> bool:
         return self.kind in ("zero", "constant")
 
-    @property
-    def sup(self) -> float:
-        return 0.0 if self.kind == "zero" else abs(self.e0)
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -4,6 +4,8 @@ Criteria 8 and 9 are full Monte Carlo end-to-end runs and dominate the wall
 time of the suite (minutes, not seconds).
 """
 
+import os
+
 import numpy as np
 from scipy.integrate import quad
 from scipy import stats
@@ -40,6 +42,7 @@ from fraclimit.velocity import Tail, VelocityProfile
 
 L = 4 * np.pi
 SEED = 11
+THREADS = len(os.sched_getaffinity(0))  # scheduling only: results do not depend on it
 
 
 def _report(n, name, ok, detail=""):
@@ -204,7 +207,7 @@ def test_08_end_to_end_limit():
     ok = True
     details = []
     for label, p, scaling in cases:
-        rep = run_convergence(p, scaling=scaling)
+        rep = run_convergence(p, scaling=scaling, threads=THREADS)
         rows = rep.cases[0]["rows"]
         errs = [r["l1"] for r in rows]
         monotone = all(b < a for a, b in zip(errs, errs[1:]))
@@ -224,7 +227,7 @@ def test_08_end_to_end_limit():
 
 def test_09_high_field_limit():
     p = _params(field_spec=FieldSpec("constant", 0.5), final_time=0.3)
-    rep = run_convergence(p, scaling="high_field")
+    rep = run_convergence(p, scaling="high_field", threads=THREADS)
     errs = [r["l1"] for r in rep.cases[0]["rows"]]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     ok = monotone and errs[-1] < 0.05

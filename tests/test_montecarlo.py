@@ -18,7 +18,7 @@ from fraclimit import (
     sample_M,
 )
 from fraclimit.cli import main
-from fraclimit.montecarlo import _CHUNK, _rng_for
+from fraclimit.montecarlo import BLOCK, _CHUNK, _clock_pass, _rng_for
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -123,17 +123,63 @@ def test_seed_changes_stream():
 
 
 def test_ballistic_characteristics_exact():
-    # collisions off, constant field: quadratic-in-time flight, no error
+    # constant field, short advance: a particle without a collision keeps
+    # v0 + E T/eps exactly and sits on its quadratic-in-time path
     p = _params(field_spec=FieldSpec("constant", 0.5))
-    eps, T = 0.1, 0.3
-    ens = init_ensemble(2000, L, p.alpha, p.seed)
+    eps, T, n = 0.1, 0.01, 2000
+    ens = init_ensemble(n, L, p.alpha, p.seed)
     x0, v0 = ens.x.copy(), ens.v.copy()
-    out = advance(ens, eps, p, p.field_spec, T, collisions_off=True)
+    out = advance(ens, eps, p, p.field_spec, T)
+    free = out.v == v0 + (0.5 / eps) * T
+    q = np.exp(-T / eps**p.alpha)  # P(no collision)
+    assert out.collisions > 0 and abs(free.sum() - n * q) <= 5 * np.sqrt(n * q * (1 - q))
     xf = eps ** (1 - p.alpha)
     expect_x = np.mod(x0 + xf * (v0 * T + 0.5 * 0.5 * T**2 / eps), L)
-    expect_v = v0 + 0.5 * T / eps
-    assert np.max(np.abs(out.x - expect_x)) < 1e-10
-    assert np.max(np.abs(out.v - expect_v)) < 1e-12
+    assert np.max(np.abs(out.x[free] - expect_x[free])) < 1e-10
+
+
+def _clock_pass_reference(x, v, rng, alpha, rate, tau, E, xfac, eps, L):
+    # _clock_pass's draws in the same order, each particle's flights summed
+    # in a plain loop; also returns the size of the summed displacement terms
+    n = len(x)
+    k = rng.poisson(rate * tau, n)
+    e0 = rng.standard_exponential(n)
+    e = rng.standard_exponential(k.sum())
+    w = sample_M(rng, alpha, k.sum())
+    x_out, v_out, size = np.empty(n), np.empty(n), np.empty(n)
+    j = 0
+    for i in range(n):
+        flights, starts_v = [e0[i], *e[j:j + k[i]]], [v[i], *w[j:j + k[i]]]
+        j += k[i]
+        total, dx, mag = sum(flights), 0.0, 0.0
+        for u, f in zip(starts_v, flights):
+            d = tau * f / total
+            term = u * d + E / (2.0 * eps) * d * d
+            dx, mag = dx + term, mag + abs(term)
+        x_out[i] = (x[i] + xfac * dx) % L
+        v_out[i] = starts_v[-1] + E / eps * (tau * flights[-1] / total)
+        size[i] = xfac * mag
+    return x_out, v_out, size, k
+
+
+@pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
+@pytest.mark.parametrize("E", [0.0, 0.5])
+@pytest.mark.parametrize("mean_k", [0.5, 8.0])
+def test_clock_pass_matches_reference(scaling, E, mean_k):
+    eps, alpha = 0.1, 1.5
+    rate = eps**-alpha if scaling == "diffusive" else 1.0 / eps
+    xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
+    tau = mean_k / rate
+    ens = init_ensemble(BLOCK, L, alpha, 9)
+    args = (alpha, rate, tau, E, xfac, eps, L)
+    xr, vr, size, k = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 5), *args)
+    x, v = ens.x.copy(), ens.v.copy()
+    assert _clock_pass(x, v, _rng_for(9, 5), *args) == k.sum()
+    if mean_k < 1:  # empty segments at both ends of the block (the sentinel) and inside
+        assert k[0] == 0 and np.any(k[1:-1] == 0) and k[-1] == 0
+    gap = np.mod(x - xr + L / 2, L) - L / 2
+    assert np.all(np.abs(gap) <= 1e-12 * (L + size))
+    np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
 
 
 def test_collision_count_rate():

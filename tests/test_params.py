@@ -69,7 +69,7 @@ def test_field_spec():
     L = 2 * np.pi
     x = np.linspace(0, L, 7)
     zero = FieldSpec("zero")
-    assert np.all(zero(x, L) == 0.0) and zero.sup == 0.0
+    assert np.all(zero(x, L) == 0.0)
     const = FieldSpec("constant", 0.5)
     assert np.all(const(x, L) == 0.5) and const.is_constant
     sin = FieldSpec("sinusoidal", 1.0, 2)
@@ -82,7 +82,7 @@ def test_zero_field_refuses_nonzero_e0():
     # a "zero" field with e0 != 0 would drive the macro solve but not the particles
     with pytest.raises(InvalidInput, match="zero field with e0=0.5"):
         from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.5}})
-    assert from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.0}}).field_spec.sup == 0.0
+    assert from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.0}}).field_spec == FieldSpec("zero")
 
 
 def test_from_config_round_trip(tmp_path):
