@@ -111,66 +111,37 @@ def _tail_panels(vmax: float, factor: float = 1e4, panels: int = 6):
     return np.concatenate(nodes), np.concatenate(wts), edges[-1]
 
 
-def L_eps(
-    phi: TestFunction,
-    eps: float,
-    field: FieldSpec,
-    ctx: CollisionContext,
-    use_M_instead_of_F: bool = False,
-) -> MacroState:
+def L_eps(phi: TestFunction, eps: float, field: FieldSpec, ctx: CollisionContext) -> MacroState:
     """Rescaled operator L_eps(phi)(x) = eps^-alpha int nu F_eps (chi_eps - phi) dv.
 
-    F_eps(x,.) = F(., eps^(alpha-1) E(x)) (F(., E(x)) at alpha=1), cached per
-    distinct field value.  The velocity integral is evaluated mode by mode in
-    closed form, with the |v| > vmax region added from the fitted power-law
-    tails of F (nu there is at its asymptotic value).
+    F_eps = F(., eps^(alpha-1) E) does not depend on x, so L_eps is a Fourier
+    multiplier: per mode, the velocity integral in closed form on the grid plus
+    the |v| > vmax region from F's fitted power-law tails (nu at its limit there).
     """
     g = ctx.grid
     alpha = ctx.alpha
-    x = phi.x
-    E_x = field(x, phi.L)
-    scale = eps ** (alpha - 1.0)
-    Eff = scale * E_x
-    # cache F per distinct effective field value
-    cache: dict[float, np.ndarray] = {}
-    for e in np.unique(Eff):
-        key = float(e)
-        if use_M_instead_of_F:
-            cache[key] = ctx.M.values
-        else:
-            cache[key] = solve_F(key, ctx).profile.values
-    Fmat = np.stack([cache[float(e)] for e in Eff])  # (nx, nv)
-
-    # per cached F: its fitted tail on the panels, weighted by nu there, and
-    # the closed-form remainder beyond v_far, where the mode factor is ~ -1
+    F = solve_F(eps ** (alpha - 1.0) * field.e0, ctx).profile.values
+    # F's fitted tail on the panels, weighted by nu there, and the
+    # closed-form remainder beyond v_far, where the mode factor is ~ -1
     tv, tw, v_far = _tail_panels(g.vmax)
     nu_inf = ctx._nu_inf
-    tails = {}
-    for key, Fv in cache.items():
-        t = Tail(g, Fv)
-        rem = -nu_inf * sum(t.integral(0.0, v_far))
-        tails[key] = (tw * nu_inf * t(tv), tw * nu_inf * t(-tv), rem)
+    tail = Tail(g, F)
+    rem = -nu_inf * sum(tail.integral(0.0, v_far))
+    wr, wl = tw * nu_inf * tail(tv), tw * nu_inf * tail(-tv)
 
-    out = np.zeros(len(x))
-    for k in phi.band:
-        if k == 0:
-            continue
-        kp = phi.kphys[k]
-        fac = _chi_mode_factor(kp, eps, g.nodes, ctx.nu.values) - 1.0
-        core = (g.weights[None, :] * ctx.nu.values[None, :] * Fmat * fac[None, :]).sum(axis=1)
-        # analytic tails, one value per cached field value
-        tfac_p = _chi_mode_factor(kp, eps, tv, np.full_like(tv, nu_inf)) - 1.0
-        tfac_m = _chi_mode_factor(kp, eps, -tv, np.full_like(tv, nu_inf)) - 1.0
-        tail_val = {
-            key: np.sum(wr * tfac_p) + np.sum(wl * tfac_m) + rem
-            for key, (wr, wl, rem) in tails.items()
-        }
-        tcol = np.array([tail_val[float(e)] for e in Eff])
-        out = out + 2.0 * np.real(phi.coeffs[k] * np.exp(1j * kp * x) * (core + tcol))
+    band = phi.band[phi.band > 0]
+    kp = phi.kphys[band][:, None]
+    fac = _chi_mode_factor(kp, eps, g.nodes, ctx.nu.values) - 1.0
+    core = (g.weights * ctx.nu.values * F * fac).sum(axis=1)
+    tfac_p = _chi_mode_factor(kp, eps, tv, nu_inf) - 1.0
+    tfac_m = _chi_mode_factor(kp, eps, -tv, nu_inf) - 1.0
+    mult = np.zeros(len(phi.coeffs), dtype=complex)
+    mult[band] = core + ((wr * tfac_p).sum(axis=1) + (wl * tfac_m).sum(axis=1) + rem)
+    out = np.fft.irfft(mult * phi.coeffs * phi.n, n=phi.n)
     return MacroState(out / eps**alpha, phi.L, 0.0, {"eps": eps, "alpha": alpha})
 
 
-def limit_operator(phi: TestFunction, alpha: float, kappa: float, drift) -> MacroState:
-    """L(phi) = -kappa (-Lap)^(alpha/2) phi - drift * d_x phi (drift scalar or per-x)."""
+def limit_operator(phi: TestFunction, alpha: float, kappa: float, drift: float) -> MacroState:
+    """L(phi) = -kappa (-Lap)^(alpha/2) phi - drift * d_x phi for a constant drift."""
     frac = np.fft.irfft(-kappa * phi.kphys**alpha * phi.coeffs * phi.n, n=phi.n)
-    return MacroState(frac - np.asarray(drift) * phi.deriv_values(), phi.L)
+    return MacroState(frac - float(drift) * phi.deriv_values(), phi.L)

@@ -136,7 +136,7 @@ def cmd_macro_run(args) -> int:
     state = MacroState(init.rho, params.domain_length)
     rows = []
     for t in snaps:
-        state = advance_macro(state, params.time_step_macro, params.alpha, kap, drift, t)
+        state = advance_macro(state, params.alpha, kap, drift, t)
         rows.extend((t, float(x), float(r)) for x, r in zip(state.x, state.rho))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "macro_run.csv")

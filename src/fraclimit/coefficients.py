@@ -95,19 +95,15 @@ def limit_coefficients(ctx: CollisionContext) -> LimitCoefficients:
 
 
 def limit_model(ctx: CollisionContext, field: FieldSpec, scaling: str) -> tuple[float, float]:
-    """(kappa, drift) of the limit equation for a constant field.
+    """(kappa, drift) of the limit equation.
 
     Diffusive scaling: kappa in closed form; the drift is D E for alpha > 1
     and mu(E) at alpha = 1, both solved on ctx's grid.  High-field scaling:
     pure transport, kappa = 0 and drift E.  A zero field has drift 0 with no
-    solve.  x-dependent fields and unknown scalings are refused.
+    solve.  Unknown scalings are refused.
     """
     if scaling not in ("diffusive", "high_field"):
         raise InvalidInput(f"unknown scaling {scaling!r}")
-    if not field.is_constant:
-        raise InvalidInput(
-            f"{field.kind} field: x-dependent fields need a per-point drift; use constant fields"
-        )
     if scaling == "high_field":
         return 0.0, 0.0 if field.kind == "zero" else field.e0
     kap = kappa(ctx.alpha, ctx.cross_section.nu0, gamma_of_M(ctx.alpha))

@@ -73,13 +73,13 @@ def run_convergence(
     change the result.
     """
     validate(params)
-    if params.dim != 1:
-        raise InvalidInput("solvers are one-dimensional")
     L, T = params.domain_length, params.final_time
     init, rho_fun = initial_bump(params)
-    kap, drift = macro_limit(params, scaling)
-    macro = advance_macro(MacroState(init.rho, L), params.time_step_macro, params.alpha, kap, drift, T)
     bins = params.x_bins
+    if init.n % bins:
+        raise InvalidInput(f"x_bins={bins} does not divide the {init.n}-point macro grid")
+    kap, drift = macro_limit(params, scaling)
+    macro = advance_macro(MacroState(init.rho, L), params.alpha, kap, drift, T)
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
     dx = L / bins
     rows = []

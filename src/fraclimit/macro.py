@@ -1,8 +1,8 @@
 """Spectral solver on the torus for the limit equations.
 
-Fractional diffusion is applied as the exact semigroup multiplier per mode;
-advection by Strang splitting (exact spectral shift for constant drift, RK4
-with 2/3 dealiasing for x-dependent drift).
+The limit equation has constant coefficients, so its solution operator is an
+exact per-mode multiplier: fractional diffusion damps each Fourier mode and
+the drift shifts its phase, with no time stepping.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class MacroState:
         """Physical wavenumbers 2*pi*k/L of the rfft half-spectrum."""
         return 2.0 * np.pi * np.arange(self.n // 2 + 1) / self.L
 
-    def copy(self) -> "MacroState":
-        return MacroState(self.rho.copy(), self.L, self.t, self.meta)
-
 
 def frac_laplacian_fourier(rho: MacroState, alpha: float, kappa: float) -> MacroState:
     """kappa * (-Laplacian)^(alpha/2) rho via the |k|^alpha multiplier."""
@@ -88,52 +85,16 @@ def frac_laplacian_singular(f, alpha: float, x) -> np.ndarray:
     return out if np.ndim(x) > 0 else out[0]
 
 
-def _advect_rk4(rho: np.ndarray, b: np.ndarray, kphys: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step of d rho/dt = -d_x(b rho), pseudo-spectral with 2/3 dealiasing."""
-    n = len(rho)
-    keep = np.arange(len(kphys)) <= (n // 3)
-
-    def rhs(r):
-        flux = np.fft.rfft(b * r)
-        flux = np.where(keep, flux, 0.0)
-        return np.fft.irfft(-1j * kphys * flux, n=n)
-
-    k1 = rhs(rho)
-    k2 = rhs(rho + 0.5 * dt * k1)
-    k3 = rhs(rho + 0.5 * dt * k2)
-    k4 = rhs(rho + dt * k3)
-    return rho + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def advance_macro(rho: MacroState, dt: float, alpha: float, kappa: float, drift, until: float) -> MacroState:
+def advance_macro(rho: MacroState, alpha: float, kappa: float, drift: float, until: float) -> MacroState:
     """Evolve d_t rho + kappa(-Lap)^(alpha/2) rho + d_x(drift rho) = 0 to t=until.
 
-    Strang splitting: exact diffusion half-steps around one advection step.
-    `drift` is a scalar (constant velocity; exact spectral shift) or an array
-    on the state's grid.
+    Exact: each mode is multiplied once by exp(-(kappa |k|^alpha + i k drift)(until - t)).
     """
-    state = rho.copy()
-    kphys = state.wavenumbers()
-    b_arr = None if np.ndim(drift) == 0 else np.asarray(drift, dtype=float)
-    bmax = abs(float(drift)) if b_arr is None else float(np.max(np.abs(b_arr)))
-    if b_arr is not None and bmax > 0 and dt > state.dx / (2.0 * bmax):
-        raise InvalidInput(
-            f"dt={dt} exceeds advection bound {state.dx / (2 * bmax):.3e}"
-        )
-    while state.t < until - 1e-14:
-        step = min(dt, until - state.t)
-        half = np.exp(-kappa * kphys**alpha * step / 2.0)
-        c = np.fft.rfft(state.rho) * half
-        if b_arr is None:
-            if drift != 0.0:
-                c = c * np.exp(-1j * kphys * drift * step)
-            r = np.fft.irfft(c, n=state.n)
-        else:
-            r = _advect_rk4(np.fft.irfft(c, n=state.n), b_arr, kphys, step)
-        c = np.fft.rfft(r) * half
-        state.rho = np.fft.irfft(c, n=state.n)
-        state.t += step
-    return state
+    if until < rho.t:
+        raise InvalidInput(f"until={until} < current t={rho.t}")
+    k = rho.wavenumbers()
+    c = rho.coeffs() * np.exp(-(kappa * k**alpha + 1j * k * float(drift)) * (until - rho.t))
+    return MacroState(np.fft.irfft(c, n=rho.n), rho.L, until, rho.meta)
 
 
 def gaussian_bump(L: float, width: float, n: int) -> MacroState:

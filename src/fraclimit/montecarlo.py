@@ -1,18 +1,18 @@
 """Event-driven Monte Carlo for the scaled kinetic equation.
 
-Per particle: free flight with drift E/eps, collisions at the events of a
-Poisson clock with the majorant rate nu2/eps^alpha, post-collision velocity
-from the gain kernel.  Equilibrium velocities come from `sample_M`, an exact
+Per particle: free flight in the constant field E (velocity drift E/eps,
+positions in closed form), collisions at the events of a Poisson clock with
+the majorant rate nu2/eps^alpha, post-collision velocity from the gain
+kernel.  Equilibrium velocities come from `sample_M`, an exact
 rejection sampler with a Cauchy proposal.
 
 With constant sigma every candidate is a collision and each post-collision
-velocity is a fresh M sample, independent of the past.  With a constant (or
-zero) field the whole clock is then drawn up front: K ~ Poisson(rate*tau)
-collisions in the interval tau, K+1 flight times as Dirichlet spacings
-(normalised exponentials), and one fused pass sums the flights per particle.
-Perturbed sigma (thinning acceptance nu(v)/nu2, gain-kernel rejection) and
-x-dependent fields take the candidate loop, one exponential candidate per
-live particle and round.
+velocity is a fresh M sample, independent of the past.  The whole clock is
+then drawn up front: K ~ Poisson(rate*tau) collisions in the interval tau,
+K+1 flight times as Dirichlet spacings (normalised exponentials), and one
+fused pass sums the flights per particle.  Perturbed sigma (thinning
+acceptance nu(v)/nu2, gain-kernel rejection) takes the candidate loop, one
+exponential candidate per live particle and round.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Results depend on the seed
@@ -139,29 +139,19 @@ def init_ensemble(N: int, L: float, alpha: float, seed: int, rho_init=None) -> P
     return ParticleEnsemble(x, v, L, 0.0, seed, tuple(rngs))
 
 
-def _flight(x, v, E_of_x, L, dt, eps, alpha, scaling, field_constant):
-    """Advance positions/velocities by dt of free flight with frozen field.
+def _flight(x, v, dt, E, xfac, eps, L):
+    """Free flight for times dt in the constant field E, in place.
 
-    Diffusive scaling: dx/dt = eps^(1-alpha) v, dv/dt = E/eps.
-    High-field scaling: dx/dt = v, dv/dt = E/eps.
-    x-dependent fields are frozen per substep with |dx| <= L/64.
+    dx/dt = xfac v and dv/dt = E/eps, with xfac = eps^(1-alpha) in the
+    diffusive scaling and 1 in the high-field one; x is taken mod L.
     """
-    xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
-    remaining = np.full_like(x, dt) if np.ndim(dt) == 0 else dt.copy()
-    while (act := remaining > 0).any():
-        E = E_of_x(x[act])
-        s = remaining[act]
-        if not field_constant:
-            # bound |dx| per substep; dx ~ xfac*(v s + E s^2/(2 eps))
-            s = np.minimum(s, (L / 64.0) / (xfac * (np.abs(v[act]) + np.abs(E) + 1e-30)))
-        x[act] = x[act] + xfac * (v[act] * s + E * s**2 / (2.0 * eps))
-        v[act] = v[act] + (E / eps) * s
-        remaining[act] -= s
+    x += xfac * (v * dt + E * dt**2 / (2.0 * eps))
+    v += (E / eps) * dt
     np.mod(x, L, out=x)
 
 
 def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
-    """Constant sigma, constant field: draw each particle's whole clock and
+    """Constant sigma: draw each particle's whole clock and
     sum its flights in one fused pass.  Returns the number of collisions.
 
     Draws k ~ Poisson(rate*tau), the first flights e0, then the K = sum(k)
@@ -199,11 +189,11 @@ def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
     return K
 
 
-def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, field, L, scaling, rate) -> int:
-    """One exponential candidate per live particle and round, thinning with
-    acceptance nu(v)/nu2, gain-kernel rejection.  Returns the collisions."""
+def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, E, xfac, L, rate) -> int:
+    """Perturbed sigma: one exponential candidate per live particle and round,
+    thinning with acceptance nu(v)/nu2, gain-kernel rejection.  Returns the
+    collisions."""
     nu2 = cs.nu2
-    E_of_x = lambda xx: field(xx, L)
     n_coll = 0
     t = np.full(len(x), t0)
     alive = np.ones(len(x), dtype=bool)
@@ -213,26 +203,21 @@ def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, field, L, scal
         dt = np.minimum(cand, until - t[idx])
         hit = cand <= until - t[idx]
         xi, vi = x[idx], v[idx]
-        _flight(xi, vi, E_of_x, L, dt, eps, alpha, scaling, field.is_constant)
+        _flight(xi, vi, dt, E, xfac, eps, L)
         x[idx], v[idx] = xi, vi
         t[idx] += dt
-        if hit.any():
-            ha = idx[hit]
-            if cs.nu1 != nu2:  # otherwise the acceptance is identically 1
-                ha = ha[rng.random(len(ha)) < np.asarray(nu_fun(v[ha])) / nu2]
-            if len(ha):
-                if cs.kind == "constant":
-                    v[ha] = sample_M(rng, alpha, len(ha))
-                else:
-                    # gain kernel sigma(w, v) M(w)/nu(v): rejection against
-                    # M with acceptance sigma(w, v)/nu2
-                    pending = ha.copy()
-                    while len(pending):
-                        w = sample_M(rng, alpha, len(pending))
-                        keep = rng.random(len(pending)) < cs.sigma(w, v[pending]) / nu2
-                        v[pending[keep]] = w[keep]
-                        pending = pending[~keep]
-                n_coll += len(ha)
+        ha = idx[hit]
+        if cs.nu1 != nu2:  # otherwise the acceptance is identically 1
+            ha = ha[rng.random(len(ha)) < np.asarray(nu_fun(v[ha])) / nu2]
+        # gain kernel sigma(w, v) M(w)/nu(v): rejection against M with
+        # acceptance sigma(w, v)/nu2
+        pending = ha
+        while len(pending):
+            w = sample_M(rng, alpha, len(pending))
+            keep = rng.random(len(pending)) < cs.sigma(w, v[pending]) / nu2
+            v[pending[keep]] = w[keep]
+            pending = pending[~keep]
+        n_coll += len(ha)
         alive = t < until - 1e-15
     return n_coll
 
@@ -256,7 +241,7 @@ def advance(
     cs = params.cross_section
     alpha = params.alpha
     rate = cs.nu2 / eps**alpha if scaling == "diffusive" else cs.nu2 / eps
-    flat = cs.kind == "constant" and field.is_constant
+    flat = cs.kind == "constant"
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
     E = field.e0 if field.kind == "constant" else 0.0
     tau = max(until - ens.t, 0.0)
@@ -268,8 +253,7 @@ def advance(
         x, v, rng = ens.x[blocks[b]], ens.v[blocks[b]], ens.rngs[b]
         if flat:
             return _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, ens.L)
-        return _candidate_loop(x, v, rng, ens.t, until, eps, alpha, cs, nu_fun, field, ens.L,
-                               scaling, rate)
+        return _candidate_loop(x, v, rng, ens.t, until, eps, alpha, cs, nu_fun, E, xfac, ens.L, rate)
 
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:

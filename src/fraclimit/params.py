@@ -48,40 +48,20 @@ def perturbed_sigma(nu0: float = 1.0, amplitude: float = 0.5) -> CrossSection:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Acceleration field E(x); time-independent by construction.
-
-    kind in {"zero", "constant", "sinusoidal"}; sinusoidal is
-    e0 * sin(2*pi*wavenumber*x / L).
-    """
+    """Acceleration field E, the same everywhere and at all times: kind "zero"
+    (E = 0) or "constant" (E = e0)."""
 
     kind: str = "zero"
     e0: float = 0.0
-    wavenumber: int = 1
 
-    def __call__(self, x, L: float):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "constant":
-            return np.full_like(x, self.e0)
-        return self.e0 * np.sin(2.0 * np.pi * self.wavenumber * x / L)
-
-    def dx(self, x, L: float):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "sinusoidal":
-            k = 2.0 * np.pi * self.wavenumber / L
-            return self.e0 * k * np.cos(k * x)
-        return np.zeros_like(x)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind in ("zero", "constant")
+    def __call__(self, x):
+        """E at the points x."""
+        return np.full_like(np.asarray(x, dtype=float), self.e0 if self.kind == "constant" else 0.0)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     alpha: float = 1.5
-    dim: int = 1
     cross_section: CrossSection = field(default_factory=constant_sigma)
     field_spec: FieldSpec = field(default_factory=FieldSpec)
     domain_length: float = 2.0 * np.pi
@@ -92,7 +72,6 @@ class ModelParams:
     velocity_nodes: int = 128
     vmax_over_inv_eps: float = 10.0
     x_bins: int = 64
-    time_step_macro: float = 1e-3
 
     @property
     def vmax(self) -> float:
@@ -120,36 +99,52 @@ def validate(params: ModelParams) -> ModelParams:
             f"need 0 < nu0 - |amplitude|; got nu0={cs.nu0}, amplitude={cs.amplitude}"
         )
     fs = params.field_spec
-    if fs.kind not in ("zero", "constant", "sinusoidal"):
+    if fs.kind not in ("zero", "constant"):
         raise InvalidInput(f"unknown field kind {fs.kind!r}")
     if fs.kind == "zero" and fs.e0 != 0.0:
         raise InvalidInput(f"zero field with e0={fs.e0}; use kind 'constant' for a nonzero field")
+    if params.particles < 1 or params.x_bins < 1:
+        raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {params.particles}, {params.x_bins}")
     return params
 
 
+def _number(cfg: dict, key: str, default=None, cast=float):
+    """The config entry at the dotted `key`, converted by `cast`; refused by
+    name if it is missing (and has no default) or not numeric."""
+    *sections, last = key.split(".")
+    for name in sections:
+        cfg = cfg.get(name, {})
+    value = cfg.get(last, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "is missing" if value is None else f"is not numeric: {value!r}"
+        raise InvalidInput(f"config entry {key!r} {what}") from None
+
+
 def from_config(cfg: dict) -> ModelParams:
-    """Build validated params from the JSON config mapping."""
+    """Build validated params from the JSON config mapping.  Keys it does not
+    read, such as the retired `time_step_macro`, are ignored; `dim` must be 1."""
+    if _number(cfg, "dim", 1) != 1:
+        raise InvalidInput(f"dim={cfg['dim']}: the solvers are one-dimensional")
     cs = cfg.get("cross_section", {})
     kind = {"Constant": "constant", "PerturbedConstant": "perturbed"}.get(
         cs.get("kind", "Constant"), cs.get("kind", "constant").lower()
     )
-    fld = cfg.get("field", {})
-    fkind = fld.get("kind", "Zero").lower()
-    vg = cfg.get("velocity_grid", {})
+    fkind = cfg.get("field", {}).get("kind", "Zero").lower()
+    amplitude = _number(cfg, "cross_section.amplitude", 0.0)
     params = ModelParams(
-        alpha=float(cfg["alpha"]),
-        dim=int(cfg.get("dim", 1)),
-        cross_section=CrossSection(kind, float(cs.get("nu0", 1.0)), float(cs.get("amplitude", 0.0))),
-        field_spec=FieldSpec(fkind, float(fld.get("e0", 0.0)), int(fld.get("wavenumber", 1))),
-        domain_length=float(cfg.get("domain_length", 2.0 * np.pi)),
-        final_time=float(cfg.get("final_time", 1.0)),
-        epsilon_schedule=tuple(float(e) for e in cfg.get("epsilon_schedule", (0.2, 0.1, 0.05))),
-        seed=int(cfg.get("seed", 0)),
-        particles=int(cfg.get("particles", 100_000)),
-        velocity_nodes=int(vg.get("nodes", 128)),
-        vmax_over_inv_eps=float(vg.get("vmax_over_inv_eps", 10.0)),
-        x_bins=int(cfg.get("x_bins", 64)),
-        time_step_macro=float(cfg.get("time_step_macro", 1e-3)),
+        alpha=_number(cfg, "alpha"),
+        cross_section=CrossSection(kind, _number(cfg, "cross_section.nu0", 1.0), amplitude),
+        field_spec=FieldSpec(fkind, _number(cfg, "field.e0", 0.0)),
+        domain_length=_number(cfg, "domain_length", 2.0 * np.pi),
+        final_time=_number(cfg, "final_time", 1.0),
+        epsilon_schedule=_number(cfg, "epsilon_schedule", (0.2, 0.1, 0.05), lambda s: tuple(map(float, s))),
+        seed=_number(cfg, "seed", 0, int),
+        particles=_number(cfg, "particles", 100_000, int),
+        velocity_nodes=_number(cfg, "velocity_grid.nodes", 128, int),
+        vmax_over_inv_eps=_number(cfg, "velocity_grid.vmax_over_inv_eps", 10.0),
+        x_bins=_number(cfg, "x_bins", 64, int),
     )
     return validate(params)
 

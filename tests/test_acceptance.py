@@ -66,7 +66,6 @@ def _params(**kw):
         velocity_nodes=128,
         vmax_over_inv_eps=10.0,
         x_bins=32,
-        time_step_macro=1e-3,
     )
     base.update(kw)
     return ModelParams(**base)

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from fraclimit import (
-    CollisionContext,
     L_eps,
     TestFunction,
     chi_decay_check,
     chi_eps,
     limit_operator,
     limit_coefficients,
-    perturbed_sigma,
 )
 from fraclimit.params import FieldSpec
 
@@ -67,35 +65,9 @@ def test_L_eps_converges_to_fractional_diffusion(ctx15):
     assert errs[1] < errs[0]
 
 
-def test_L_eps_with_M_kills_drift(ctx15):
-    # replacing F_eps by M removes the drift: the difference between the two
-    # variants isolates the drift term and converges to D*E*phi'
-    phi = TestFunction.gaussian_bump(L, width=0.8, bandwidth=4, n=64)
-    field = FieldSpec("constant", 0.5)
-    drift_term = 0.5 * phi.deriv_values()  # D = 1 for sigma = 1
-    errs = []
-    for eps in (0.1, 0.05):
-        le_f = L_eps(phi, eps, field, ctx15)
-        le_m = L_eps(phi, eps, field, ctx15, use_M_instead_of_F=True)
-        errs.append(np.max(np.abs(le_f.rho - le_m.rho - drift_term)))
-    assert errs[1] < errs[0]
-    assert errs[1] < 0.3 * np.max(np.abs(drift_term))
-
-
 def test_limit_operator_cos_mode():
     phi = TestFunction.single_mode(L, m=1, n=64)
     out = limit_operator(phi, 1.5, 2.0, 0.5)
     x = phi.x
     expect = -2.0 * np.cos(x) - 0.5 * (-np.sin(x))
     assert np.max(np.abs(out.rho - expect)) < 1e-12
-
-
-@pytest.mark.parametrize("alpha", [1.0, 1.5])
-def test_L_eps_sinusoidal_field_perturbed_sigma(grid128, alpha):
-    # sin(pi) is roundoff, not 0: that field value takes the u = lambda route
-    field = FieldSpec("sinusoidal", 0.5)
-    phi = TestFunction.gaussian_bump(L, width=0.8, bandwidth=4, n=16)
-    assert 0.0 < abs(field(phi.x[8], L)) < 1e-15
-    ctx = CollisionContext(grid128, perturbed_sigma(1.0, 0.5), alpha)
-    out = L_eps(phi, 0.1, field, ctx)
-    assert np.all(np.isfinite(out.rho))

@@ -26,7 +26,6 @@ def _params(**kw):
         velocity_nodes=128,
         vmax_over_inv_eps=10.0,
         x_bins=32,
-        time_step_macro=1e-3,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -62,6 +61,15 @@ def test_verdict_pure_function(small_report):
 def test_run_convergence_rejects_bad_scaling():
     with pytest.raises(InvalidInput, match="unknown scaling 'hyperbolic'"):
         run_convergence(_params(), scaling="hyperbolic")
+
+
+@pytest.mark.parametrize(
+    "bins, match",
+    [(0, "need particles >= 1 and x_bins >= 1"), (48, "x_bins=48 does not divide the 512-point macro grid")],
+)
+def test_run_convergence_refuses_x_bins(bins, match):
+    with pytest.raises(InvalidInput, match=match):
+        run_convergence(_params(x_bins=bins))
 
 
 def test_emit_roundtrip(small_report, tmp_path):
@@ -176,8 +184,8 @@ def test_cli_seed_override(tmp_path, capsys):
     assert manifest["seed"] == 99
 
 
-@pytest.mark.parametrize("command", ["converge", "macro-run", "operator-check"])
+@pytest.mark.parametrize("command", ["converge", "macro-run", "operator-check", "kinetic-run"])
 def test_cli_refuses_x_dependent_field(tmp_path, command):
     cfg = _write_cfg(tmp_path, field={"kind": "sinusoidal", "e0": 0.5})
-    with pytest.raises(InvalidInput, match="sinusoidal field: x-dependent fields need a per-point drift"):
+    with pytest.raises(InvalidInput, match="unknown field kind 'sinusoidal'"):
         main(["--config", cfg, "--out", str(tmp_path), command])

@@ -35,7 +35,7 @@ def test_fourier_fractional_laplacian_single_mode():
 def test_diffusion_semigroup_exact():
     alpha, kappa, T = 1.5, 0.7, 0.3
     s, x = _single_mode(m=3)
-    out = advance_macro(s, 1e-2, alpha, kappa, 0.0, T)
+    out = advance_macro(s, alpha, kappa, 0.0, T)
     decay = np.exp(-kappa * 3.0**alpha * T)
     expect = 1.0 / (2 * np.pi) + 0.25 * decay * np.cos(3 * x)
     assert np.max(np.abs(out.rho - expect)) < 1e-12
@@ -43,28 +43,31 @@ def test_diffusion_semigroup_exact():
 
 
 def test_constant_drift_exact_shift():
-    b, T = 0.8, 0.5
+    alpha, T = 1.5, 0.5
     s, x = _single_mode(m=1)
-    out = advance_macro(s, 1e-2, 1.5, 0.0, b, T)
-    expect = 1.0 / (2 * np.pi) + 0.25 * np.cos(x - b * T)
-    assert np.max(np.abs(out.rho - expect)) < 1e-12
+    for kappa, b in [(0.0, 0.8), (0.7, 0.8), (0.7, -1.3)]:
+        out = advance_macro(s, alpha, kappa, b, T)
+        # the mode e^{ikx} is multiplied by exp(-kappa |k|^alpha T - i k b T)
+        mode = 0.25 * np.exp(1j * x) * np.exp(-kappa * T - 1j * b * T)
+        assert np.max(np.abs(out.rho - (1.0 / (2 * np.pi) + np.real(mode)))) < 1e-12
+        assert out.t == T
 
 
-def test_variable_drift_conserves_mass():
-    L = 2 * np.pi
-    init = gaussian_bump(L, 0.6, 128)
-    b = 0.3 * np.sin(init.x)
-    out = advance_macro(init, 1e-3, 1.5, 0.2, b, 0.2)
-    assert out.mass == pytest.approx(1.0, abs=1e-10)
-    assert np.all(np.isfinite(out.rho))
+def test_two_legs_equal_one():
+    # the snapshot path of macro-run: T/3, then on to T
+    init = gaussian_bump(4 * np.pi, 1.8, 512)
+    alpha, kappa, b, T = 1.5, 0.9, 0.6, 0.5
+    two = advance_macro(advance_macro(init, alpha, kappa, b, T / 3), alpha, kappa, b, T)
+    one = advance_macro(init, alpha, kappa, b, T)
+    assert two.t == one.t == T
+    assert np.max(np.abs(two.rho - one.rho)) < 1e-13 * np.max(one.rho)
 
 
-def test_cfl_guard():
-    L = 2 * np.pi
-    init = gaussian_bump(L, 0.6, 64)
-    b = np.full(64, 5.0)
-    with pytest.raises(InvalidInput, match="exceeds advection bound"):
-        advance_macro(init, 0.5, 1.5, 0.0, b, 1.0)
+def test_refuses_going_back_in_time():
+    s, _ = _single_mode()
+    later = advance_macro(s, 1.5, 0.7, 0.0, 0.5)
+    with pytest.raises(InvalidInput, match=r"until=0.2 < current t=0.5"):
+        advance_macro(later, 1.5, 0.7, 0.0, 0.2)
 
 
 def test_gaussian_bump_normalized():

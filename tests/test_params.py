@@ -66,16 +66,28 @@ def test_constant_sigma_is_flat():
 
 
 def test_field_spec():
-    L = 2 * np.pi
-    x = np.linspace(0, L, 7)
-    zero = FieldSpec("zero")
-    assert np.all(zero(x, L) == 0.0)
-    const = FieldSpec("constant", 0.5)
-    assert np.all(const(x, L) == 0.5) and const.is_constant
-    sin = FieldSpec("sinusoidal", 1.0, 2)
-    assert not sin.is_constant
-    assert sin(x, L) == pytest.approx(np.sin(2 * x), abs=1e-12)
-    assert sin.dx(x, L) == pytest.approx(2 * np.cos(2 * x), abs=1e-12)
+    x = np.linspace(0, 2 * np.pi, 7)
+    assert np.all(FieldSpec("zero")(x) == 0.0)
+    assert np.all(FieldSpec("constant", 0.5)(x) == 0.5)
+
+
+@pytest.mark.parametrize(
+    "cfg, match",
+    [
+        ({"alpha": 1.5, "particles": 0}, r"need particles >= 1 and x_bins >= 1; got 0, 64"),
+        ({"alpha": 1.5, "x_bins": 0}, r"need particles >= 1 and x_bins >= 1; got 100000, 0"),
+        ({}, r"config entry 'alpha' is missing"),
+        ({"alpha": "x"}, r"config entry 'alpha' is not numeric: 'x'"),
+        ({"alpha": 1.5, "particles": "many"}, r"config entry 'particles' is not numeric: 'many'"),
+        ({"alpha": 1.5, "velocity_grid": {"nodes": [1]}},
+         r"config entry 'velocity_grid.nodes' is not numeric: \[1\]"),
+        ({"alpha": 1.5, "dim": 2}, r"dim=2: the solvers are one-dimensional"),
+        ({"alpha": 1.5, "field": {"kind": "sinusoidal", "e0": 0.5}}, r"unknown field kind 'sinusoidal'"),
+    ],
+)
+def test_from_config_refusals(cfg, match):
+    with pytest.raises(InvalidInput, match=match):
+        from_config(cfg)
 
 
 def test_zero_field_refuses_nonzero_e0():
@@ -100,7 +112,7 @@ def test_from_config_round_trip(tmp_path):
         "x_bins": 16,
         "time_step_macro": 0.01,
     }
-    p = from_config(cfg)
+    p = from_config(cfg)  # dim 1 and the retired time_step_macro still load
     assert p.cross_section.kind == "perturbed"
     assert p.field_spec.e0 == 0.5
     assert p.vmax == pytest.approx(50.0)
