@@ -9,7 +9,7 @@ from .collision import CollisionContext
 from .equilibrium import solve_F
 from .macro import MacroState
 from .params import FieldSpec
-from .velocity import Tail, _XG, _WG
+from .velocity import Tail, _WG, _log_panels
 
 _LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
 
@@ -27,12 +27,6 @@ class TestFunction:
         self.values = np.fft.irfft(self.coeffs * n, n=n)
         self.kphys = 2.0 * np.pi * np.arange(n // 2 + 1) / L
         self.band = np.nonzero(np.abs(self.coeffs) > 1e-15)[0]
-
-    @classmethod
-    def single_mode(cls, L: float, m: int = 1, n: int = 64, amplitude: float = 1.0):
-        c = np.zeros(n // 2 + 1, dtype=complex)
-        c[m] = amplitude / 2.0  # cos(2 pi m x / L)
-        return cls(L, c, n)
 
     @classmethod
     def gaussian_bump(cls, L: float, width: float = 0.5, bandwidth: int = 8, n: int = 64):
@@ -101,14 +95,8 @@ def chi_decay_check(phi: TestFunction, eps_list, ctx: CollisionContext) -> dict:
 def _tail_panels(vmax: float, factor: float = 1e4, panels: int = 6):
     """Log-spaced Gauss-Legendre panels on [vmax, vmax*factor] for tail sums."""
     edges = vmax * factor ** (np.arange(panels + 1) / panels)
-    nodes, wts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        la, lb = np.log(a), np.log(b)
-        c, h = (la + lb) / 2, (lb - la) / 2
-        u = c + h * _XG
-        nodes.append(np.exp(u))
-        wts.append(h * _WG * np.exp(u))
-    return np.concatenate(nodes), np.concatenate(wts), edges[-1]
+    *_, v, jac = _log_panels(edges)
+    return v, np.tile(_WG, panels) * jac, edges[-1]
 
 
 def L_eps(phi: TestFunction, eps: float, field: FieldSpec, ctx: CollisionContext) -> MacroState:

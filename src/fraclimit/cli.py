@@ -17,7 +17,7 @@ from dataclasses import replace
 from . import montecarlo as mc
 from .coefficients import limit_coefficients
 from .collision import CollisionContext
-from .equilibrium import deviation_R, solve_F, solve_lambda
+from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
 from .harness import emit, initial_bump, macro_limit, run_convergence, run_operator_study
 from .macro import MacroState, advance_macro
@@ -56,9 +56,8 @@ def cmd_equilibrium(args) -> int:
     Eeff = E if args.raw_field else scale * E
     F = solve_F(Eeff, ctx)
     lam = solve_lambda(ctx).profile.values
-    # R = E u and G = E (u - lambda), in equilibrium.remainder_G's operation order
     R = deviation_R(Eeff, ctx).values
-    G = R - Eeff * lam
+    G = remainder_G(Eeff, ctx)[0].values
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "equilibrium.csv")
     _write_csv(
@@ -99,11 +98,12 @@ def cmd_operator_check(args) -> int:
 
 def cmd_kinetic_run(args) -> int:
     params = _load(args)
-    if args.particles:
-        params = validate(replace(params, particles=args.particles))
+    overrides = {"particles": args.particles, "final_time": args.final_time}
+    params = validate(replace(params, **{k: v for k, v in overrides.items() if v is not None}))
     eps = args.eps if args.eps is not None else min(params.epsilon_schedule)
-    T = args.final_time if args.final_time is not None else params.final_time
-    snaps = sorted(args.snapshot or [T])
+    if not 0 < eps <= 1:
+        raise InvalidInput(f"--eps {eps} outside (0, 1]")
+    snaps = sorted(args.snapshot or [params.final_time])
     _, rho_fun = initial_bump(params)
     ens = mc.init_ensemble(params.particles, params.domain_length, params.alpha,
                            params.seed, rho_init=rho_fun)

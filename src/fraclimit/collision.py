@@ -128,15 +128,18 @@ def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
     n = g.n
     row, s, c, z = _flight_points(E, ctx)
     q = g.nodes[row] - E * s
-    Nv = ctx.N(g.nodes)
     P = np.zeros(n * n)
     outside = []
     for lo in range(0, len(q), _PLAN_BLOCK):
         blk = slice(lo, lo + _PLAN_BLOCK)
         r, qb = row[blk], q[blk]
-        w = c[blk] * np.exp(z[blk] - (Nv[r] - ctx.N(qb)) / E)
         inside = np.abs(qb) <= g.vmax
         cols, coef = g.interp_rows(qb[inside])
+        # N(q) from the same rows that interpolate h(q)
+        Nq = np.empty(len(qb))
+        Nq[inside] = np.sum(coef * ctx._N_nodes[cols], axis=1)
+        Nq[~inside] = ctx.N(qb[~inside])
+        w = c[blk] * np.exp(z[blk] - (ctx._N_nodes[r] - Nq) / E)
         P += np.bincount((r[inside, None] * n + cols).ravel(),
                          (coef * w[inside, None]).ravel(), minlength=n * n)
         outside.append((r[~inside], qb[~inside], w[~inside]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
@@ -82,29 +83,37 @@ def validate(params: ModelParams) -> ModelParams:
     """Check every invariant; returns the params unchanged on success."""
     if not 1.0 <= params.alpha < 2.0:
         raise InvalidInput(f"alpha={params.alpha} outside [1,2)")
-    if params.domain_length <= 0 or params.final_time <= 0:
-        raise InvalidInput("domain_length and final_time must be positive")
+    if not (0 < params.domain_length < math.inf and 0 < params.final_time < math.inf):
+        raise InvalidInput(
+            f"domain_length and final_time must be positive and finite; "
+            f"got {params.domain_length}, {params.final_time}"
+        )
     eps = params.epsilon_schedule
     if len(eps) == 0:
         raise InvalidInput("epsilon_schedule is empty")
-    if any(e <= 0 or e > 1 for e in eps):
+    if not all(0 < e <= 1 for e in eps):
         raise InvalidInput("epsilon values must lie in (0,1]")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise InvalidInput("epsilon_schedule must be strictly decreasing")
     cs = params.cross_section
     if cs.kind not in ("constant", "perturbed"):
         raise InvalidInput(f"unknown cross section kind {cs.kind!r}")
-    if cs.nu0 <= 0 or cs.nu1 <= 0:
+    if not (cs.nu1 > 0 and math.isfinite(cs.nu2)):
         raise InvalidInput(
-            f"need 0 < nu0 - |amplitude|; got nu0={cs.nu0}, amplitude={cs.amplitude}"
+            f"need 0 < nu0 - |amplitude| and a finite nu0 + |amplitude|; "
+            f"got nu0={cs.nu0}, amplitude={cs.amplitude}"
         )
     fs = params.field_spec
     if fs.kind not in ("zero", "constant"):
         raise InvalidInput(f"unknown field kind {fs.kind!r}")
+    if not math.isfinite(fs.e0):
+        raise InvalidInput(f"field e0={fs.e0} is not finite")
     if fs.kind == "zero" and fs.e0 != 0.0:
         raise InvalidInput(f"zero field with e0={fs.e0}; use kind 'constant' for a nonzero field")
     if params.particles < 1 or params.x_bins < 1:
         raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {params.particles}, {params.x_bins}")
+    if params.seed < 0:
+        raise InvalidInput(f"seed={params.seed} must be non-negative")
     return params
 
 

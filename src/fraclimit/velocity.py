@@ -33,13 +33,6 @@ def _bary_weights(x: np.ndarray) -> np.ndarray:
 _BW = _bary_weights(_XG)
 
 
-def _bary_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric terms w_j / (t - x_j) at panel coordinates t, and the exact node hits."""
-    d = t[:, None] - _XG[None, :]
-    exact = np.abs(d) < 1e-14
-    return _BW[None, :] / np.where(exact, 1.0, d), exact
-
-
 def _diff_matrix(x: np.ndarray, bw: np.ndarray) -> np.ndarray:
     n = len(x)
     d = np.zeros((n, n))
@@ -87,6 +80,18 @@ def tail_gamma(alpha: float) -> float:
     return 1.0 / norm_Z(alpha)
 
 
+def _log_panels(edges: np.ndarray):
+    """Gauss-Legendre panels in s = log v between consecutive `edges`.
+
+    Returns the panels' mid and half in s, and their nodes v with the
+    Jacobian dv/dt = half * v of the map t -> s = mid + half t.
+    """
+    ls = np.log(edges)
+    mid, half = (ls[:-1] + ls[1:]) / 2, (ls[1:] - ls[:-1]) / 2
+    v = np.exp(mid[:, None] + half[:, None] * _XG).ravel()
+    return mid, half, v, np.repeat(half, PANEL_PTS) * v
+
+
 class VelocityGrid:
     """Symmetric composite Gauss-Legendre quadrature on [-vmax, vmax].
 
@@ -102,8 +107,7 @@ class VelocityGrid:
             raise InvalidInput(f"vmax={vmax} must be positive")
         if not 0 < inner < vmax:
             raise InvalidInput(f"inner={inner} must lie in (0, vmax)")
-        half = n_nodes // 2
-        K = half // PANEL_PTS
+        K = n_nodes // (2 * PANEL_PTS)
         if K < 2:
             raise InvalidInput("need at least two panels per side")
         self.n = n_nodes
@@ -114,140 +118,73 @@ class VelocityGrid:
         self.edges = np.concatenate(
             [[0.0], inner * (vmax / inner) ** (np.arange(K) / (K - 1))]
         )
-        self.logpanel = [False] + [True] * (K - 1)
-        nodes, wts = [], []
-        for a, b, lp in zip(self.edges[:-1], self.edges[1:], self.logpanel):
-            if not lp:
-                c, h = (a + b) / 2, (b - a) / 2
-                nodes.append(c + h * _XG)
-                wts.append(h * _WG)
-            else:
-                ua, ub = np.log(a), np.log(b)
-                c, h = (ua + ub) / 2, (ub - ua) / 2
-                u = c + h * _XG
-                nodes.append(np.exp(u))
-                wts.append(h * _WG * np.exp(u))
-        vp = np.concatenate(nodes)
-        wp = np.concatenate(wts)
+        # panel k maps t in [-1, 1] to s = mid_k + half_k t, with s = v on the
+        # linear panel 0 and s = log v on the others; jac = dv/dt at each
+        # positive node
+        mid, half, vlog, jlog = _log_panels(self.edges[1:])
+        h0 = self.inner / 2
+        self.mid = np.concatenate([[h0], mid])
+        self.half = np.concatenate([[h0], half])
+        vp = np.concatenate([h0 + h0 * _XG, vlog])
+        self.jac = np.concatenate([np.full(PANEL_PTS, h0), jlog])
+        wp = np.tile(_WG, K) * self.jac
         self.nodes = np.concatenate([-vp[::-1], vp])
         self.weights = np.concatenate([wp[::-1], wp])
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    # -- panel helpers -----------------------------------------------------
-
-    def _panel_coord(self, k: int, av: np.ndarray) -> np.ndarray:
-        a, b = self.edges[k], self.edges[k + 1]
-        if not self.logpanel[k]:
-            return (av - (a + b) / 2) / ((b - a) / 2)
-        la, lb = np.log(a), np.log(b)
-        return (np.log(av) - (la + lb) / 2) / ((lb - la) / 2)
+        for a in (self.mid, self.half, self.jac, self.nodes, self.weights):
+            a.setflags(write=False)
 
     def interp(self, values: np.ndarray, x) -> np.ndarray:
         """Barycentric interpolation of nodal values, power-law tails beyond vmax."""
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        ax = np.abs(x)
-        neg = x < 0
+        inside = np.abs(x) <= self.vmax
         out = np.empty(len(x))
-        n2 = self.n // 2
-        fr = values[n2:]
-        fl = values[:n2][::-1]  # left side as a function of |v|
-        inside = ax <= self.vmax
-        pidx = np.clip(np.searchsorted(self.edges, ax, side="right") - 1, 0, self.K - 1)
-        for k in range(self.K):
-            m = inside & (pidx == k)
-            if not m.any():
-                continue
-            wd, exact = _bary_terms(self._panel_coord(k, ax[m]))
-            sl = slice(k * PANEL_PTS, (k + 1) * PANEL_PTS)
-            denom = wd.sum(axis=1)
-            vr = (wd @ fr[sl]) / denom
-            vl = (wd @ fl[sl]) / denom
-            if exact.any():
-                hit = exact.any(axis=1)
-                idx = np.argmax(exact, axis=1)
-                vr[hit] = fr[sl][idx[hit]]
-                vl[hit] = fl[sl][idx[hit]]
-            out[m] = np.where(neg[m], vl, vr)
-        to = ~inside
-        if to.any():
-            out[to] = Tail(self, values)(x[to])
+        cols, coef = self.interp_rows(x[inside])
+        out[inside] = np.sum(coef * values[cols], axis=1)
+        if not inside.all():
+            out[~inside] = Tail(self, values)(x[~inside])
         return out[0] if scalar else out
 
     def interp_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric rows of points with |x| <= vmax.
 
         Returns (cols, coef), both of shape (len(x), PANEL_PTS), such that
-        `interp(f, x)` equals sum(coef * f[cols], axis=1) up to roundoff:
-        inside the grid, interpolation is linear in the nodal values f.  A
-        point on a node gets a one-hot row.
+        `interp(f, x)` equals sum(coef * f[cols], axis=1): inside the grid,
+        interpolation is linear in the nodal values f.  A point on a node
+        gets a one-hot row.
         """
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
+        k = np.clip(np.searchsorted(self.edges, ax, side="right") - 1, 0, self.K - 1)
+        # s on the panel map of __init__ (the log is taken only where k > 0)
+        s = np.log(ax, out=ax.copy(), where=k > 0)
+        d = ((s - self.mid[k]) / self.half[k])[:, None] - _XG
+        exact = np.abs(d) < 1e-14
+        d[exact] = 1.0
+        coef = np.divide(_BW, d, out=d)
+        coef /= coef.sum(axis=1, keepdims=True)
+        hit = exact.any(axis=1)
+        coef[hit] = exact[hit]
+        # panel k holds the nodes n2 + 16k + j (v > 0) and n2 - 1 - 16k - j (v < 0)
         n2 = self.n // 2
-        cols = np.empty((len(x), PANEL_PTS), dtype=np.intp)
-        coef = np.empty((len(x), PANEL_PTS))
-        pidx = np.clip(np.searchsorted(self.edges, ax, side="right") - 1, 0, self.K - 1)
-        for k in range(self.K):
-            m = pidx == k
-            if not m.any():
-                continue
-            wd, exact = _bary_terms(self._panel_coord(k, ax[m]))
-            c = wd / wd.sum(axis=1, keepdims=True)
-            hit = exact.any(axis=1)
-            c[hit] = exact[hit]
-            coef[m] = c
-            # panel k holds the nodes n2 + 16k + j (v > 0) and n2 - 1 - 16k - j (v < 0)
-            j = k * PANEL_PTS + np.arange(PANEL_PTS)
-            cols[m] = np.where(x[m, None] < 0, n2 - 1 - j, n2 + j)
-        return cols, coef
+        neg = x < 0
+        first = np.where(neg, n2 - 1 - PANEL_PTS * k, n2 + PANEL_PTS * k)
+        step = np.where(neg, -1, 1)
+        return first[:, None] + step[:, None] * np.arange(PANEL_PTS), coef
 
     def deriv(self, values: np.ndarray) -> np.ndarray:
         """Per-panel spectral derivative d/dv of nodal values."""
         n2 = self.n // 2
-        out = np.empty_like(values, dtype=float)
-        fr = values[n2:]
-        fl = values[:n2][::-1]
-        for k in range(self.K):
-            a, b = self.edges[k], self.edges[k + 1]
-            sl = slice(k * PANEL_PTS, (k + 1) * PANEL_PTS)
-            if not self.logpanel[k]:
-                h = (b - a) / 2
-                dr = _DM @ fr[sl] / h
-                dl = _DM @ fl[sl] / h
-            else:
-                h = (np.log(b) - np.log(a)) / 2
-                vv = self.nodes[n2:][sl]
-                dr = (_DM @ fr[sl]) / (h * vv)
-                dl = (_DM @ fl[sl]) / (h * vv)
-            out[n2 + k * PANEL_PTS : n2 + (k + 1) * PANEL_PTS] = dr
-            # left side: f(v) = fl(|v|), so df/dv = -fl'(|v|), reversed back
-            out[n2 - (k + 1) * PANEL_PTS : n2 - k * PANEL_PTS] = (-dl)[::-1]
-        return out
+        # both sides as functions of |v|; on the left df/dv = -d f(|v|)/d|v|
+        sides = np.stack([values[n2:], values[n2 - 1 :: -1]]).reshape(2, self.K, PANEL_PTS)
+        d = (sides @ _DM.T).reshape(2, n2) / self.jac
+        return np.concatenate([-d[1, ::-1], d[0]])
 
     def antideriv_pos(self, fpos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """N(v) = int_0^v f on the positive side (nodal values, panel-edge cumsums)."""
-        n2 = self.n // 2
-        vals = np.empty(n2)
-        edge = 0.0
-        edge_cum = [0.0]
-        for k in range(self.K):
-            a, b = self.edges[k], self.edges[k + 1]
-            sl = slice(k * PANEL_PTS, (k + 1) * PANEL_PTS)
-            if not self.logpanel[k]:
-                h = (b - a) / 2
-                loc = _CM @ fpos[sl] * h
-                tot = _FR @ fpos[sl] * h
-            else:
-                h = (np.log(b) - np.log(a)) / 2
-                vv = self.nodes[n2:][sl]
-                loc = _CM @ (fpos[sl] * vv) * h
-                tot = _FR @ (fpos[sl] * vv) * h
-            vals[sl] = edge + loc
-            edge = edge + tot
-            edge_cum.append(edge)
-        return vals, np.array(edge_cum)
+        fj = (fpos * self.jac).reshape(self.K, PANEL_PTS)
+        edge_cum = np.concatenate([[0.0], np.cumsum(fj @ _FR)])
+        return (edge_cum[:-1, None] + fj @ _CM.T).ravel(), edge_cum
 
     def __eq__(self, other) -> bool:
         return self is other or (

@@ -14,8 +14,15 @@ from fraclimit.params import FieldSpec
 L = 2 * np.pi
 
 
+def _cos_mode(m: int, n: int = 64) -> TestFunction:
+    """cos(2 pi m x / L) as a TestFunction."""
+    c = np.zeros(n // 2 + 1, dtype=complex)
+    c[m] = 0.5
+    return TestFunction(L, c, n)
+
+
 def test_test_function_single_mode():
-    phi = TestFunction.single_mode(L, m=2, n=64)
+    phi = _cos_mode(2)
     x = np.linspace(0, L, 13)
     assert phi(x) == pytest.approx(np.cos(2 * x), abs=1e-12)
     assert phi.deriv_values() == pytest.approx(-2 * np.sin(2 * phi.x), abs=1e-12)
@@ -28,7 +35,7 @@ def test_gaussian_bump_band_limited():
 
 
 def test_chi_eps_matches_mode_closed_form(ctx15):
-    phi = TestFunction.single_mode(L, m=1, n=64)
+    phi = _cos_mode(1)
     eps, x, v = 0.1, 1.3, 5.0
     nu = float(ctx15.nu.values[0])
     k = 2 * np.pi / L
@@ -66,7 +73,7 @@ def test_L_eps_converges_to_fractional_diffusion(ctx15):
 
 
 def test_limit_operator_cos_mode():
-    phi = TestFunction.single_mode(L, m=1, n=64)
+    phi = _cos_mode(1)
     out = limit_operator(phi, 1.5, 2.0, 0.5)
     x = phi.x
     expect = -2.0 * np.cos(x) - 0.5 * (-np.sin(x))

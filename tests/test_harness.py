@@ -172,6 +172,21 @@ def test_cli_rejects_threads_below_one(tmp_path, threads):
     assert not (tmp_path / "kinetic_manifest.json").exists()
 
 
+@pytest.mark.parametrize("override, match", [
+    (["--eps", "0"], r"--eps 0.0 outside \(0, 1\]"),
+    (["--eps", "-0.1"], r"--eps -0.1 outside \(0, 1\]"),
+    (["--eps", "2"], r"--eps 2.0 outside \(0, 1\]"),
+    (["--eps", "nan"], r"--eps nan outside \(0, 1\]"),
+    (["--particles", "0"], r"need particles >= 1 and x_bins >= 1; got 0, 16"),
+    (["--final-time", "nan"], r"must be positive and finite; got .*, nan"),
+])
+def test_cli_kinetic_run_refuses_bad_overrides(tmp_path, override, match):
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(InvalidInput, match=match):
+        main(["--config", cfg, "--out", str(tmp_path), "kinetic-run", *override])
+    assert not (tmp_path / "kinetic_manifest.json").exists()
+
+
 def test_cli_threads_default_to_usable_cores():
     assert build_parser().parse_args(["coefficients"]).threads == len(os.sched_getaffinity(0))
 

@@ -83,6 +83,16 @@ def test_field_spec():
          r"config entry 'velocity_grid.nodes' is not numeric: \[1\]"),
         ({"alpha": 1.5, "dim": 2}, r"dim=2: the solvers are one-dimensional"),
         ({"alpha": 1.5, "field": {"kind": "sinusoidal", "e0": 0.5}}, r"unknown field kind 'sinusoidal'"),
+        ({"alpha": 1.5, "final_time": float("nan")}, r"must be positive and finite; got 6.28\d*, nan"),
+        ({"alpha": 1.5, "final_time": float("inf")}, r"must be positive and finite; got 6.28\d*, inf"),
+        ({"alpha": 1.5, "domain_length": float("nan")}, r"must be positive and finite; got nan, 1.0"),
+        ({"alpha": 1.5, "domain_length": float("inf")}, r"must be positive and finite; got inf, 1.0"),
+        ({"alpha": 1.5, "epsilon_schedule": [0.2, float("nan")]}, r"epsilon values must lie in \(0,1\]"),
+        ({"alpha": 1.5, "cross_section": {"nu0": float("nan")}}, r"need 0 < nu0 - \|amplitude\|.*got nu0=nan"),
+        ({"alpha": 1.5, "cross_section": {"nu0": float("inf")}}, r"need 0 < nu0 - \|amplitude\|.*got nu0=inf"),
+        ({"alpha": 1.5, "field": {"kind": "constant", "e0": float("nan")}}, r"field e0=nan is not finite"),
+        ({"alpha": 1.5, "field": {"kind": "constant", "e0": float("-inf")}}, r"field e0=-inf is not finite"),
+        ({"alpha": 1.5, "seed": -1}, r"seed=-1 must be non-negative"),
     ],
 )
 def test_from_config_refusals(cfg, match):

@@ -163,11 +163,15 @@ def test_tail_fit_refuses_roundoff_triple():
 def test_interp_rows_linear_form(grid128):
     m = eval_M(grid128.nodes, 1.5)
     rng = np.random.default_rng(3)
-    x = np.concatenate([grid128.nodes, rng.uniform(-grid128.vmax, grid128.vmax, 200), [0.0]])
+    edges, vmax = grid128.edges, grid128.vmax
+    x = np.concatenate([grid128.nodes, rng.uniform(-vmax, vmax, 200), [0.0],
+                        edges, -edges, [vmax, -vmax]])
     cols, coef = grid128.interp_rows(x)
     lin = np.sum(coef * m[cols], axis=1)
     assert np.array_equal(lin[: grid128.n], m)
     assert np.allclose(lin, grid128.interp(m, x), rtol=1e-14, atol=0)
+    # panel boundaries (t = -1 or +1) and 0 interpolate M like interior points
+    assert np.max(np.abs(lin - eval_M(x, 1.5))) < 1e-9
 
 
 _pos = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
