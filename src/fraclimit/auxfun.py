@@ -58,7 +58,7 @@ class TestFunction:
 def chi_eps(phi: TestFunction, eps: float, x: float, v: float, ctx: CollisionContext) -> float:
     """Flight average chi_eps(x,v) = int_0^inf nu e^(-nu z) phi(x + eps v z) dz,
     Gauss-Laguerre in u = nu z."""
-    nu = float(ctx.grid.interp(ctx.nu.values, v)) if abs(v) <= ctx.grid.vmax else ctx._nu_inf
+    nu = float(ctx.nu_at(v))
     pts = x + eps * v * _LAG_Z / nu
     return float(np.sum(_LAG_W * phi(pts)))
 
@@ -104,25 +104,26 @@ def L_eps(phi: TestFunction, eps: float, field: FieldSpec, ctx: CollisionContext
 
     F_eps = F(., eps^(alpha-1) E) does not depend on x, so L_eps is a Fourier
     multiplier: per mode, the velocity integral in closed form on the grid plus
-    the |v| > vmax region from F's fitted power-law tails (nu at its limit there).
+    the |v| > vmax region from F's fitted power-law tails.
     """
     g = ctx.grid
     alpha = ctx.alpha
     F = solve_F(eps ** (alpha - 1.0) * field.e0, ctx).profile.values
     # F's fitted tail on the panels, weighted by nu there, and the
-    # closed-form remainder beyond v_far, where the mode factor is ~ -1
+    # closed-form remainder beyond v_far, where the mode factor is ~ -1 and
+    # nu ~ nu(v_far)
     tv, tw, v_far = _tail_panels(g.vmax)
-    nu_inf = ctx._nu_inf
     tail = Tail(g, F)
-    rem = -nu_inf * sum(tail.integral(0.0, v_far))
-    wr, wl = tw * nu_inf * tail(tv), tw * nu_inf * tail(-tv)
+    rem = -ctx.nu_at(v_far) * sum(tail.integral(0.0, v_far))
+    nu_t = ctx.nu_at(tv)
+    wr, wl = tw * nu_t * tail(tv), tw * nu_t * tail(-tv)
 
     band = phi.band[phi.band > 0]
     kp = phi.kphys[band][:, None]
     fac = _chi_mode_factor(kp, eps, g.nodes, ctx.nu.values) - 1.0
     core = (g.weights * ctx.nu.values * F * fac).sum(axis=1)
-    tfac_p = _chi_mode_factor(kp, eps, tv, nu_inf) - 1.0
-    tfac_m = _chi_mode_factor(kp, eps, -tv, nu_inf) - 1.0
+    tfac_p = _chi_mode_factor(kp, eps, tv, nu_t) - 1.0
+    tfac_m = _chi_mode_factor(kp, eps, -tv, nu_t) - 1.0
     mult = np.zeros(len(phi.coeffs), dtype=complex)
     mult[band] = core + ((wr * tfac_p).sum(axis=1) + (wl * tfac_m).sum(axis=1) + rem)
     out = np.fft.irfft(mult * phi.coeffs * phi.n, n=phi.n)

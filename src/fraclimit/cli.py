@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,12 +26,8 @@ from .params import ModelParams, load_config, validate, with_seed
 from .velocity import build_grid
 
 
-def _default_params() -> ModelParams:
-    return validate(ModelParams())
-
-
 def _load(args) -> ModelParams:
-    params = load_config(args.config) if args.config else _default_params()
+    params = load_config(args.config) if args.config else validate(ModelParams())
     if args.seed is not None:
         params = with_seed(params, args.seed)
     return params
@@ -46,6 +43,15 @@ def _write_csv(path, header: str, rows):
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row) + "\n")
+
+
+def _snapshots(args, final_time: float) -> list[float]:
+    """Sorted snapshot times (default: the final time); a negative or non-finite one is refused."""
+    T = args.final_time if args.final_time is not None else final_time
+    for t in [T, *(args.snapshot or [])]:
+        if not 0.0 <= t < math.inf:
+            raise InvalidInput(f"time {t} must be finite and non-negative")
+    return sorted(args.snapshot or [T])
 
 
 def cmd_equilibrium(args) -> int:
@@ -103,7 +109,7 @@ def cmd_kinetic_run(args) -> int:
     eps = args.eps if args.eps is not None else min(params.epsilon_schedule)
     if not 0 < eps <= 1:
         raise InvalidInput(f"--eps {eps} outside (0, 1]")
-    snaps = sorted(args.snapshot or [params.final_time])
+    snaps = _snapshots(args, params.final_time)
     _, rho_fun = initial_bump(params)
     ens = mc.init_ensemble(params.particles, params.domain_length, params.alpha,
                            params.seed, rho_init=rho_fun)
@@ -129,8 +135,7 @@ def cmd_kinetic_run(args) -> int:
 
 def cmd_macro_run(args) -> int:
     params = _load(args)
-    T = args.final_time if args.final_time is not None else params.final_time
-    snaps = sorted(args.snapshot or [T])
+    snaps = _snapshots(args, params.final_time)
     kap, drift = macro_limit(params, args.scaling)
     init, _ = initial_bump(params)
     state = MacroState(init.rho, params.domain_length)

@@ -6,11 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .collision import CollisionContext
 from .equilibrium import LambdaField, drift_mu, solve_lambda
-from .errors import InvalidInput, SolverFailure, TailDivergence
+from .errors import InvalidInput, TailDivergence
 from .params import FieldSpec
 from .velocity import moment, tail_gamma
 
@@ -35,21 +33,11 @@ def gamma_of_M(alpha: float) -> float:
 
 
 def kappa(alpha: float, nu0: float, gamma: float, d: int = 1) -> float:
-    """Diffusivity kappa = (gamma nu0^2 / c_{d,alpha}) int_0^inf z^alpha e^(-nu0 z) dz.
-
-    Returned from the Gamma closed form; the defining integral is recomputed
-    by adaptive quadrature and must agree to 1e-10 relative.
-    """
+    """Diffusivity kappa = (gamma nu0^2 / c_{d,alpha}) int_0^inf z^alpha e^(-nu0 z) dz,
+    from the Gamma closed form of the integral."""
     if alpha <= 0 or nu0 <= 0 or gamma <= 0:
         raise InvalidInput("kappa needs positive alpha, nu0, gamma")
-    closed = gamma * math.gamma(alpha + 1.0) * nu0 ** (1.0 - alpha) / c_d_alpha(d, alpha)
-    integral, _ = quad(lambda z: z**alpha * math.exp(-nu0 * z), 0.0, math.inf)
-    by_quadrature = gamma * nu0**2 / c_d_alpha(d, alpha) * integral
-    if abs(by_quadrature - closed) > 1e-10 * abs(closed):
-        raise SolverFailure(
-            f"kappa closed form {closed!r} vs quadrature {by_quadrature!r}"
-        )
-    return closed
+    return gamma * math.gamma(alpha + 1.0) * nu0 ** (1.0 - alpha) / c_d_alpha(d, alpha)
 
 
 def matrix_D(lam: LambdaField, ctx: CollisionContext) -> float:

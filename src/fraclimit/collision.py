@@ -20,9 +20,11 @@ _PLAN_BLOCK = 512
 class CollisionContext:
     """Grid-bound collision data: equilibrium M, kernel matrix, frequency nu.
 
-    nu is the plain quadrature sum nu(v) = sum_j w_j sigma(v_j, v) M(v_j);
-    keeping it discrete makes mass conservation of Q exact by symmetry (at the
-    price of an O(tail-mass) offset from nu0 for the constant cross section).
+    nu(v) = A + B/(1+|v|) is `CrossSection.nu` with the grid moments
+    m0 = sum_j w_j M_j and m1 = sum_j w_j M_j/(1+|v_j|): at the nodes it is
+    the quadrature sum sum_j w_j sigma(v_j, v) M_j, so mass conservation of Q
+    is exact by symmetry (at the price of an O(tail-mass) offset from nu0 for
+    the constant cross section), and it is the same closed form off the grid.
     Immutable after construction, except for two memos keyed by the field
     value E: the last flight plan of A^-1 (see `flight_inverse`), and
     u = (F - M)/E at E = 0 and the last E (see `equilibrium._solve_u`).
@@ -35,34 +37,20 @@ class CollisionContext:
         self.M = VelocityProfile(grid, eval_M(grid.nodes, alpha))
         v = grid.nodes
         self.sigma_matrix = cross_section.sigma(v[:, None], v[None, :])
-        nu_vals = (grid.weights[:, None] * self.sigma_matrix * self.M.values[:, None]).sum(axis=0)
-        self.nu = VelocityProfile(grid, nu_vals)
-        self.nu_min = float(nu_vals.min())
-        # antiderivative N(v) = int_0^v nu, odd extension; linear beyond vmax
-        # where nu is asymptotically constant
-        n2 = grid.n // 2
-        npos, edge_cum = grid.antideriv_pos(nu_vals[n2:])
-        self._N_nodes = np.concatenate([(-npos)[::-1], npos])
-        self._N_vmax = float(edge_cum[-1])
-        self._nu_inf = float(nu_vals[-1])
+        wM = grid.weights * self.M.values
+        self.nu_moments = (float(np.sum(wM)), float(np.sum(wM / (1.0 + np.abs(v)))))
+        self.nu = VelocityProfile(grid, self.nu_at(v))
+        self.nu_min = float(self.nu.values.min())
         self._flight_plan: _FlightPlan | None = None
         self._u_memo: dict[float, np.ndarray] = {}
+
+    def nu_at(self, v):
+        """nu at arbitrary points, inside the grid or beyond vmax."""
+        return self.cross_section.nu(v, *self.nu_moments)
 
     def check_profile(self, f: VelocityProfile):
         if f.grid is not self.grid and f.grid != self.grid:
             raise InvalidInput("profile grid differs from context grid")
-
-    def N(self, x) -> np.ndarray:
-        """Antiderivative of nu at arbitrary points."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        ax = np.abs(x)
-        out = np.empty(len(x))
-        inside = ax <= self.grid.vmax
-        out[inside] = self.grid.interp(self._N_nodes, x[inside])
-        far = ~inside
-        if far.any():
-            out[far] = np.sign(x[far]) * (self._N_vmax + self._nu_inf * (ax[far] - self.grid.vmax))
-        return out
 
 
 def apply_K(f: VelocityProfile, ctx: CollisionContext) -> VelocityProfile:
@@ -94,7 +82,7 @@ def _flight_points(E: float, ctx: CollisionContext):
     """Quadrature of the flight integral at E > 0 as flat point arrays.
 
     Returns (row, s, c, z): point k adds c_k exp(z_k - damp_k) h(v_row - E s_k)
-    to row `row`, with damp = (N(v) - N(v - E s))/E.
+    to row `row`, with damp = int_0^s nu(v - E t) dt.
     """
     v = ctx.grid.nodes
     nmin = ctx.nu_min
@@ -127,32 +115,33 @@ def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
     g = ctx.grid
     n = g.n
     row, s, c, z = _flight_points(E, ctx)
-    q = g.nodes[row] - E * s
+    v = g.nodes[row]
+    q = v - E * s
+    # the damping int_0^s nu(v - E t) dt of nu = A + B/(1+|w|) in closed form,
+    # A s plus B/E times the log of (1 + max(|v|,|q|))/(1 + min(|v|,|q|)) while
+    # the flight stays on one side of 0, or of (1+|v|)(1+|q|) once it crossed it
+    A, B = ctx.cross_section.nu_coefficients(*ctx.nu_moments)
+    av, aq = np.abs(v), np.abs(q)
+    logs = np.where((q >= 0) == (v >= 0), np.log1p(E * s / (1.0 + np.minimum(av, aq))),
+                    np.log1p(av) + np.log1p(aq))
+    w = c * np.exp(z - A * s - B / E * logs)
     P = np.zeros(n * n)
-    outside = []
+    outside = np.abs(q) > g.vmax
     for lo in range(0, len(q), _PLAN_BLOCK):
         blk = slice(lo, lo + _PLAN_BLOCK)
-        r, qb = row[blk], q[blk]
-        inside = np.abs(qb) <= g.vmax
-        cols, coef = g.interp_rows(qb[inside])
-        # N(q) from the same rows that interpolate h(q)
-        Nq = np.empty(len(qb))
-        Nq[inside] = np.sum(coef * ctx._N_nodes[cols], axis=1)
-        Nq[~inside] = ctx.N(qb[~inside])
-        w = c[blk] * np.exp(z[blk] - (ctx._N_nodes[r] - Nq) / E)
-        P += np.bincount((r[inside, None] * n + cols).ravel(),
-                         (coef * w[inside, None]).ravel(), minlength=n * n)
-        outside.append((r[~inside], qb[~inside], w[~inside]))
-    rows_out, q_out, w_out = (np.concatenate(parts) for parts in zip(*outside))
-    return _FlightPlan(E, P.reshape(n, n), rows_out, q_out, w_out)
+        inside = ~outside[blk]
+        cols, coef = g.interp_rows(q[blk][inside])
+        P += np.bincount((row[blk][inside, None] * n + cols).ravel(),
+                         (coef * w[blk][inside, None]).ravel(), minlength=n * n)
+    return _FlightPlan(E, P.reshape(n, n), row[outside], q[outside], w[outside])
 
 
 def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> VelocityProfile:
     """Inverse of A = nu + E d/dv along accelerated flights.
 
     (A^-1 h)(v) = int_0^inf exp(-int_0^s nu(v - E tau) dtau) h(v - E s) ds,
-    with the damping integral taken as the exact antiderivative difference
-    (N(v) - N(v - E s))/E.  nu and h may have a |v|-type kink at v = 0, so
+    with the damping integral in closed form (`_build_flight_plan`), free of
+    cancellation at any E.  nu and h may have a |v|-type kink at v = 0, so
     the s-integral is split at the crossing s = v/E: composite Gauss-Legendre
     before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.  Beyond
     vmax, h is its power-law tail fit, and a diverging fit is refused.
@@ -167,7 +156,7 @@ def flight_inverse(E: float, ctx: CollisionContext, nodal: np.ndarray, beyond) -
     values at points |q| > vmax are `beyond(q)` (len(q) x m); exact values
     make the result linear.  The context memoises a flight plan per E: its
     points inside [-vmax, vmax] collapse into one interpolating n x n matrix P.
-    E = 0 divides by nu; E < 0 mirrors onto |E| (N is odd, the grid symmetric).
+    E = 0 divides by nu; E < 0 mirrors onto |E| (nu is even, the grid symmetric).
     """
     if E == 0.0:
         return nodal / ctx.nu.values[:, None]

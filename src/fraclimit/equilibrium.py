@@ -47,8 +47,6 @@ def eval_M_deriv(v, alpha: float):
 
 def _solve_u(E: float, ctx: CollisionContext) -> np.ndarray:
     """u = (F - M)/E, memoised on the context for E = 0 (lambda) and the last E."""
-    if abs(E) < np.sqrt(np.finfo(float).eps * ctx._N_vmax):
-        E = 0.0
     u = ctx._u_memo.get(E)
     if u is None:
         u = _assemble_u(E, ctx)
@@ -63,8 +61,7 @@ def _assemble_u(E: float, ctx: CollisionContext) -> np.ndarray:
 
     This is E dF/dv = Q(F) for F = M + E u, as K(M) = nu M.  K and dM/dv are
     exact beyond vmax, so the system is linear.  At E = 0, A = nu and
-    Q(u) = dM/dv: u = lambda, also taken below |E| = sqrt(eps N(vmax)), where
-    the damping (N(v) - N(q))/E has roundoff eps N(vmax)/E > |u - lambda| ~ E.
+    Q(u) = dM/dv: u = lambda.
     Solved for u/M (the L^2(M^-1) weighting; unscaled, far tails of ~1e-21
     come out as roundoff): the border column is 1, the constraint row w*M.
     E times the multiplier is the defect of F; it tracks the power iteration's

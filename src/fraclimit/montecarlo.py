@@ -25,12 +25,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidInput
 from .macro import MacroState
 from .params import CrossSection, FieldSpec, ModelParams
-from .velocity import eval_M
+from .velocity import VelocityProfile, build_grid, eval_M, moment
 
 BLOCK = 4096  # particles per random stream
 _CHUNK = 1 << 13  # sample_M proposals per round: bounds its scratch to ~200 kB
@@ -92,17 +91,13 @@ def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None):
 
 
 def nu_continuum(cross_section: CrossSection, alpha: float):
-    """Continuum collision frequency nu(v) = int sigma(v',v) M(v') dv' as a callable."""
-    if cross_section.kind == "constant":
-        nu0 = cross_section.nu0
-        return lambda v: np.full_like(np.asarray(v, dtype=float), nu0)
-    i1, _ = quad(lambda u: eval_M(u, alpha) / (1.0 + abs(u)), -np.inf, np.inf)
-    nu0, a = cross_section.nu0, cross_section.amplitude
-
-    def nu(v):
-        return nu0 + a * i1 / (1.0 + np.abs(np.asarray(v, dtype=float)))
-
-    return nu
+    """Continuum collision frequency nu(v) = int sigma(v',v) M(v') dv' as a
+    callable: `CrossSection.nu` with m0 = 1 and m1 = int M/(1+|v|), the
+    tail-corrected moment on a fixed grid to |v| = 1000 (within 1e-10 of
+    the integral for alpha in [1, 2))."""
+    g = build_grid(128, 1e3)
+    i1 = moment(VelocityProfile(g, eval_M(g.nodes, alpha) / (1.0 + np.abs(g.nodes))), 0)
+    return lambda v: cross_section.nu(v, 1.0, i1)
 
 
 @dataclass
@@ -114,10 +109,6 @@ class ParticleEnsemble:
     seed: int
     rngs: tuple = field(repr=False, default=())  # one stream per block
     collisions: int = 0
-
-    @property
-    def N(self) -> int:
-        return len(self.x)
 
 
 def init_ensemble(N: int, L: float, alpha: float, seed: int, rho_init=None) -> ParticleEnsemble:
@@ -247,7 +238,7 @@ def advance(
     tau = max(until - ens.t, 0.0)
     nu_fun = None if flat else nu_continuum(cs, alpha)
 
-    blocks = _blocks(ens.N)
+    blocks = _blocks(len(ens.x))
 
     def run(b):
         x, v, rng = ens.x[blocks[b]], ens.v[blocks[b]], ens.rngs[b]
@@ -267,4 +258,4 @@ def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
     """Histogram density, normalized to unit mass."""
     counts, edges = np.histogram(ens.x, bins=x_bins, range=(0.0, ens.L))
     dx = ens.L / x_bins
-    return MacroState(counts / (ens.N * dx), ens.L, ens.t, {"x_bins": x_bins})
+    return MacroState(counts / (len(ens.x) * dx), ens.L, ens.t, {"x_bins": x_bins})

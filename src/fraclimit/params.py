@@ -38,6 +38,17 @@ class CrossSection:
             return np.broadcast_to(np.float64(self.nu0), np.broadcast_shapes(v.shape, vp.shape)).copy()
         return self.nu0 + self.amplitude / ((1.0 + np.abs(v)) * (1.0 + np.abs(vp)))
 
+    def nu_coefficients(self, m0: float, m1: float) -> tuple[float, float]:
+        """(A, B) of the collision frequency nu(v) = int sigma(v', v) M(v') dv'
+        = A + B/(1+|v|): A = nu0 m0 and B = amplitude m1 (0 for the constant
+        kind), from the moments m0 = int M and m1 = int M(v')/(1+|v'|)."""
+        return self.nu0 * m0, self.amplitude * m1 if self.kind == "perturbed" else 0.0
+
+    def nu(self, v, m0: float, m1: float):
+        """nu(v) = A + B/(1+|v|); see `nu_coefficients`."""
+        A, B = self.nu_coefficients(m0, m1)
+        return A + B / (1.0 + np.abs(np.asarray(v, dtype=float)))
+
 
 def constant_sigma(nu0: float = 1.0) -> CrossSection:
     return CrossSection("constant", nu0, 0.0)

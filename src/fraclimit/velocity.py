@@ -47,22 +47,6 @@ def _diff_matrix(x: np.ndarray, bw: np.ndarray) -> np.ndarray:
 _DM = _diff_matrix(_XG, _BW)
 
 
-def _cumulative_matrices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # C[i, :] integrates the interpolant from -1 to x_i; the row F integrates
-    # over the full panel.  Vandermonde route is fine at 16 points.
-    n = len(x)
-    vand = np.vander(x, n, increasing=True)
-    vinv = np.linalg.inv(vand)
-    prim = np.empty((n, n))
-    for k in range(n):
-        prim[:, k] = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-    full = np.array([2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(n)])
-    return prim @ vinv, full @ vinv
-
-
-_CM, _FR = _cumulative_matrices(_XG)
-
-
 def eval_M(v, alpha: float):
     """Equilibrium density Z^-1 (1+v^2)^(-(1+alpha)/2), normalized on the line."""
     if not 1.0 <= alpha < 2.0:
@@ -179,12 +163,6 @@ class VelocityGrid:
         sides = np.stack([values[n2:], values[n2 - 1 :: -1]]).reshape(2, self.K, PANEL_PTS)
         d = (sides @ _DM.T).reshape(2, n2) / self.jac
         return np.concatenate([-d[1, ::-1], d[0]])
-
-    def antideriv_pos(self, fpos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """N(v) = int_0^v f on the positive side (nodal values, panel-edge cumsums)."""
-        fj = (fpos * self.jac).reshape(self.K, PANEL_PTS)
-        edge_cum = np.concatenate([[0.0], np.cumsum(fj @ _FR)])
-        return (edge_cum[:-1, None] + fj @ _CM.T).ravel(), edge_cum
 
     def __eq__(self, other) -> bool:
         return self is other or (

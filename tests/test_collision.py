@@ -144,25 +144,37 @@ def test_dissipation_T_rejects_non_equilibrium(ctx15):
         dissipation_T(ctx15.M, 0.5, ctx15.M, ctx15)
 
 
+def _nu_antiderivative(ctx):
+    """N(v) = int_0^v nu of the nodal frequency nu(v) = sum_j w_j sigma(v_j, v) M_j:
+    sigma = nu0 + a/((1+|v|)(1+|v'|)) gives N(v) = c0 v + c1 sign(v) log(1+|v|)."""
+    g, cs = ctx.grid, ctx.cross_section
+    wM = g.weights * ctx.M.values
+    c0 = cs.nu0 * np.sum(wM)
+    c1 = cs.amplitude * np.sum(wM / (1.0 + np.abs(g.nodes))) if cs.kind == "perturbed" else 0.0
+    return lambda x: c0 * x + c1 * np.sign(x) * np.log(1.0 + np.abs(x))
+
+
 def _A_inverse_reference(h, E, ctx):
     """Per-point flight quadrature of A^-1 (E != 0): Gauss-Laguerre past the
-    kink s = v/E, doubling Gauss-Legendre panels before it, h and N
-    interpolated at every point.  Returns (A^-1 h, number of points beyond vmax)."""
+    kink s = v/E, doubling Gauss-Legendre panels before it, h interpolated at
+    every point and the damping taken as (N(v) - N(q))/E.  Returns
+    (A^-1 h, number of points beyond vmax)."""
     g = ctx.grid
     if E < 0:
         out, n_out = _A_inverse_reference(VelocityProfile(g, h.values[::-1]), -E, ctx)
         return out[::-1], n_out
+    N = _nu_antiderivative(ctx)
     zl, wl = np.polynomial.laguerre.laggauss(64)
     xg, wg = np.polynomial.legendre.leggauss(16)
     nmin = ctx.nu_min
     out = np.zeros(g.n)
     n_out = 0
     for i, v in enumerate(g.nodes):
-        Nv = ctx.N(v)[0]
+        Nv = N(v)
         s0 = max(v, 0.0) / E
         q = v - E * (s0 + zl / nmin)
         n_out += int(np.sum(np.abs(q) > g.vmax))
-        out[i] = np.sum(wl * np.exp(zl - (Nv - ctx.N(q)) / E) * g.interp(h.values, q)) / nmin
+        out[i] = np.sum(wl * np.exp(zl - (Nv - N(q)) / E) * g.interp(h.values, q)) / nmin
         if s0 <= 0:
             continue
         smax = min(s0, 45.0 / nmin)
@@ -174,7 +186,7 @@ def _A_inverse_reference(h, E, ctx):
         edges.append(smax)
         for a, b in zip(edges[:-1], edges[1:]):
             q = v - E * ((a + b) / 2 + (b - a) / 2 * xg)
-            out[i] += (b - a) / 2 * np.sum(wg * np.exp(-(Nv - ctx.N(q)) / E) * g.interp(h.values, q))
+            out[i] += (b - a) / 2 * np.sum(wg * np.exp(-(Nv - N(q)) / E) * g.interp(h.values, q))
     return out, n_out
 
 

@@ -112,7 +112,7 @@ def test_linear_matches_power_iteration(alpha):
 
 @pytest.mark.parametrize("E", [1e-12, 1e-16])
 def test_tiny_field_is_first_order(ctx15p, E):
-    # below the roundoff of the flight damping, u = lambda: F = M + E lambda
+    # u - lambda = O(E), so F = M + E u is M + E lambda down to roundoff
     F = solve_F(E, ctx15p)
     assert F.method == "linear"
     assert np.all(F.profile.values > 0)
@@ -136,6 +136,19 @@ def test_drift_mu_over_E_tends_to_int_v_lambda(nodes, vmax, cross_section, alpha
     assert gap(1e-4) <= gap(1e-2) / 10
     for E in (1e-6, 1e-8, 1e-12, 1e-16):
         assert gap(E) <= 1e-6
+
+
+def test_drift_mu_over_E_gap_is_second_order():
+    # mu(E)/E - D = int v (u - lambda) with u = lambda + E w + O(E^2), where w
+    # is even as F(v, -E) = F(-v, E): the gap is O(E^2), each factor 10 in E
+    # cuts it 100-fold, and at E = 1e-6 only a damping free of cancellation
+    # resolves it
+    ctx = CollisionContext(build_grid(128, 200.0), perturbed_sigma(1.0, 0.5), 1.5)
+    D = moment(solve_lambda(ctx).profile, 1)
+    scaled = [(drift_mu(E, ctx) / E - D) / E**2 for E in (1e-4, 1e-5, 1e-6)]
+    assert scaled[0] > 0
+    for c in scaled[1:]:
+        assert abs(c / scaled[0] - 1.0) <= 0.1
 
 
 def test_lambda_constant_sigma_is_minus_M_prime():

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fraclimit
 from fraclimit import ModelParams, constant_sigma, run_convergence, run_operator_study
 from fraclimit.cli import build_parser, main
 from fraclimit.harness import ConvergenceReport, emit
@@ -179,12 +182,38 @@ def test_cli_rejects_threads_below_one(tmp_path, threads):
     (["--eps", "nan"], r"--eps nan outside \(0, 1\]"),
     (["--particles", "0"], r"need particles >= 1 and x_bins >= 1; got 0, 16"),
     (["--final-time", "nan"], r"must be positive and finite; got .*, nan"),
+    (["--snapshot", "nan"], r"time nan must be finite and non-negative"),
+    (["--snapshot", "0.1", "--snapshot", "inf"], r"time inf must be finite and non-negative"),
+    (["--snapshot", "-0.1"], r"time -0.1 must be finite and non-negative"),
 ])
 def test_cli_kinetic_run_refuses_bad_overrides(tmp_path, override, match):
     cfg = _write_cfg(tmp_path)
     with pytest.raises(InvalidInput, match=match):
         main(["--config", cfg, "--out", str(tmp_path), "kinetic-run", *override])
     assert not (tmp_path / "kinetic_manifest.json").exists()
+
+
+@pytest.mark.parametrize("override, time", [
+    (["--final-time", "nan"], "nan"),
+    (["--final-time", "inf"], "inf"),
+    (["--final-time", "-1"], "-1.0"),
+    (["--snapshot", "nan"], "nan"),
+    (["--snapshot", "0.1", "--snapshot", "-0.1"], "-0.1"),
+])
+def test_cli_macro_run_refuses_bad_times(tmp_path, override, time):
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(InvalidInput, match=f"time {time} must be finite and non-negative"):
+        main(["--config", cfg, "--out", str(tmp_path), "macro-run", *override])
+    assert not (tmp_path / "macro_run.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy serves only criterion 10's cross-check and the tests
+    src = os.path.dirname(os.path.dirname(fraclimit.__file__))
+    code = "import sys, fraclimit.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_threads_default_to_usable_cores():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from fraclimit import (
     CrossSection,
@@ -12,6 +13,7 @@ from fraclimit import (
     advance,
     constant_sigma,
     estimate_density,
+    eval_M,
     init_ensemble,
     nu_continuum,
     perturbed_sigma,
@@ -232,6 +234,15 @@ def test_nu_continuum_bounds():
     assert nu(0.0) > nu(50.0)  # perturbation decays in |v|
     flat = nu_continuum(constant_sigma(2.0), 1.5)
     assert np.all(flat(v) == 2.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.75, 1.99])
+def test_nu_continuum_matches_quadrature(alpha):
+    # nu = nu0 + a i1/(1+|v|) with i1 = int M/(1+|v|), here by adaptive quadrature
+    i1, _ = quad(lambda u: eval_M(u, alpha) / (1.0 + abs(u)), -np.inf, np.inf)
+    nu = nu_continuum(perturbed_sigma(1.0, 0.5), alpha)
+    v = np.array([0.0, -0.5, 3.0, 1e4])
+    assert np.max(np.abs(nu(v) - (1.0 + 0.5 * i1 / (1.0 + np.abs(v))))) <= 1e-10
 
 
 def test_perturbed_collisions_relax_to_M():

@@ -110,14 +110,6 @@ def test_spectral_derivative(grid128):
     assert np.max(np.abs(d - eval_M_deriv(grid128.nodes, 1.5))) < 1e-7
 
 
-def test_antiderivative(grid128):
-    m = eval_M(grid128.nodes, 1.5)
-    n2 = grid128.n // 2
-    _, edge_cum = grid128.antideriv_pos(m[n2:])
-    half_mass = float(np.sum(grid128.weights[n2:] * m[n2:]))
-    assert edge_cum[-1] == pytest.approx(half_mass, abs=1e-11)
-
-
 def test_profile_algebra(grid128):
     a = equilibrium_profile(grid128, 1.5)
     b = 2.0 * a
