@@ -27,7 +27,7 @@ from .equilibrium import (
     solve_F,
     solve_lambda,
 )
-from .auxfun import TestFunction, L_eps, chi_decay_check, chi_eps, limit_operator
+from .auxfun import L_eps, chi_decay_check, chi_eps
 from .harness import ConvergenceReport, emit, run_convergence, run_operator_study
 from .macro import (
     MacroState,
@@ -35,6 +35,7 @@ from .macro import (
     frac_laplacian_fourier,
     frac_laplacian_singular,
     gaussian_bump,
+    limit_operator,
 )
 from .montecarlo import (
     ParticleEnsemble,
@@ -63,7 +64,6 @@ from .velocity import (
     eval_M,
     moment,
     norm_Z,
-    tail_gamma,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from .coefficients import limit_coefficients
 from .collision import CollisionContext
 from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
-from .harness import emit, initial_bump, macro_limit, run_convergence, run_operator_study
-from .macro import MacroState, advance_macro
+from .harness import BUMP_WIDTH, MACRO_NODES, emit, macro_limit, run_convergence, run_operator_study
+from .macro import advance_macro, gaussian_bump
 from .params import ModelParams, load_config, validate, with_seed
 from .velocity import build_grid
 
@@ -58,8 +58,7 @@ def cmd_equilibrium(args) -> int:
     params = _load(args)
     ctx = _ctx(params)
     E = args.field if args.field is not None else params.field_spec.e0
-    scale = 1.0 if params.alpha == 1.0 else min(params.epsilon_schedule) ** (params.alpha - 1.0)
-    Eeff = E if args.raw_field else scale * E
+    Eeff = E if args.raw_field else min(params.epsilon_schedule) ** (params.alpha - 1.0) * E
     F = solve_F(Eeff, ctx)
     lam = solve_lambda(ctx).profile.values
     R = deviation_R(Eeff, ctx).values
@@ -110,9 +109,8 @@ def cmd_kinetic_run(args) -> int:
     if not 0 < eps <= 1:
         raise InvalidInput(f"--eps {eps} outside (0, 1]")
     snaps = _snapshots(args, params.final_time)
-    _, rho_fun = initial_bump(params)
     ens = mc.init_ensemble(params.particles, params.domain_length, params.alpha,
-                           params.seed, rho_init=rho_fun)
+                           params.seed, width=BUMP_WIDTH)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for t in snaps:
@@ -137,8 +135,7 @@ def cmd_macro_run(args) -> int:
     params = _load(args)
     snaps = _snapshots(args, params.final_time)
     kap, drift = macro_limit(params, args.scaling)
-    init, _ = initial_bump(params)
-    state = MacroState(init.rho, params.domain_length)
+    state = gaussian_bump(params.domain_length, BUMP_WIDTH, MACRO_NODES)
     rows = []
     for t in snaps:
         state = advance_macro(state, params.alpha, kap, drift, t)
@@ -232,6 +229,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         raise InvalidInput(f"--threads {args.threads} < 1")
+    if getattr(args, "field", None) is not None and not math.isfinite(args.field):
+        raise InvalidInput(f"--field {args.field} is not finite")
     return args.fn(args)
 
 

@@ -10,7 +10,7 @@ from .collision import CollisionContext
 from .equilibrium import LambdaField, drift_mu, solve_lambda
 from .errors import InvalidInput, TailDivergence
 from .params import FieldSpec
-from .velocity import moment, tail_gamma
+from .velocity import moment, norm_Z
 
 
 def c_d_alpha(d: int, alpha: float) -> float:
@@ -29,7 +29,7 @@ def gamma_of_M(alpha: float) -> float:
     """Tail constant gamma of the equilibrium: |v|^(1+alpha) M(v) -> gamma."""
     if not 1.0 <= alpha < 2.0:
         raise InvalidInput(f"alpha={alpha} outside [1,2)")
-    return tail_gamma(alpha)
+    return 1.0 / norm_Z(alpha)
 
 
 def kappa(alpha: float, nu0: float, gamma: float, d: int = 1) -> float:

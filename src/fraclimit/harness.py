@@ -9,16 +9,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import montecarlo as mc
-from .auxfun import TestFunction, L_eps, limit_operator
+from .auxfun import L_eps
 from .coefficients import limit_model
 from .collision import CollisionContext
 from .errors import InvalidInput
-from .macro import MacroState, advance_macro, gaussian_bump
+from .macro import advance_macro, gaussian_bump, limit_operator
 from .params import ModelParams, validate
 from .velocity import build_grid
 
-# width of the initial density bump of the kinetic and macro runs
+# width of the initial density bump of the kinetic and macro runs, and the
+# nodes of the macro grid
 BUMP_WIDTH = 1.8
+MACRO_NODES = 512
 # band and width of the operator study's test function
 PHI_BANDWIDTH = 4
 PHI_WIDTH = 0.8
@@ -44,15 +46,6 @@ def _params_dict(params: ModelParams) -> dict:
     return d
 
 
-def initial_bump(params: ModelParams):
-    init = gaussian_bump(params.domain_length, BUMP_WIDTH, 512)
-
-    def rho_fun(x):
-        return np.interp(np.mod(x, params.domain_length), init.x, init.rho, period=params.domain_length)
-
-    return init, rho_fun
-
-
 def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
     """(kappa, drift) of the macro run, from `limit_model` on a grid reaching
     at least |v| = 1000, far enough for D and mu(E) whatever the epsilon schedule."""
@@ -74,18 +67,17 @@ def run_convergence(
     """
     validate(params)
     L, T = params.domain_length, params.final_time
-    init, rho_fun = initial_bump(params)
     bins = params.x_bins
-    if init.n % bins:
-        raise InvalidInput(f"x_bins={bins} does not divide the {init.n}-point macro grid")
+    if MACRO_NODES % bins:
+        raise InvalidInput(f"x_bins={bins} does not divide the {MACRO_NODES}-point macro grid")
     kap, drift = macro_limit(params, scaling)
-    macro = advance_macro(MacroState(init.rho, L), params.alpha, kap, drift, T)
+    macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
     dx = L / bins
     rows = []
     noise = None
     for eps in params.epsilon_schedule:
-        ens = mc.init_ensemble(params.particles, L, params.alpha, params.seed, rho_init=rho_fun)
+        ens = mc.init_ensemble(params.particles, L, params.alpha, params.seed, width=BUMP_WIDTH)
         ens = mc.advance(ens, eps, params, params.field_spec, T, scaling=scaling, threads=threads)
         dens = mc.estimate_density(ens, bins)
         l1 = float(np.sum(np.abs(dens.rho - macro_binned)) * dx)
@@ -122,7 +114,7 @@ def run_operator_study(params: ModelParams) -> dict:
     alpha = params.alpha
     fs = params.field_spec
     kap, drift_gen = limit_model(ctx, fs, "diffusive")
-    phi = TestFunction.gaussian_bump(params.domain_length, width=PHI_WIDTH, bandwidth=PHI_BANDWIDTH, n=64)
+    phi = gaussian_bump(params.domain_length, PHI_WIDTH, 64, band=PHI_BANDWIDTH)
     # the limit acts on test functions, so the drift enters with the dual sign
     lim = limit_operator(phi, alpha, kap, -drift_gen)
     rows = []

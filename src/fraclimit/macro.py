@@ -14,13 +14,13 @@ from .errors import InvalidInput
 
 
 class MacroState:
-    """Density values on a uniform periodic grid of [0, L)."""
+    """A real function on the torus [0, L), a density or a test function: its
+    values on a uniform grid, read as their trigonometric interpolant."""
 
-    def __init__(self, rho: np.ndarray, L: float, t: float = 0.0, meta: dict | None = None):
+    def __init__(self, rho: np.ndarray, L: float, t: float = 0.0):
         self.rho = np.asarray(rho, dtype=float)
         self.L = float(L)
         self.t = float(t)
-        self.meta = dict(meta or {})
 
     @property
     def n(self) -> int:
@@ -45,11 +45,38 @@ class MacroState:
         """Physical wavenumbers 2*pi*k/L of the rfft half-spectrum."""
         return 2.0 * np.pi * np.arange(self.n // 2 + 1) / self.L
 
+    def band(self) -> np.ndarray:
+        """The rfft modes k > 0 above roundoff, |c_k| > 1e-14 max|c|."""
+        c = np.abs(self.coeffs())
+        return 1 + np.nonzero(c[1:] > 1e-14 * c.max())[0]
+
+    def __call__(self, x):
+        """The trigonometric interpolant at any x: the mean plus the `band` modes."""
+        c, k = self.coeffs() / self.n, self.band()
+        # a real series: every mode but the Nyquist one stands for two
+        ck = c[k] * np.where(2 * k == self.n, 1.0, 2.0)
+        kx = np.multiply.outer(np.asarray(x, dtype=float), self.wavenumbers()[k])
+        return np.real(c[0] + np.exp(1j * kx) @ ck)
+
+
+def _symbol(rho: MacroState, alpha: float, kappa: float, drift: float) -> np.ndarray:
+    """The limit symbol kappa |k|^alpha + i k drift on rho's modes; the generator is its negative."""
+    k = rho.wavenumbers()
+    return kappa * k**alpha + 1j * k * float(drift)
+
+
+def _apply(rho: MacroState, mult: np.ndarray, t: float) -> MacroState:
+    return MacroState(np.fft.irfft(rho.coeffs() * mult, n=rho.n), rho.L, t)
+
 
 def frac_laplacian_fourier(rho: MacroState, alpha: float, kappa: float) -> MacroState:
     """kappa * (-Laplacian)^(alpha/2) rho via the |k|^alpha multiplier."""
-    c = rho.coeffs() * kappa * rho.wavenumbers() ** alpha
-    return MacroState(np.fft.irfft(c, n=rho.n), rho.L, rho.t, rho.meta)
+    return _apply(rho, _symbol(rho, alpha, kappa, 0.0), rho.t)
+
+
+def limit_operator(phi: MacroState, alpha: float, kappa: float, drift: float) -> MacroState:
+    """L(phi) = -kappa (-Lap)^(alpha/2) phi - drift * d_x phi for a constant drift."""
+    return _apply(phi, -_symbol(phi, alpha, kappa, drift), phi.t)
 
 
 def frac_laplacian_singular(f, alpha: float, x) -> np.ndarray:
@@ -93,16 +120,19 @@ def advance_macro(rho: MacroState, alpha: float, kappa: float, drift: float, unt
     """
     if until < rho.t:
         raise InvalidInput(f"until={until} < current t={rho.t}")
-    k = rho.wavenumbers()
-    c = rho.coeffs() * np.exp(-(kappa * k**alpha + 1j * k * float(drift)) * (until - rho.t))
-    return MacroState(np.fft.irfft(c, n=rho.n), rho.L, until, rho.meta)
+    return _apply(rho, np.exp(-_symbol(rho, alpha, kappa, drift) * (until - rho.t)), until)
 
 
-def gaussian_bump(L: float, width: float, n: int) -> MacroState:
-    """Normalized periodized Gaussian density on the torus, centred at L/2."""
+def gaussian_bump(L: float, width: float, n: int, band: int | None = None) -> MacroState:
+    """Periodized Gaussian on the torus, centred at L/2: the law of
+    (L/2 + width Z) mod L, normalized to unit mass.  With `band`, instead the
+    unit-peak bump with every mode above `band` removed, a test function."""
     x = np.arange(n) * (L / n)
     rho = np.zeros(n)
     for shift in range(-6, 7):
         rho += np.exp(-((x - L / 2 + shift * L) ** 2) / (2.0 * width**2))
-    rho /= np.sum(rho) * (L / n)
-    return MacroState(rho, L)
+    if band is None:
+        return MacroState(rho / (np.sum(rho) * (L / n)), L)
+    c = np.fft.rfft(rho)
+    c[band + 1 :] = 0.0
+    return MacroState(np.fft.irfft(c, n=n), L)

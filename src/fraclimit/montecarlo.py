@@ -1,10 +1,11 @@
 """Event-driven Monte Carlo for the scaled kinetic equation.
 
-Per particle: free flight in the constant field E (velocity drift E/eps,
-positions in closed form), collisions at the events of a Poisson clock with
-the majorant rate nu2/eps^alpha, post-collision velocity from the gain
-kernel.  Equilibrium velocities come from `sample_M`, an exact
-rejection sampler with a Cauchy proposal.
+Initial data are well prepared, rho_0(x) M(v): x uniform or exactly the
+periodized Gaussian (`init_ensemble`), v from `sample_M`, an exact
+rejection sampler with a Cauchy proposal.  Per particle: free flight in the
+constant field E (velocity drift E/eps, positions in closed form),
+collisions at the events of a Poisson clock with the majorant rate
+nu2/eps^alpha, post-collision velocity from the gain kernel.
 
 With constant sigma every candidate is a collision and each post-collision
 velocity is a fresh M sample, independent of the past.  The whole clock is
@@ -106,28 +107,23 @@ class ParticleEnsemble:
     v: np.ndarray
     L: float
     t: float
-    seed: int
     rngs: tuple = field(repr=False, default=())  # one stream per block
     collisions: int = 0
 
 
-def init_ensemble(N: int, L: float, alpha: float, seed: int, rho_init=None) -> ParticleEnsemble:
-    """Well-prepared data: x from rho_init (uniform if None), v from M."""
-    if rho_init is not None:
-        # inverse-CDF table of the initial density
-        xe = np.linspace(0.0, L, 4097)
-        pdf = np.maximum(rho_init(xe), 0.0)
-        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(xe))])
-        cdf /= cdf[-1]
+def init_ensemble(N: int, L: float, alpha: float, seed: int, width: float | None = None) -> ParticleEnsemble:
+    """Well-prepared data rho_0(x) M(v): v from M, and x uniform on [0, L),
+    or with `width`, x = (L/2 + width Z) mod L for a standard normal Z,
+    exactly the law of the periodized Gaussian `macro.gaussian_bump`."""
     x, v = np.empty(N), np.empty(N)
     rngs = []
     for b, sl in enumerate(_blocks(N)):
         rng = _rng_for(seed, b)
-        u = rng.random(sl.stop - sl.start)
-        x[sl] = u * L if rho_init is None else np.interp(u, cdf, xe)
-        v[sl] = sample_M(rng, alpha, len(u))
+        n = sl.stop - sl.start
+        x[sl] = rng.random(n) * L if width is None else np.mod(L / 2 + width * rng.standard_normal(n), L)
+        v[sl] = sample_M(rng, alpha, n)
         rngs.append(rng)
-    return ParticleEnsemble(x, v, L, 0.0, seed, tuple(rngs))
+    return ParticleEnsemble(x, v, L, 0.0, tuple(rngs))
 
 
 def _flight(x, v, dt, E, xfac, eps, L):
@@ -251,11 +247,11 @@ def advance(
             counts = list(pool.map(run, range(len(blocks))))
     else:
         counts = [run(b) for b in range(len(blocks))]
-    return ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.seed, ens.rngs, ens.collisions + sum(counts))
+    return ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + sum(counts))
 
 
 def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
     """Histogram density, normalized to unit mass."""
     counts, edges = np.histogram(ens.x, bins=x_bins, range=(0.0, ens.L))
     dx = ens.L / x_bins
-    return MacroState(counts / (len(ens.x) * dx), ens.L, ens.t, {"x_bins": x_bins})
+    return MacroState(counts / (len(ens.x) * dx), ens.L, ens.t)

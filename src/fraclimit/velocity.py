@@ -59,11 +59,6 @@ def norm_Z(alpha: float) -> float:
     return math.sqrt(math.pi) * math.gamma(alpha / 2.0) / math.gamma((1.0 + alpha) / 2.0)
 
 
-def tail_gamma(alpha: float) -> float:
-    """Tail constant: |v|^(1+alpha) M(v) -> gamma."""
-    return 1.0 / norm_Z(alpha)
-
-
 def _log_panels(edges: np.ndarray):
     """Gauss-Legendre panels in s = log v between consecutive `edges`.
 

@@ -14,7 +14,6 @@ from fraclimit import (
     CollisionContext,
     MacroState,
     ModelParams,
-    TestFunction,
     advance,
     build_grid,
     c_d_alpha,
@@ -26,6 +25,7 @@ from fraclimit import (
     frac_laplacian_fourier,
     frac_laplacian_singular,
     gamma_of_M,
+    gaussian_bump,
     init_ensemble,
     kappa,
     matrix_D,
@@ -176,7 +176,7 @@ def test_06_operator_convergence():
 
 
 def test_07_chi_decay(ctx15, ctx1):
-    phi = TestFunction.gaussian_bump(L, width=0.8, bandwidth=4, n=64)
+    phi = gaussian_bump(L, 0.8, 64, band=4)
     eps = [0.05, 0.025, 0.0125]
     s1 = chi_decay_check(phi, eps, ctx1)["slope"]
     s15 = chi_decay_check(phi, eps, ctx15)["slope"]

@@ -3,9 +3,10 @@ import pytest
 
 from fraclimit import (
     L_eps,
-    TestFunction,
+    MacroState,
     chi_decay_check,
     chi_eps,
+    gaussian_bump,
     limit_operator,
     limit_coefficients,
 )
@@ -14,24 +15,33 @@ from fraclimit.params import FieldSpec
 L = 2 * np.pi
 
 
-def _cos_mode(m: int, n: int = 64) -> TestFunction:
-    """cos(2 pi m x / L) as a TestFunction."""
-    c = np.zeros(n // 2 + 1, dtype=complex)
-    c[m] = 0.5
-    return TestFunction(L, c, n)
+def _cos_mode(m: int, n: int = 64) -> MacroState:
+    """cos(2 pi m x / L) on n grid points."""
+    return MacroState(np.cos(2 * np.pi * m * np.arange(n) / n), L)
+
+
+def _const(n: int = 64) -> MacroState:
+    return MacroState(np.ones(n), L)
 
 
 def test_test_function_single_mode():
     phi = _cos_mode(2)
-    x = np.linspace(0, L, 13)
+    x = np.linspace(0, L, 13) + 0.037  # off the grid
     assert phi(x) == pytest.approx(np.cos(2 * x), abs=1e-12)
-    assert phi.deriv_values() == pytest.approx(-2 * np.sin(2 * phi.x), abs=1e-12)
+    assert np.ndim(phi(0.3)) == 0 and phi(0.3) == pytest.approx(np.cos(0.6), abs=1e-12)
+    assert np.array_equal(phi.band(), [2])
+    # the Nyquist mode stands for itself, not for a pair
+    nyq = MacroState(np.cos(np.pi * np.arange(64)), L)
+    assert nyq(nyq.x) == pytest.approx(nyq.rho, abs=1e-12)
 
 
 def test_gaussian_bump_band_limited():
-    phi = TestFunction.gaussian_bump(L, width=0.5, bandwidth=8, n=64)
-    assert np.all(np.abs(phi.coeffs[9:]) == 0.0)
-    assert phi(L / 2) == pytest.approx(np.max(phi.values), rel=1e-6)
+    phi = gaussian_bump(L, 0.5, 64, band=8)
+    c = np.abs(phi.coeffs())
+    assert np.all(c[9:] <= 1e-14 * c.max()) and c[8] > 1e-6 * c.max()
+    assert np.array_equal(phi.band(), np.arange(1, 9))
+    assert phi(L / 2) == pytest.approx(np.max(phi.rho), rel=1e-6)
+    assert phi(L / 2) == pytest.approx(1.0, abs=1e-3)  # unit peak, not unit mass
 
 
 def test_chi_eps_matches_mode_closed_form(ctx15):
@@ -44,25 +54,25 @@ def test_chi_eps_matches_mode_closed_form(ctx15):
 
 
 def test_chi_eps_constant_phi(ctx15):
-    phi = TestFunction(L, np.array([1.0] + [0.0] * 32, dtype=complex), 64)
+    phi = _const()
     assert chi_eps(phi, 0.2, 0.7, 3.0, ctx15) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi_decay_rate(ctx15):
-    phi = TestFunction.gaussian_bump(L, width=0.8, bandwidth=4, n=64)
+    phi = gaussian_bump(L, 0.8, 64, band=4)
     rep = chi_decay_check(phi, [0.05, 0.025, 0.0125], ctx15)
     assert rep["slope"] >= 1.5 - 0.2
     assert all(b < a for a, b in zip(rep["errors"], rep["errors"][1:]))
 
 
 def test_L_eps_constant_phi_is_zero(ctx15):
-    phi = TestFunction(L, np.array([1.0] + [0.0] * 32, dtype=complex), 64)
+    phi = _const()
     out = L_eps(phi, 0.1, FieldSpec("zero"), ctx15)
     assert np.max(np.abs(out.rho)) == 0.0
 
 
 def test_L_eps_converges_to_fractional_diffusion(ctx15):
-    phi = TestFunction.gaussian_bump(L, width=0.8, bandwidth=4, n=64)
+    phi = gaussian_bump(L, 0.8, 64, band=4)
     co = limit_coefficients(ctx15)
     lim = limit_operator(phi, co.alpha, co.kappa, 0.0)
     errs = []
@@ -70,6 +80,20 @@ def test_L_eps_converges_to_fractional_diffusion(ctx15):
         le = L_eps(phi, eps, FieldSpec("zero"), ctx15)
         errs.append(np.max(np.abs(le.rho - lim.rho)))
     assert errs[1] < errs[0]
+
+
+def test_L_eps_keeps_a_single_high_mode(ctx15):
+    # the roundoff band rule keeps a lone mode k = 20, and one at 1e-6 of a
+    # low mode: L_eps is linear in phi
+    hi, lo = _cos_mode(20), _cos_mode(1)
+    zero = FieldSpec("zero")
+    out = L_eps(hi, 0.1, zero, ctx15).rho
+    c = np.fft.rfft(out)
+    assert np.real(c[20]) < 0  # dissipative
+    assert np.max(np.abs(np.delete(c, 20))) <= 1e-12 * np.abs(c[20])
+    mixed = L_eps(MacroState(lo.rho + 1e-6 * hi.rho, L), 0.1, zero, ctx15).rho
+    diff = mixed - L_eps(lo, 0.1, zero, ctx15).rho
+    assert np.max(np.abs(diff - 1e-6 * out)) <= 1e-8 * np.max(np.abs(1e-6 * out))
 
 
 def test_limit_operator_cos_mode():

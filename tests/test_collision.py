@@ -13,8 +13,8 @@ from fraclimit import (
     dissipation_Q,
     dissipation_T,
     equilibrium_profile,
+    gamma_of_M,
     perturbed_sigma,
-    tail_gamma,
 )
 from fraclimit.equilibrium import solve_F
 from fraclimit.errors import InvalidInput
@@ -44,7 +44,7 @@ def test_nu_constant_sigma(ctx15):
     nu = ctx15.nu.values
     # exactly constant across nodes, offset from nu0 by the grid's tail mass
     assert np.ptp(nu) < 1e-13
-    tau = 2.0 * tail_gamma(1.5) * ctx15.grid.vmax ** (-1.5) / 1.5
+    tau = 2.0 * gamma_of_M(1.5) * ctx15.grid.vmax ** (-1.5) / 1.5
     assert abs(nu[0] - 1.0) <= 1.0 * tau
 
 

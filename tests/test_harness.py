@@ -207,6 +207,20 @@ def test_cli_macro_run_refuses_bad_times(tmp_path, override, time):
     assert not (tmp_path / "macro_run.csv").exists()
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["equilibrium", "--field", "nan"], "nan"),
+    (["equilibrium", "--field", "inf"], "inf"),
+    (["equilibrium", "--raw-field", "--field=-inf"], "-inf"),
+    (["all", "--field", "nan"], "nan"),
+])
+def test_cli_refuses_non_finite_field(tmp_path, argv, value):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(InvalidInput, match=f"--field {value} is not finite"):
+        main(["--config", cfg, "--out", str(out), *argv])
+    assert not out.exists()  # refused before any command writes
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # SciPy serves only criterion 10's cross-check and the tests
     src = os.path.dirname(os.path.dirname(fraclimit.__file__))

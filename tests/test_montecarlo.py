@@ -217,12 +217,19 @@ def test_estimate_density_mass():
     assert dens.n == 32
 
 
-def test_init_from_density():
-    rho = lambda x: (1.0 + np.cos(2 * np.pi * x / L)) / L
-    ens = init_ensemble(200_000, L, 1.5, 5, rho_init=rho)
-    dens = estimate_density(ens, 16)
-    centers = dens.x + dens.dx / 2
-    assert np.max(np.abs(dens.rho - rho(centers))) < 0.01
+def test_init_periodized_gaussian():
+    # x = (L/2 + w Z) mod L has the CDF sum_s [Phi((x - L/2 + sL)/w) - Phi((-L/2 + sL)/w)]
+    w = 1.8
+    s = np.arange(-6, 7)[:, None]
+
+    def cdf(x):
+        x = np.atleast_1d(x)[None, :]
+        return np.sum(stats.norm.cdf((x - L / 2 + s * L) / w) - stats.norm.cdf((-L / 2 + s * L) / w), axis=0)
+
+    ens = init_ensemble(200_000, L, 1.5, 5, width=w)
+    assert np.all((ens.x >= 0.0) & (ens.x <= L))
+    assert cdf(L)[0] == pytest.approx(1.0, abs=1e-14)
+    assert stats.kstest(ens.x, cdf).pvalue > 1e-3
 
 
 def test_nu_continuum_bounds():
@@ -254,10 +261,6 @@ def test_perturbed_collisions_relax_to_M():
     assert ks < 0.01
 
 
-def _bump(x):
-    return (1.0 + np.cos(2 * np.pi * x / L)) / L
-
-
 @pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
 @pytest.mark.parametrize("e0", [0.0, 0.5])
 def test_clock_pass_matches_candidate_loop(scaling, e0):
@@ -268,7 +271,7 @@ def test_clock_pass_matches_candidate_loop(scaling, e0):
     out = []
     for seed, cs in ((1, constant_sigma(1.0)), (2, CrossSection("perturbed", 1.0, 0.0))):
         p = _params(cross_section=cs, field_spec=field, particles=n)
-        ens = init_ensemble(n, L, p.alpha, seed, rho_init=_bump)
+        ens = init_ensemble(n, L, p.alpha, seed, width=2.0)
         out.append(advance(ens, eps, p, field, T, scaling=scaling))
     assert stats.ks_2samp(out[0].x, out[1].x).pvalue > 1e-3
     assert stats.ks_2samp(out[0].v, out[1].v).pvalue > 1e-3
@@ -282,9 +285,9 @@ def test_consecutive_advances_use_elapsed_time():
     field = FieldSpec("constant", 0.5)
     p = _params(field_spec=field, particles=50_000)
     eps = 0.2
-    ens = init_ensemble(p.particles, L, p.alpha, 1, rho_init=_bump)
+    ens = init_ensemble(p.particles, L, p.alpha, 1, width=2.0)
     ens = advance(advance(ens, eps, p, field, 0.1), eps, p, field, 0.2)
-    once = advance(init_ensemble(p.particles, L, p.alpha, 2, rho_init=_bump), eps, p, field, 0.2)
+    once = advance(init_ensemble(p.particles, L, p.alpha, 2, width=2.0), eps, p, field, 0.2)
     assert ens.t == 0.2
     m = p.particles * 0.2 / eps**p.alpha
     assert abs(ens.collisions - m) <= 6 * np.sqrt(m)

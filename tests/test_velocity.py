@@ -11,9 +11,9 @@ from fraclimit import (
     build_grid,
     equilibrium_profile,
     eval_M,
+    gamma_of_M,
     moment,
     norm_Z,
-    tail_gamma,
 )
 from fraclimit.equilibrium import eval_M_deriv
 from fraclimit.errors import InvalidInput, TailDivergence
@@ -49,7 +49,7 @@ def test_equilibrium_mass(grid128, alpha):
     assert moment(m, 0) == pytest.approx(1.0, abs=1e-8)
     # plain grid sum misses the analytic tail mass (tau is first order in
     # vmax^-alpha; the next term is O(vmax^-alpha-2))
-    tau = 2.0 * tail_gamma(alpha) * grid128.vmax ** (-alpha) / alpha
+    tau = 2.0 * gamma_of_M(alpha) * grid128.vmax ** (-alpha) / alpha
     assert moment(m, 0, tail=False) == pytest.approx(1.0 - tau, abs=1e-7)
 
 
@@ -139,7 +139,7 @@ def test_callable_weight(grid128):
 def test_norm_Z_value():
     # alpha = 1 is the Cauchy density: Z = pi
     assert norm_Z(1.0) == pytest.approx(np.pi, rel=1e-14)
-    assert tail_gamma(1.0) == pytest.approx(1.0 / np.pi, rel=1e-14)
+    assert gamma_of_M(1.0) == pytest.approx(1.0 / np.pi, rel=1e-14)
 
 
 def test_tail_fit_refuses_roundoff_triple():
