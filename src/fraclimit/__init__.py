@@ -49,10 +49,8 @@ from .params import (
     CrossSection,
     FieldSpec,
     ModelParams,
-    constant_sigma,
     from_config,
     load_config,
-    perturbed_sigma,
     validate,
 )
 from .velocity import (

@@ -9,7 +9,6 @@ import numpy as np
 from .collision import CollisionContext
 from .equilibrium import solve_F
 from .macro import MacroState
-from .params import FieldSpec
 from .velocity import Tail, _WG, _log_panels
 
 _LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
@@ -55,7 +54,7 @@ def _tail_panels(vmax: float, factor: float = 1e4, panels: int = 6):
     return v, np.tile(_WG, panels) * jac, edges[-1]
 
 
-def L_eps(phi: MacroState, eps: float, field: FieldSpec, ctx: CollisionContext) -> MacroState:
+def L_eps(phi: MacroState, eps: float, E: float, ctx: CollisionContext) -> MacroState:
     """Rescaled operator L_eps(phi)(x) = eps^-alpha int nu F_eps (chi_eps - phi) dv.
 
     F_eps = F(., eps^(alpha-1) E) does not depend on x, so L_eps is a Fourier
@@ -64,7 +63,7 @@ def L_eps(phi: MacroState, eps: float, field: FieldSpec, ctx: CollisionContext) 
     """
     g = ctx.grid
     alpha = ctx.alpha
-    F = solve_F(eps ** (alpha - 1.0) * field.e0, ctx).profile.values
+    F = solve_F(eps ** (alpha - 1.0) * E, ctx).profile.values
     # F's fitted tail on the panels, weighted by nu there, and the
     # closed-form remainder beyond v_far, where the mode factor is ~ -1 and
     # nu ~ nu(v_far)

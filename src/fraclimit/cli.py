@@ -114,8 +114,7 @@ def cmd_kinetic_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for t in snaps:
-        ens = mc.advance(ens, eps, params, params.field_spec, t, scaling=args.scaling,
-                         threads=args.threads)
+        ens = mc.advance(ens, eps, params, t, scaling=args.scaling, threads=args.threads)
         dens = mc.estimate_density(ens, params.x_bins)
         rows.extend((t, float(x), float(r)) for x, r in zip(dens.x + dens.dx / 2, dens.rho))
     path = os.path.join(args.out, "kinetic_run.csv")

@@ -9,19 +9,18 @@ from dataclasses import dataclass
 from .collision import CollisionContext
 from .equilibrium import LambdaField, drift_mu, solve_lambda
 from .errors import InvalidInput, TailDivergence
-from .params import FieldSpec
 from .velocity import moment, norm_Z
 
 
-def c_d_alpha(d: int, alpha: float) -> float:
-    """Fractional-Laplacian kernel constant alpha 2^(alpha-1) Gamma((alpha+d)/2) / (pi^(d/2) Gamma((2-alpha)/2))."""
+def c_d_alpha(alpha: float) -> float:
+    """Fractional-Laplacian kernel constant alpha 2^(alpha-1) Gamma((alpha+d)/2) / (pi^(d/2) Gamma((2-alpha)/2)), d = 1."""
     if not 0.0 < alpha < 2.0:
         raise InvalidInput(f"alpha={alpha} outside (0,2)")
     return (
         alpha
         * 2.0 ** (alpha - 1.0)
-        * math.gamma((alpha + d) / 2.0)
-        / (math.pi ** (d / 2.0) * math.gamma((2.0 - alpha) / 2.0))
+        * math.gamma((alpha + 1.0) / 2.0)
+        / (math.pi**0.5 * math.gamma((2.0 - alpha) / 2.0))
     )
 
 
@@ -32,12 +31,12 @@ def gamma_of_M(alpha: float) -> float:
     return 1.0 / norm_Z(alpha)
 
 
-def kappa(alpha: float, nu0: float, gamma: float, d: int = 1) -> float:
-    """Diffusivity kappa = (gamma nu0^2 / c_{d,alpha}) int_0^inf z^alpha e^(-nu0 z) dz,
+def kappa(alpha: float, nu0: float, gamma: float) -> float:
+    """Diffusivity kappa = (gamma nu0^2 / c_{1,alpha}) int_0^inf z^alpha e^(-nu0 z) dz,
     from the Gamma closed form of the integral."""
     if alpha <= 0 or nu0 <= 0 or gamma <= 0:
         raise InvalidInput("kappa needs positive alpha, nu0, gamma")
-    return gamma * math.gamma(alpha + 1.0) * nu0 ** (1.0 - alpha) / c_d_alpha(d, alpha)
+    return gamma * math.gamma(alpha + 1.0) * nu0 ** (1.0 - alpha) / c_d_alpha(alpha)
 
 
 def matrix_D(lam: LambdaField, ctx: CollisionContext) -> float:
@@ -76,14 +75,14 @@ def limit_coefficients(ctx: CollisionContext) -> LimitCoefficients:
     alpha = ctx.alpha
     nu0 = ctx.cross_section.nu0
     gam = gamma_of_M(alpha)
-    c = c_d_alpha(1, alpha)
+    c = c_d_alpha(alpha)
     kap = kappa(alpha, nu0, gam)
     D = matrix_D(solve_lambda(ctx), ctx) if alpha > 1.0 else None
     return LimitCoefficients(alpha, nu0, gam, c, kap, D)
 
 
-def limit_model(ctx: CollisionContext, field: FieldSpec, scaling: str) -> tuple[float, float]:
-    """(kappa, drift) of the limit equation.
+def limit_model(ctx: CollisionContext, E: float, scaling: str) -> tuple[float, float]:
+    """(kappa, drift) of the limit equation in the constant field E.
 
     Diffusive scaling: kappa in closed form; the drift is D E for alpha > 1
     and mu(E) at alpha = 1, both solved on ctx's grid.  High-field scaling:
@@ -93,10 +92,10 @@ def limit_model(ctx: CollisionContext, field: FieldSpec, scaling: str) -> tuple[
     if scaling not in ("diffusive", "high_field"):
         raise InvalidInput(f"unknown scaling {scaling!r}")
     if scaling == "high_field":
-        return 0.0, 0.0 if field.kind == "zero" else field.e0
+        return 0.0, E
     kap = kappa(ctx.alpha, ctx.cross_section.nu0, gamma_of_M(ctx.alpha))
-    if field.kind == "zero":
+    if E == 0.0:
         return kap, 0.0
     if ctx.alpha > 1.0:
-        return kap, matrix_D(solve_lambda(ctx), ctx) * field.e0
-    return kap, drift_mu(field.e0, ctx)
+        return kap, matrix_D(solve_lambda(ctx), ctx) * E
+    return kap, drift_mu(E, ctx)

@@ -105,12 +105,12 @@ def solve_F(E: float, ctx: CollisionContext, method: str | None = None) -> Equil
         res = float(np.max(np.abs(apply_T(ctx.M, 0.0, ctx).values)))
         return EquilibriumF(ctx.M, 0.0, res, "explicit")
     if method is None:
-        method = "explicit" if ctx.cross_section.kind == "constant" else "linear"
+        method = "explicit" if ctx.cross_section.amplitude == 0.0 else "linear"
     if method not in ("explicit", "linear", "power_iteration"):
         raise InvalidInput(f"unknown method {method!r}")
 
     if method == "explicit":
-        if ctx.cross_section.kind != "constant":
+        if ctx.cross_section.amplitude != 0.0:
             raise InvalidInput("explicit formula requires the constant cross section")
         # rate = the context's (discrete) nu so both solve routes describe the
         # same discretized operator

@@ -51,7 +51,7 @@ def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
     at least |v| = 1000, far enough for D and mu(E) whatever the epsilon schedule."""
     grid = build_grid(params.velocity_nodes, max(params.vmax, 1000.0))
     ctx = CollisionContext(grid, params.cross_section, params.alpha)
-    return limit_model(ctx, params.field_spec, scaling)
+    return limit_model(ctx, params.field_spec.e0, scaling)
 
 
 def run_convergence(
@@ -78,7 +78,7 @@ def run_convergence(
     noise = None
     for eps in params.epsilon_schedule:
         ens = mc.init_ensemble(params.particles, L, params.alpha, params.seed, width=BUMP_WIDTH)
-        ens = mc.advance(ens, eps, params, params.field_spec, T, scaling=scaling, threads=threads)
+        ens = mc.advance(ens, eps, params, T, scaling=scaling, threads=threads)
         dens = mc.estimate_density(ens, bins)
         l1 = float(np.sum(np.abs(dens.rho - macro_binned)) * dx)
         linf = float(np.max(np.abs(dens.rho - macro_binned)))
@@ -93,7 +93,7 @@ def run_convergence(
     finest_ok = errs[-1] - rows[-1]["noise_floor"] < margin
     order = float(np.polyfit(np.log(params.epsilon_schedule), np.log(errs), 1)[0])
     case = {
-        "label": f"alpha={params.alpha} field={params.field_spec.kind} scaling={scaling}",
+        "label": f"alpha={params.alpha} E={params.field_spec.e0} scaling={scaling}",
         "scaling": scaling,
         "kappa": kap,
         "drift": drift,
@@ -112,14 +112,14 @@ def run_operator_study(params: ModelParams) -> dict:
     grid = build_grid(params.velocity_nodes, params.vmax)
     ctx = CollisionContext(grid, params.cross_section, params.alpha)
     alpha = params.alpha
-    fs = params.field_spec
-    kap, drift_gen = limit_model(ctx, fs, "diffusive")
+    E = params.field_spec.e0
+    kap, drift_gen = limit_model(ctx, E, "diffusive")
     phi = gaussian_bump(params.domain_length, PHI_WIDTH, 64, band=PHI_BANDWIDTH)
     # the limit acts on test functions, so the drift enters with the dual sign
     lim = limit_operator(phi, alpha, kap, -drift_gen)
     rows = []
     for eps in eps_list:
-        le = L_eps(phi, eps, fs, ctx)
+        le = L_eps(phi, eps, E, ctx)
         rows.append(
             {
                 "eps": eps,
@@ -131,7 +131,7 @@ def run_operator_study(params: ModelParams) -> dict:
     order = float(np.polyfit(np.log(eps_list), np.log(sups), 1)[0])
     return {
         "alpha": alpha,
-        "field": fs.kind,
+        "E": E,
         "drift": drift_gen,
         "rows": rows,
         "fitted_order": order,

@@ -91,7 +91,7 @@ def frac_laplacian_singular(f, alpha: float, x) -> np.ndarray:
 
     if not 1.0 < alpha < 2.0:
         raise InvalidInput("singular-integral form implemented for 1 < alpha < 2")
-    c = c_d_alpha(1, alpha)
+    c = c_d_alpha(alpha)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(len(xs))
     H = 50.0

@@ -7,13 +7,14 @@ constant field E (velocity drift E/eps, positions in closed form),
 collisions at the events of a Poisson clock with the majorant rate
 nu2/eps^alpha, post-collision velocity from the gain kernel.
 
-With constant sigma every candidate is a collision and each post-collision
-velocity is a fresh M sample, independent of the past.  The whole clock is
-then drawn up front: K ~ Poisson(rate*tau) collisions in the interval tau,
-K+1 flight times as Dirichlet spacings (normalised exponentials), and one
-fused pass sums the flights per particle.  Perturbed sigma (thinning
-acceptance nu(v)/nu2, gain-kernel rejection) takes the candidate loop, one
-exponential candidate per live particle and round.
+The cross section's amplitude picks the path.  At amplitude 0 (constant
+sigma) every candidate is a collision and each post-collision velocity is a
+fresh M sample, independent of the past.  The whole clock is then drawn up
+front: K ~ Poisson(rate*tau) collisions in the interval tau, K+1 flight
+times as Dirichlet spacings (normalised exponentials), and one fused pass
+sums the flights per particle.  A nonzero amplitude (thinning acceptance
+nu(v)/nu2, gain-kernel rejection) takes the candidate loop, one exponential
+candidate per live particle and round.  E is the params' field e0.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Results depend on the seed
@@ -22,6 +23,7 @@ alone, not on how many threads advance the blocks.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .macro import MacroState
-from .params import CrossSection, FieldSpec, ModelParams
+from .params import CrossSection, ModelParams
 from .velocity import VelocityProfile, build_grid, eval_M, moment
 
 BLOCK = 4096  # particles per random stream
@@ -179,7 +181,7 @@ def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
 def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, E, xfac, L, rate) -> int:
     """Perturbed sigma: one exponential candidate per live particle and round,
     thinning with acceptance nu(v)/nu2, gain-kernel rejection.  Returns the
-    collisions."""
+    collisions.  With constant sigma both acceptances are identically 1."""
     nu2 = cs.nu2
     n_coll = 0
     t = np.full(len(x), t0)
@@ -194,8 +196,7 @@ def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, E, xfac, L, ra
         x[idx], v[idx] = xi, vi
         t[idx] += dt
         ha = idx[hit]
-        if cs.nu1 != nu2:  # otherwise the acceptance is identically 1
-            ha = ha[rng.random(len(ha)) < np.asarray(nu_fun(v[ha])) / nu2]
+        ha = ha[rng.random(len(ha)) < np.asarray(nu_fun(v[ha])) / nu2]
         # gain kernel sigma(w, v) M(w)/nu(v): rejection against M with
         # acceptance sigma(w, v)/nu2
         pending = ha
@@ -213,24 +214,27 @@ def advance(
     ens: ParticleEnsemble,
     eps: float,
     params: ModelParams,
-    field: FieldSpec,
     until: float,
     scaling: str = "diffusive",
     threads: int = 1,
 ) -> ParticleEnsemble:
-    """Advance the ensemble to t=until (macroscopic time).
+    """Advance the ensemble to t=until (macroscopic time) in the field
+    E = params.field_spec.e0.
 
     Blocks are advanced by a pool of `threads` workers; the result does not
     depend on their number.
     """
+    if scaling not in ("diffusive", "high_field") or not 0 < eps <= 1 or not math.isfinite(until):
+        raise InvalidInput(f"need scaling diffusive or high_field, eps in (0, 1] and a finite until; "
+                           f"got {scaling!r}, {eps}, {until}")
     if until < ens.t - 1e-15:
         raise InvalidInput(f"until={until} < current t={ens.t}")
     cs = params.cross_section
     alpha = params.alpha
     rate = cs.nu2 / eps**alpha if scaling == "diffusive" else cs.nu2 / eps
-    flat = cs.kind == "constant"
+    flat = cs.amplitude == 0.0
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
-    E = field.e0 if field.kind == "constant" else 0.0
+    E = params.field_spec.e0
     tau = max(until - ens.t, 0.0)
     nu_fun = None if flat else nu_continuum(cs, alpha)
 

@@ -1,4 +1,5 @@
-"""Validated model definition: exponent, cross section, field, run geometry."""
+"""Validated model definition: exponent, cross section (nu0, amplitude),
+field e0, run geometry.  `from_config` maps the config's kinds to numbers."""
 
 from __future__ import annotations
 
@@ -12,37 +13,33 @@ from .errors import InvalidInput
 
 @dataclass(frozen=True)
 class CrossSection:
-    """Collision cross section sigma(v, v').
+    """Collision cross section sigma = nu0 + a/((1+|v|)(1+|v'|)), a = amplitude.
 
-    kind "constant": sigma = nu0.
-    kind "perturbed": sigma = nu0 + a/((1+|v|)(1+|v'|)) — symmetric, bounded
-    between nu1 = nu0 - |a| and nu2 = nu0 + |a|, and |sigma - nu0| <= |a|/(1+|v|).
+    Symmetric, bounded between nu1 = nu0 - |a| and nu2 = nu0 + |a|, and
+    |sigma - nu0| <= |a|/(1+|v|).  a = 0 is the constant cross section.
     """
 
-    kind: str = "constant"
     nu0: float = 1.0
     amplitude: float = 0.0
 
     @property
     def nu1(self) -> float:
-        return self.nu0 - abs(self.amplitude) if self.kind == "perturbed" else self.nu0
+        return self.nu0 - abs(self.amplitude)
 
     @property
     def nu2(self) -> float:
-        return self.nu0 + abs(self.amplitude) if self.kind == "perturbed" else self.nu0
+        return self.nu0 + abs(self.amplitude)
 
     def sigma(self, v, vp):
         v = np.asarray(v, dtype=float)
         vp = np.asarray(vp, dtype=float)
-        if self.kind == "constant":
-            return np.broadcast_to(np.float64(self.nu0), np.broadcast_shapes(v.shape, vp.shape)).copy()
         return self.nu0 + self.amplitude / ((1.0 + np.abs(v)) * (1.0 + np.abs(vp)))
 
     def nu_coefficients(self, m0: float, m1: float) -> tuple[float, float]:
         """(A, B) of the collision frequency nu(v) = int sigma(v', v) M(v') dv'
-        = A + B/(1+|v|): A = nu0 m0 and B = amplitude m1 (0 for the constant
-        kind), from the moments m0 = int M and m1 = int M(v')/(1+|v'|)."""
-        return self.nu0 * m0, self.amplitude * m1 if self.kind == "perturbed" else 0.0
+        = A + B/(1+|v|): A = nu0 m0 and B = amplitude m1, from the moments
+        m0 = int M and m1 = int M(v')/(1+|v'|)."""
+        return self.nu0 * m0, self.amplitude * m1
 
     def nu(self, v, m0: float, m1: float):
         """nu(v) = A + B/(1+|v|); see `nu_coefficients`."""
@@ -50,31 +47,21 @@ class CrossSection:
         return A + B / (1.0 + np.abs(np.asarray(v, dtype=float)))
 
 
-def constant_sigma(nu0: float = 1.0) -> CrossSection:
-    return CrossSection("constant", nu0, 0.0)
-
-
-def perturbed_sigma(nu0: float = 1.0, amplitude: float = 0.5) -> CrossSection:
-    return CrossSection("perturbed", nu0, amplitude)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
-    """Acceleration field E, the same everywhere and at all times: kind "zero"
-    (E = 0) or "constant" (E = e0)."""
+    """Acceleration field E = e0, the same everywhere and at all times."""
 
-    kind: str = "zero"
     e0: float = 0.0
 
     def __call__(self, x):
         """E at the points x."""
-        return np.full_like(np.asarray(x, dtype=float), self.e0 if self.kind == "constant" else 0.0)
+        return np.full_like(np.asarray(x, dtype=float), self.e0)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     alpha: float = 1.5
-    cross_section: CrossSection = field(default_factory=constant_sigma)
+    cross_section: CrossSection = field(default_factory=CrossSection)
     field_spec: FieldSpec = field(default_factory=FieldSpec)
     domain_length: float = 2.0 * np.pi
     final_time: float = 1.0
@@ -107,20 +94,15 @@ def validate(params: ModelParams) -> ModelParams:
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise InvalidInput("epsilon_schedule must be strictly decreasing")
     cs = params.cross_section
-    if cs.kind not in ("constant", "perturbed"):
-        raise InvalidInput(f"unknown cross section kind {cs.kind!r}")
     if not (cs.nu1 > 0 and math.isfinite(cs.nu2)):
         raise InvalidInput(
             f"need 0 < nu0 - |amplitude| and a finite nu0 + |amplitude|; "
             f"got nu0={cs.nu0}, amplitude={cs.amplitude}"
         )
-    fs = params.field_spec
-    if fs.kind not in ("zero", "constant"):
-        raise InvalidInput(f"unknown field kind {fs.kind!r}")
-    if not math.isfinite(fs.e0):
-        raise InvalidInput(f"field e0={fs.e0} is not finite")
-    if fs.kind == "zero" and fs.e0 != 0.0:
-        raise InvalidInput(f"zero field with e0={fs.e0}; use kind 'constant' for a nonzero field")
+    if not math.isfinite(params.field_spec.e0):
+        raise InvalidInput(f"field e0={params.field_spec.e0} is not finite")
+    if not 0 < params.vmax_over_inv_eps < math.inf:
+        raise InvalidInput(f"vmax_over_inv_eps={params.vmax_over_inv_eps} must be positive and finite")
     if params.particles < 1 or params.x_bins < 1:
         raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {params.particles}, {params.x_bins}")
     if params.seed < 0:
@@ -128,35 +110,67 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
+def _entry(cfg: dict, key: str, default=None):
+    """The config entry at the dotted `key`, or `default` where it is absent;
+    a section on the way that is not an object is refused by name."""
+    *sections, last = key.split(".")
+    for i, name in enumerate(sections):
+        cfg = cfg.get(name, {})
+        if not isinstance(cfg, dict):
+            raise InvalidInput(f"config entry {'.'.join(sections[:i + 1])!r} is not an object: {cfg!r}")
+    return cfg.get(last, default)
+
+
 def _number(cfg: dict, key: str, default=None, cast=float):
     """The config entry at the dotted `key`, converted by `cast`; refused by
-    name if it is missing (and has no default) or not numeric."""
-    *sections, last = key.split(".")
-    for name in sections:
-        cfg = cfg.get(name, {})
-    value = cfg.get(last, default)
+    name if it is missing (and has no default), not numeric, or, for
+    cast=int, a float that is not integral."""
+    value = _entry(cfg, key, default)
     try:
-        return cast(value)
+        out = cast(value)
     except (TypeError, ValueError, OverflowError):
         what = "is missing" if value is None else f"is not numeric: {value!r}"
         raise InvalidInput(f"config entry {key!r} {what}") from None
+    if cast is int and isinstance(value, float) and out != value:
+        raise InvalidInput(f"config entry {key!r} is not an integer: {value!r}")
+    return out
+
+
+def _kind_number(cfg: dict, key: str, kinds: dict) -> float:
+    """The number at `key` as the kind of its section decides.  `kinds` maps
+    each kind (any case; the first is the default) to whether it reads the
+    number or fixes it at 0; the latter refuses a nonzero value by name."""
+    value = _number(cfg, key, 0.0)
+    section, name = key.split(".")
+    kind = cfg.get(section, {}).get("kind", next(iter(kinds)))
+    if not isinstance(kind, str):
+        raise InvalidInput(f"config entry {section!r}: kind {kind!r} is not a string")
+    words, reads = section.replace("_", " "), kinds.get(kind.lower())
+    if reads is None:
+        raise InvalidInput(f"unknown {words} kind {kind!r}")
+    if not reads and value != 0.0:
+        raise InvalidInput(f"config entry {key!r}: {kind.lower()} {words} with {name}={value}")
+    return value if reads else 0.0
 
 
 def from_config(cfg: dict) -> ModelParams:
     """Build validated params from the JSON config mapping.  Keys it does not
-    read, such as the retired `time_step_macro`, are ignored; `dim` must be 1."""
+    read, such as the retired `time_step_macro`, are ignored; `dim` must be 1.
+
+    The kinds map to numbers: cross section `Constant` is amplitude 0 and
+    `PerturbedConstant` reads `amplitude`; field `zero` is e0 = 0 and
+    `constant` reads `e0`.  `Constant` with a nonzero amplitude and `zero`
+    with a nonzero e0 are refused.
+    """
+    if not isinstance(cfg, dict):
+        raise InvalidInput(f"config is not an object: {cfg!r}")
     if _number(cfg, "dim", 1) != 1:
         raise InvalidInput(f"dim={cfg['dim']}: the solvers are one-dimensional")
-    cs = cfg.get("cross_section", {})
-    kind = {"Constant": "constant", "PerturbedConstant": "perturbed"}.get(
-        cs.get("kind", "Constant"), cs.get("kind", "constant").lower()
-    )
-    fkind = cfg.get("field", {}).get("kind", "Zero").lower()
-    amplitude = _number(cfg, "cross_section.amplitude", 0.0)
     params = ModelParams(
         alpha=_number(cfg, "alpha"),
-        cross_section=CrossSection(kind, _number(cfg, "cross_section.nu0", 1.0), amplitude),
-        field_spec=FieldSpec(fkind, _number(cfg, "field.e0", 0.0)),
+        cross_section=CrossSection(_number(cfg, "cross_section.nu0", 1.0), _kind_number(
+            cfg, "cross_section.amplitude", {"constant": False, "perturbedconstant": True, "perturbed": True})),
+        field_spec=FieldSpec(_kind_number(cfg, "field.e0", {"zero": False, "constant": True})),
         domain_length=_number(cfg, "domain_length", 2.0 * np.pi),
         final_time=_number(cfg, "final_time", 1.0),
         epsilon_schedule=_number(cfg, "epsilon_schedule", (0.2, 0.1, 0.05), lambda s: tuple(map(float, s))),

@@ -2,10 +2,10 @@
 
 The equilibrium M(v) = Z^-1 (1+v^2)^(-(1+alpha)/2) decays only polynomially,
 so the grid is a symmetric composite of Gauss-Legendre panels: one linear
-panel [0, inner] and geometrically log-spaced panels out to vmax, mirrored to
-v < 0.  Beyond vmax a profile is continued by its `Tail`, a per-side
-two-term power law c|v|^-q (1 + b v^-2), which also gives moments their
-closed-form |v| > vmax part.
+panel [0, 1] and geometrically log-spaced panels from 1 out to vmax,
+mirrored to v < 0.  Beyond vmax a profile is continued by its `Tail`, a
+per-side two-term power law c|v|^-q (1 + b v^-2), which also gives the
+moments v^p or |v|^p their closed-form |v| > vmax part.
 """
 
 from __future__ import annotations
@@ -77,31 +77,26 @@ class VelocityGrid:
     Attributes are read-only by convention; grids are shared freely.
     """
 
-    def __init__(self, n_nodes: int, vmax: float, inner: float = 1.0):
+    def __init__(self, n_nodes: int, vmax: float):
         if n_nodes <= 0 or n_nodes % (2 * PANEL_PTS) != 0:
             raise InvalidInput(
                 f"n_nodes={n_nodes} must be a positive multiple of {2 * PANEL_PTS}"
             )
-        if vmax <= 0:
-            raise InvalidInput(f"vmax={vmax} must be positive")
-        if not 0 < inner < vmax:
-            raise InvalidInput(f"inner={inner} must lie in (0, vmax)")
+        if not 1.0 < vmax < math.inf:
+            raise InvalidInput(f"vmax={vmax} must be finite and exceed 1, the inner panel's edge")
         K = n_nodes // (2 * PANEL_PTS)
         if K < 2:
             raise InvalidInput("need at least two panels per side")
         self.n = n_nodes
         self.vmax = float(vmax)
-        self.inner = float(inner)
         self.K = K
-        # panel edges on the positive side: linear panel then geometric growth
-        self.edges = np.concatenate(
-            [[0.0], inner * (vmax / inner) ** (np.arange(K) / (K - 1))]
-        )
+        # panel edges on the positive side: linear panel [0, 1] then geometric growth
+        self.edges = np.concatenate([[0.0], vmax ** (np.arange(K) / (K - 1))])
         # panel k maps t in [-1, 1] to s = mid_k + half_k t, with s = v on the
         # linear panel 0 and s = log v on the others; jac = dv/dt at each
         # positive node
         mid, half, vlog, jlog = _log_panels(self.edges[1:])
-        h0 = self.inner / 2
+        h0 = 0.5
         self.mid = np.concatenate([[h0], mid])
         self.half = np.concatenate([[h0], half])
         vp = np.concatenate([h0 + h0 * _XG, vlog])
@@ -160,18 +155,13 @@ class VelocityGrid:
         return np.concatenate([-d[1, ::-1], d[0]])
 
     def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, VelocityGrid)
-            and self.n == other.n
-            and self.vmax == other.vmax
-            and self.inner == other.inner
-        )
+        return self is other or (isinstance(other, VelocityGrid) and (self.n, self.vmax) == (other.n, other.vmax))
 
     def __hash__(self):
-        return hash((self.n, self.vmax, self.inner))
+        return hash((self.n, self.vmax))
 
     def __repr__(self):
-        return f"VelocityGrid(n={self.n}, vmax={self.vmax}, inner={self.inner})"
+        return f"VelocityGrid(n={self.n}, vmax={self.vmax})"
 
 
 def build_grid(n_nodes: int, vmax: float) -> VelocityGrid:
@@ -299,22 +289,15 @@ class Tail:
         return out[0], out[1]
 
 
-def moment(profile: VelocityProfile, weight, tail: bool = True) -> float:
-    """Quadrature moment of a profile.
-
-    `weight` is an integer p (weight v^p; p=0 gives the mass), a float p
-    (weight |v|^p), or a callable of v (no tail correction in that case).
-    The |v| > vmax part is the closed-form integral of the profile's `Tail`.
+def moment(profile: VelocityProfile, p) -> float:
+    """Tail-corrected moment of a profile: weight v^p for an integer p (p=0
+    gives the mass), |v|^p for a float p.  The |v| > vmax part is the
+    closed-form integral of the profile's `Tail`.
     """
     g = profile.grid
-    if callable(weight):
-        return float(np.sum(g.weights * weight(g.nodes) * profile.values))
-    p = weight
     signed = isinstance(p, (int, np.integer))
     wv = g.nodes ** p if signed else np.abs(g.nodes) ** float(p)
     base = float(np.sum(g.weights * wv * profile.values))
-    if not tail:
-        return base
     right, left = Tail(g, profile.values).integral(float(p))
     if signed:
         # weight v^p with integer p: left side picks up (-1)^p

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraclimit import CollisionContext, build_grid, constant_sigma, perturbed_sigma
+from fraclimit import CollisionContext, CrossSection, build_grid
 
 
 @pytest.fixture(scope="session")
@@ -11,17 +11,17 @@ def grid128():
 
 @pytest.fixture(scope="session")
 def ctx15(grid128):
-    return CollisionContext(grid128, constant_sigma(1.0), 1.5)
+    return CollisionContext(grid128, CrossSection(1.0), 1.5)
 
 
 @pytest.fixture(scope="session")
 def ctx1(grid128):
-    return CollisionContext(grid128, constant_sigma(1.0), 1.0)
+    return CollisionContext(grid128, CrossSection(1.0), 1.0)
 
 
 @pytest.fixture(scope="session")
 def ctx15p(grid128):
-    return CollisionContext(grid128, perturbed_sigma(1.0, 0.5), 1.5)
+    return CollisionContext(grid128, CrossSection(1.0, 0.5), 1.5)
 
 
 @pytest.fixture(scope="session")

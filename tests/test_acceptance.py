@@ -12,13 +12,13 @@ from scipy import stats
 
 from fraclimit import (
     CollisionContext,
+    CrossSection,
     MacroState,
     ModelParams,
     advance,
     build_grid,
     c_d_alpha,
     chi_decay_check,
-    constant_sigma,
     dissipation_Q,
     dissipation_T,
     drift_mu,
@@ -29,7 +29,6 @@ from fraclimit import (
     init_ensemble,
     kappa,
     matrix_D,
-    perturbed_sigma,
     remainder_G,
     run_convergence,
     run_operator_study,
@@ -56,8 +55,8 @@ def _report(n, name, ok, detail=""):
 def _params(**kw):
     base = dict(
         alpha=1.5,
-        cross_section=constant_sigma(1.0),
-        field_spec=FieldSpec("zero"),
+        cross_section=CrossSection(1.0),
+        field_spec=FieldSpec(0.0),
         domain_length=L,
         final_time=0.5,
         epsilon_schedule=(0.2, 0.1, 0.05),
@@ -77,7 +76,7 @@ def test_01_coefficient_exactness():
         g = gamma_of_M(alpha)
         closed = kappa(alpha, 1.0, g)
         integral, _ = quad(lambda z: z**alpha * np.exp(-z), 0.0, np.inf)
-        by_quad = g * integral / c_d_alpha(1, alpha)
+        by_quad = g * integral / c_d_alpha(alpha)
         worst = max(worst, abs(by_quad - closed) / closed)
     _report(1, "kappa closed form vs quadrature", worst < 1e-10, f"max rel {worst:.1e}")
 
@@ -87,13 +86,13 @@ def test_02_constant_sigma_identities():
     errs = {}
     for alpha in (1.25, 1.5, 1.75):
         # the lambda identity is tail-limited at roughly vmax^-alpha
-        ctx = CollisionContext(build_grid(160, 1e6), constant_sigma(1.0), alpha)
+        ctx = CollisionContext(build_grid(160, 1e6), CrossSection(1.0), alpha)
         lam = solve_lambda(ctx)
         errs[f"lambda(a={alpha})"] = float(
             np.max(np.abs(lam.profile.values + eval_M_deriv(ctx.grid.nodes, alpha)))
         )
         errs[f"D(a={alpha})"] = abs(matrix_D(lam, ctx) - 1.0)
-    ctx1 = CollisionContext(build_grid(160, 1e5), constant_sigma(1.0), 1.0)
+    ctx1 = CollisionContext(build_grid(160, 1e5), CrossSection(1.0), 1.0)
     for E in (0.25, 0.5, 1.0):
         errs[f"mu(E={E})"] = abs(drift_mu(E, ctx1) - E)
     ok = (
@@ -122,7 +121,7 @@ def test_03_equilibrium_consistency(ctx15):
 def test_04_expansion_order(grid128):
     fields = [0.2, 0.1, 0.05, 0.025]
     slopes = {}
-    for label, cs in (("constant", constant_sigma(1.0)), ("perturbed", perturbed_sigma(1.0, 0.5))):
+    for label, cs in (("constant", CrossSection(1.0)), ("perturbed", CrossSection(1.0, 0.5))):
         ctx = CollisionContext(grid128, cs, 1.5)
         norms = [remainder_G(E, ctx)[1] for E in fields]
         slopes[label] = float(np.polyfit(np.log(fields), np.log(norms), 1)[0])
@@ -134,7 +133,7 @@ def test_05_coercivity_suite(grid128):
     rng = np.random.default_rng(SEED)
     ok = True
     thetas = []
-    for cs in (constant_sigma(1.0), perturbed_sigma(1.0, 0.5)):
+    for cs in (CrossSection(1.0), CrossSection(1.0, 0.5)):
         ctx = CollisionContext(grid128, cs, 1.5)
         for E in (0.0, 0.5):
             F = solve_F(E, ctx).profile
@@ -161,9 +160,9 @@ def test_06_operator_convergence():
     cases = [
         ("a=1.5, E=0", _params(epsilon_schedule=(0.1, 0.05, 0.025))),
         ("a=1.5, E=0.5", _params(epsilon_schedule=(0.1, 0.05, 0.025),
-                                 field_spec=FieldSpec("constant", 0.5))),
+                                 field_spec=FieldSpec(0.5))),
         ("a=1, E=0.5", _params(alpha=1.0, epsilon_schedule=(0.1, 0.05, 0.025),
-                               field_spec=FieldSpec("constant", 0.5))),
+                               field_spec=FieldSpec(0.5))),
     ]
     ok = True
     details = []
@@ -200,8 +199,8 @@ def _F_cdf_factory(Fprof, grid):
 def test_08_end_to_end_limit():
     cases = [
         ("a=1.5, E=0", _params(), "diffusive"),
-        ("a=1.5, E=0.5", _params(field_spec=FieldSpec("constant", 0.5)), "diffusive"),
-        ("a=1, E=0.5", _params(alpha=1.0, field_spec=FieldSpec("constant", 0.5)), "diffusive"),
+        ("a=1.5, E=0.5", _params(field_spec=FieldSpec(0.5)), "diffusive"),
+        ("a=1, E=0.5", _params(alpha=1.0, field_spec=FieldSpec(0.5)), "diffusive"),
     ]
     ok = True
     details = []
@@ -213,10 +212,10 @@ def test_08_end_to_end_limit():
         ok &= monotone and errs[-1] < 0.05
         details.append(f"{label}: L1 {' > '.join(f'{e:.3f}' for e in errs)}")
     # velocity marginal at the finest eps for the critical constant-field case
-    p = _params(alpha=1.0, field_spec=FieldSpec("constant", 0.5))
+    p = _params(alpha=1.0, field_spec=FieldSpec(0.5))
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
-    ens = advance(ens, 0.05, p, p.field_spec, p.final_time)
-    ctx = CollisionContext(build_grid(128, 200.0), constant_sigma(1.0), 1.0)
+    ens = advance(ens, 0.05, p, p.final_time)
+    ctx = CollisionContext(build_grid(128, 200.0), CrossSection(1.0), 1.0)
     F = solve_F(0.5, ctx)  # alpha=1: effective field is E itself
     ks = stats.kstest(ens.v, _F_cdf_factory(F.profile, ctx.grid)).statistic
     ok &= ks < 0.01
@@ -225,7 +224,7 @@ def test_08_end_to_end_limit():
 
 
 def test_09_high_field_limit():
-    p = _params(field_spec=FieldSpec("constant", 0.5), final_time=0.3)
+    p = _params(field_spec=FieldSpec(0.5), final_time=0.3)
     rep = run_convergence(p, scaling="high_field", threads=THREADS)
     errs = [r["l1"] for r in rep.cases[0]["rows"]]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))

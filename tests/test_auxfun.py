@@ -10,7 +10,6 @@ from fraclimit import (
     limit_operator,
     limit_coefficients,
 )
-from fraclimit.params import FieldSpec
 
 L = 2 * np.pi
 
@@ -67,7 +66,7 @@ def test_chi_decay_rate(ctx15):
 
 def test_L_eps_constant_phi_is_zero(ctx15):
     phi = _const()
-    out = L_eps(phi, 0.1, FieldSpec("zero"), ctx15)
+    out = L_eps(phi, 0.1, 0.0, ctx15)
     assert np.max(np.abs(out.rho)) == 0.0
 
 
@@ -77,7 +76,7 @@ def test_L_eps_converges_to_fractional_diffusion(ctx15):
     lim = limit_operator(phi, co.alpha, co.kappa, 0.0)
     errs = []
     for eps in (0.1, 0.05):
-        le = L_eps(phi, eps, FieldSpec("zero"), ctx15)
+        le = L_eps(phi, eps, 0.0, ctx15)
         errs.append(np.max(np.abs(le.rho - lim.rho)))
     assert errs[1] < errs[0]
 
@@ -86,13 +85,12 @@ def test_L_eps_keeps_a_single_high_mode(ctx15):
     # the roundoff band rule keeps a lone mode k = 20, and one at 1e-6 of a
     # low mode: L_eps is linear in phi
     hi, lo = _cos_mode(20), _cos_mode(1)
-    zero = FieldSpec("zero")
-    out = L_eps(hi, 0.1, zero, ctx15).rho
+    out = L_eps(hi, 0.1, 0.0, ctx15).rho
     c = np.fft.rfft(out)
     assert np.real(c[20]) < 0  # dissipative
     assert np.max(np.abs(np.delete(c, 20))) <= 1e-12 * np.abs(c[20])
-    mixed = L_eps(MacroState(lo.rho + 1e-6 * hi.rho, L), 0.1, zero, ctx15).rho
-    diff = mixed - L_eps(lo, 0.1, zero, ctx15).rho
+    mixed = L_eps(MacroState(lo.rho + 1e-6 * hi.rho, L), 0.1, 0.0, ctx15).rho
+    diff = mixed - L_eps(lo, 0.1, 0.0, ctx15).rho
     assert np.max(np.abs(diff - 1e-6 * out)) <= 1e-8 * np.max(np.abs(1e-6 * out))
 
 

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from fraclimit import (
     CollisionContext,
+    CrossSection,
     build_grid,
     c_d_alpha,
-    constant_sigma,
     drift_mu,
     gamma_of_M,
     kappa,
@@ -19,20 +19,19 @@ from fraclimit import (
 )
 from fraclimit.equilibrium import LambdaField, eval_M_deriv
 from fraclimit.errors import InvalidInput, TailDivergence
-from fraclimit.params import FieldSpec
 from fraclimit.velocity import VelocityProfile
 
 
 def test_c_d_alpha_known_value():
     # alpha = d = 1: the kernel constant is 1/pi
-    assert c_d_alpha(1, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert c_d_alpha(1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 def test_c_d_alpha_range():
     with pytest.raises(InvalidInput, match=r"alpha=2.0 outside \(0,2\)"):
-        c_d_alpha(1, 2.0)
+        c_d_alpha(2.0)
     with pytest.raises(InvalidInput, match=r"alpha=0.0 outside \(0,2\)"):
-        c_d_alpha(1, 0.0)
+        c_d_alpha(0.0)
 
 
 def test_gamma_matches_tail():
@@ -55,7 +54,7 @@ def test_kappa_closed_form_vs_quadrature(alpha, nu0):
     g = gamma_of_M(alpha)
     k = kappa(alpha, nu0, g)  # raises QuadratureMismatch beyond 1e-10 relative
     integral, _ = quad(lambda z: z**alpha * math.exp(-nu0 * z), 0.0, math.inf)
-    assert k == pytest.approx(g * nu0**2 / c_d_alpha(1, alpha) * integral, rel=1e-10)
+    assert k == pytest.approx(g * nu0**2 / c_d_alpha(alpha) * integral, rel=1e-10)
 
 
 def test_kappa_rejects_bad_args():
@@ -64,7 +63,7 @@ def test_kappa_rejects_bad_args():
 
 
 def test_matrix_D_identity():
-    ctx = CollisionContext(build_grid(160, 1e5), constant_sigma(1.0), 1.5)
+    ctx = CollisionContext(build_grid(160, 1e5), CrossSection(1.0), 1.5)
     D = matrix_D(solve_lambda(ctx), ctx)
     assert D == pytest.approx(1.0, abs=1e-6)
 
@@ -73,7 +72,7 @@ def test_matrix_D_refuses_non_finite_D():
     # a left tail decaying like |v|^-1.5 makes int v lambda dv diverge,
     # which cannot happen for the true lambda at alpha > 1
     g = build_grid(160, 1e6)
-    ctx = CollisionContext(g, constant_sigma(1.0), 1.25)
+    ctx = CollisionContext(g, CrossSection(1.0), 1.25)
     vals = -eval_M_deriv(g.nodes, 1.25)
     vals[:3] = np.sign(vals[:3]) * 1e-3 * np.abs(g.nodes[:3]) ** -1.5
     with pytest.raises(TailDivergence):
@@ -81,7 +80,7 @@ def test_matrix_D_refuses_non_finite_D():
 
 
 def test_matrix_D_refuses_critical_case():
-    ctx = CollisionContext(build_grid(128, 200.0), constant_sigma(1.0), 1.0)
+    ctx = CollisionContext(build_grid(128, 200.0), CrossSection(1.0), 1.0)
     with pytest.raises(TailDivergence):
         matrix_D(solve_lambda(ctx), ctx)
 
@@ -102,12 +101,12 @@ def test_limit_coefficients_critical(ctx1):
 
 def test_limit_model_regimes(ctx15, ctx1):
     kap15 = kappa(1.5, 1.0, gamma_of_M(1.5))
-    assert limit_model(ctx15, FieldSpec("zero"), "diffusive") == (kap15, 0.0)
-    assert limit_model(ctx15, FieldSpec("constant", 0.5), "high_field") == (0.0, 0.5)
-    assert limit_model(ctx15, FieldSpec("zero"), "high_field") == (0.0, 0.0)
+    assert limit_model(ctx15, 0.0, "diffusive") == (kap15, 0.0)
+    assert limit_model(ctx15, 0.5, "high_field") == (0.0, 0.5)
+    assert limit_model(ctx15, 0.0, "high_field") == (0.0, 0.0)
     D = matrix_D(solve_lambda(ctx15), ctx15)
-    assert limit_model(ctx15, FieldSpec("constant", 0.5), "diffusive") == (kap15, D * 0.5)
+    assert limit_model(ctx15, 0.5, "diffusive") == (kap15, D * 0.5)
     kap1 = kappa(1.0, 1.0, gamma_of_M(1.0))
-    assert limit_model(ctx1, FieldSpec("constant", 0.5), "diffusive") == (kap1, drift_mu(0.5, ctx1))
+    assert limit_model(ctx1, 0.5, "diffusive") == (kap1, drift_mu(0.5, ctx1))
     with pytest.raises(InvalidInput, match="unknown scaling 'ballistic'"):
-        limit_model(ctx15, FieldSpec("zero"), "ballistic")
+        limit_model(ctx15, 0.0, "ballistic")

@@ -3,18 +3,17 @@ import pytest
 
 from fraclimit import (
     CollisionContext,
+    CrossSection,
     VelocityProfile,
     apply_A_inverse,
     apply_K,
     apply_Q,
     apply_T,
     build_grid,
-    constant_sigma,
     dissipation_Q,
     dissipation_T,
     equilibrium_profile,
     gamma_of_M,
-    perturbed_sigma,
 )
 from fraclimit.equilibrium import solve_F
 from fraclimit.errors import InvalidInput
@@ -110,7 +109,7 @@ def test_T_residual_on_equilibrium():
     # demanding tolerance needs a far-out grid: the residual floor is set by
     # the tail mass beyond vmax
     grid = build_grid(192, 4000.0)
-    ctx = CollisionContext(grid, constant_sigma(1.0), 1.5)
+    ctx = CollisionContext(grid, CrossSection(1.0), 1.5)
     F = solve_F(0.5, ctx)
     res = apply_T(F.profile, 0.5, ctx)
     assert np.max(np.abs(res.values)) < 1e-6
@@ -150,7 +149,7 @@ def _nu_antiderivative(ctx):
     g, cs = ctx.grid, ctx.cross_section
     wM = g.weights * ctx.M.values
     c0 = cs.nu0 * np.sum(wM)
-    c1 = cs.amplitude * np.sum(wM / (1.0 + np.abs(g.nodes))) if cs.kind == "perturbed" else 0.0
+    c1 = cs.amplitude * np.sum(wM / (1.0 + np.abs(g.nodes)))
     return lambda x: c0 * x + c1 * np.sign(x) * np.log(1.0 + np.abs(x))
 
 
@@ -193,7 +192,7 @@ def _A_inverse_reference(h, E, ctx):
 @pytest.fixture(scope="module")
 def ctx15p_short():
     # short grid: the Laguerre points leave [-vmax, vmax] and use the tail fit
-    return CollisionContext(build_grid(128, 40.0), perturbed_sigma(1.0, 0.5), 1.5)
+    return CollisionContext(build_grid(128, 40.0), CrossSection(1.0, 0.5), 1.5)
 
 
 @pytest.mark.parametrize("E", [0.5, -0.5, 0.05])
@@ -210,9 +209,9 @@ def test_A_inverse_matches_per_point_quadrature(ctx15p_short, E):
 def test_A_inverse_plan_memo_not_stale(ctx15p_short):
     # one context solving at E1, E2, E1 gives bitwise what fresh contexts give
     grid = ctx15p_short.grid
-    ctx = CollisionContext(grid, perturbed_sigma(1.0, 0.5), 1.5)
+    ctx = CollisionContext(grid, CrossSection(1.0, 0.5), 1.5)
     fields = (0.3, 0.1, 0.3)
     shared = [solve_F(E, ctx).profile.values for E in fields]
     for E, got in zip(fields, shared):
-        fresh = solve_F(E, CollisionContext(grid, perturbed_sigma(1.0, 0.5), 1.5))
+        fresh = solve_F(E, CollisionContext(grid, CrossSection(1.0, 0.5), 1.5))
         assert np.array_equal(got, fresh.profile.values)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fraclimit
-from fraclimit import ModelParams, constant_sigma, run_convergence, run_operator_study
+from fraclimit import CrossSection, ModelParams, run_convergence, run_operator_study
 from fraclimit.cli import build_parser, main
 from fraclimit.harness import ConvergenceReport, emit
 from fraclimit.params import FieldSpec
@@ -19,8 +19,8 @@ L = 4 * np.pi
 def _params(**kw):
     base = dict(
         alpha=1.5,
-        cross_section=constant_sigma(1.0),
-        field_spec=FieldSpec("zero"),
+        cross_section=CrossSection(1.0),
+        field_spec=FieldSpec(0.0),
         domain_length=L,
         final_time=0.5,
         epsilon_schedule=(0.2, 0.1, 0.05),

@@ -11,16 +11,14 @@ from fraclimit import (
     CrossSection,
     ModelParams,
     advance,
-    constant_sigma,
     estimate_density,
     eval_M,
     init_ensemble,
     nu_continuum,
-    perturbed_sigma,
     sample_M,
 )
 from fraclimit.cli import main
-from fraclimit.montecarlo import BLOCK, _CHUNK, _clock_pass, _rng_for
+from fraclimit.montecarlo import BLOCK, _CHUNK, _blocks, _candidate_loop, _clock_pass, _rng_for
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -30,8 +28,8 @@ L = 4 * np.pi
 def _params(**kw):
     base = dict(
         alpha=1.5,
-        cross_section=constant_sigma(1.0),
-        field_spec=FieldSpec("zero"),
+        cross_section=CrossSection(1.0),
+        field_spec=FieldSpec(0.0),
         domain_length=L,
         final_time=0.5,
         epsilon_schedule=(0.2, 0.1),
@@ -111,7 +109,7 @@ def test_bitwise_reproducibility():
     runs = []
     for _ in range(2):
         ens = init_ensemble(p.particles, L, p.alpha, p.seed)
-        ens = advance(ens, 0.1, p, p.field_spec, 0.2)
+        ens = advance(ens, 0.1, p, 0.2)
         runs.append((ens.x.copy(), ens.v.copy(), ens.collisions))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -127,11 +125,11 @@ def test_seed_changes_stream():
 def test_ballistic_characteristics_exact():
     # constant field, short advance: a particle without a collision keeps
     # v0 + E T/eps exactly and sits on its quadratic-in-time path
-    p = _params(field_spec=FieldSpec("constant", 0.5))
+    p = _params(field_spec=FieldSpec(0.5))
     eps, T, n = 0.1, 0.01, 2000
     ens = init_ensemble(n, L, p.alpha, p.seed)
     x0, v0 = ens.x.copy(), ens.v.copy()
-    out = advance(ens, eps, p, p.field_spec, T)
+    out = advance(ens, eps, p, T)
     free = out.v == v0 + (0.5 / eps) * T
     q = np.exp(-T / eps**p.alpha)  # P(no collision)
     assert out.collisions > 0 and abs(free.sum() - n * q) <= 5 * np.sqrt(n * q * (1 - q))
@@ -189,7 +187,7 @@ def test_collision_count_rate():
     p = _params(particles=20_000)
     eps, T = 0.2, 0.5
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
-    out = advance(ens, eps, p, p.field_spec, T)
+    out = advance(ens, eps, p, T)
     expect = p.particles * T / eps**p.alpha
     assert out.collisions == pytest.approx(expect, rel=0.02)
 
@@ -198,16 +196,35 @@ def test_high_field_rate():
     p = _params()
     eps, T = 0.2, 0.5
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
-    out = advance(ens, eps, p, p.field_spec, T, scaling="high_field")
+    out = advance(ens, eps, p, T, scaling="high_field")
     assert out.collisions == pytest.approx(p.particles * T / eps, rel=0.03)
 
 
 def test_time_monotonicity_guard():
     p = _params()
     ens = init_ensemble(100, L, p.alpha, p.seed)
-    ens = advance(ens, 0.2, p, p.field_spec, 0.3)
+    ens = advance(ens, 0.2, p, 0.3)
     with pytest.raises(InvalidInput, match="until=0.1 < current t=0.3"):
-        advance(ens, 0.2, p, p.field_spec, 0.1)
+        advance(ens, 0.2, p, 0.1)
+
+
+@pytest.mark.parametrize(
+    "eps, until, scaling",
+    [
+        (0.2, 0.3, "hyperbolic"),
+        (0.2, float("inf"), "diffusive"),
+        (0.2, float("nan"), "diffusive"),
+        (0.0, 0.3, "diffusive"),
+        (-0.1, 0.3, "diffusive"),
+        (1.5, 0.3, "high_field"),
+        (float("nan"), 0.3, "diffusive"),
+    ],
+)
+def test_advance_refusals(eps, until, scaling):
+    p = _params()
+    ens = init_ensemble(100, L, p.alpha, p.seed)
+    with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, eps in"):
+        advance(ens, eps, p, until, scaling=scaling)
 
 
 def test_estimate_density_mass():
@@ -233,13 +250,13 @@ def test_init_periodized_gaussian():
 
 
 def test_nu_continuum_bounds():
-    cs = perturbed_sigma(1.0, 0.5)
+    cs = CrossSection(1.0, 0.5)
     nu = nu_continuum(cs, 1.5)
     v = np.linspace(-100, 100, 401)
     vals = nu(v)
     assert np.all(vals > cs.nu1) and np.all(vals < cs.nu2)
     assert nu(0.0) > nu(50.0)  # perturbation decays in |v|
-    flat = nu_continuum(constant_sigma(2.0), 1.5)
+    flat = nu_continuum(CrossSection(2.0), 1.5)
     assert np.all(flat(v) == 2.0)
 
 
@@ -247,16 +264,16 @@ def test_nu_continuum_bounds():
 def test_nu_continuum_matches_quadrature(alpha):
     # nu = nu0 + a i1/(1+|v|) with i1 = int M/(1+|v|), here by adaptive quadrature
     i1, _ = quad(lambda u: eval_M(u, alpha) / (1.0 + abs(u)), -np.inf, np.inf)
-    nu = nu_continuum(perturbed_sigma(1.0, 0.5), alpha)
+    nu = nu_continuum(CrossSection(1.0, 0.5), alpha)
     v = np.array([0.0, -0.5, 3.0, 1e4])
     assert np.max(np.abs(nu(v) - (1.0 + 0.5 * i1 / (1.0 + np.abs(v))))) <= 1e-10
 
 
 def test_perturbed_collisions_relax_to_M():
     # thinning + kernel rejection must still equilibrate the velocity marginal
-    p = _params(cross_section=perturbed_sigma(1.0, 0.5), particles=100_000)
+    p = _params(cross_section=CrossSection(1.0, 0.5), particles=100_000)
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
-    out = advance(ens, 0.2, p, p.field_spec, 0.5)
+    out = advance(ens, 0.2, p, 0.5)
     ks = stats.kstest(out.v, lambda q: _M_cdf(q, p.alpha)).statistic
     assert ks < 0.01
 
@@ -264,30 +281,32 @@ def test_perturbed_collisions_relax_to_M():
 @pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
 @pytest.mark.parametrize("e0", [0.0, 0.5])
 def test_clock_pass_matches_candidate_loop(scaling, e0):
-    # constant sigma takes the flat clock pass; a perturbed sigma of zero
-    # amplitude has the same law but takes the candidate loop
-    field = FieldSpec("constant", e0) if e0 else FieldSpec("zero")
+    # constant sigma takes the flat clock pass; the candidate loop, called
+    # directly, has the same law (its thinning and kernel acceptances are 1)
     eps, T, n = 0.2, 0.5, 50_000
-    out = []
-    for seed, cs in ((1, constant_sigma(1.0)), (2, CrossSection("perturbed", 1.0, 0.0))):
-        p = _params(cross_section=cs, field_spec=field, particles=n)
-        ens = init_ensemble(n, L, p.alpha, seed, width=2.0)
-        out.append(advance(ens, eps, p, field, T, scaling=scaling))
-    assert stats.ks_2samp(out[0].x, out[1].x).pvalue > 1e-3
-    assert stats.ks_2samp(out[0].v, out[1].v).pvalue > 1e-3
+    p = _params(field_spec=FieldSpec(e0), particles=n)
+    flat = advance(init_ensemble(n, L, p.alpha, 1, width=2.0), eps, p, T, scaling=scaling)
+    ens = init_ensemble(n, L, p.alpha, 2, width=2.0)
+    cs, alpha = p.cross_section, p.alpha
+    rate = cs.nu2 / (eps if scaling == "high_field" else eps**alpha)
+    xfac = 1.0 if scaling == "high_field" else eps ** (1.0 - alpha)
+    loop = sum(_candidate_loop(ens.x[sl], ens.v[sl], ens.rngs[b], 0.0, T, eps, alpha, cs,
+                               nu_continuum(cs, alpha), e0, xfac, L, rate)
+               for b, sl in enumerate(_blocks(n)))
+    assert stats.ks_2samp(flat.x, ens.x).pvalue > 1e-3
+    assert stats.ks_2samp(flat.v, ens.v).pvalue > 1e-3
     m = n * T / (eps if scaling == "high_field" else eps**1.5)
-    for o in out:
-        assert abs(o.collisions - m) <= 6 * np.sqrt(m)
+    for collisions in (flat.collisions, loop):
+        assert abs(collisions - m) <= 6 * np.sqrt(m)
 
 
 def test_consecutive_advances_use_elapsed_time():
     # 0 -> 0.1 -> 0.2 has the law of one advance 0 -> 0.2
-    field = FieldSpec("constant", 0.5)
-    p = _params(field_spec=field, particles=50_000)
+    p = _params(field_spec=FieldSpec(0.5), particles=50_000)
     eps = 0.2
     ens = init_ensemble(p.particles, L, p.alpha, 1, width=2.0)
-    ens = advance(advance(ens, eps, p, field, 0.1), eps, p, field, 0.2)
-    once = advance(init_ensemble(p.particles, L, p.alpha, 2, width=2.0), eps, p, field, 0.2)
+    ens = advance(advance(ens, eps, p, 0.1), eps, p, 0.2)
+    once = advance(init_ensemble(p.particles, L, p.alpha, 2, width=2.0), eps, p, 0.2)
     assert ens.t == 0.2
     m = p.particles * 0.2 / eps**p.alpha
     assert abs(ens.collisions - m) <= 6 * np.sqrt(m)
@@ -296,11 +315,11 @@ def test_consecutive_advances_use_elapsed_time():
 
 
 def test_clock_pass_memory_is_per_block():
-    p = _params(field_spec=FieldSpec("constant", 0.5), particles=250_000)
+    p = _params(field_spec=FieldSpec(0.5), particles=250_000)
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
     tracemalloc.start()
     try:
-        advance(ens, 0.05, p, p.field_spec, p.final_time)
+        advance(ens, 0.05, p, p.final_time)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,18 +328,18 @@ def test_clock_pass_memory_is_per_block():
     assert peak < 16e6
 
 
-@pytest.mark.parametrize("cs", [constant_sigma(1.0), perturbed_sigma(1.0, 0.5)])
+@pytest.mark.parametrize("cs", [CrossSection(1.0), CrossSection(1.0, 0.5)])
 def test_more_threads_than_cores_same_result(cs):
     # blocks write disjoint slices of the shared arrays; frequent thread
     # switches would expose any lost update
-    p = _params(cross_section=cs, field_spec=FieldSpec("constant", 0.5), particles=30_000)
+    p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=30_000)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 5):
             ens = init_ensemble(p.particles, L, p.alpha, p.seed)
-            ens = advance(ens, 0.2, p, p.field_spec, 0.3, threads=threads)
+            ens = advance(ens, 0.2, p, 0.3, threads=threads)
             runs.append((ens.x, ens.v, ens.collisions))
     finally:
         sys.setswitchinterval(interval)

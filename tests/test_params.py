@@ -7,10 +7,8 @@ from fraclimit import (
     CrossSection,
     FieldSpec,
     ModelParams,
-    constant_sigma,
     from_config,
     load_config,
-    perturbed_sigma,
     validate,
 )
 from fraclimit.errors import InvalidInput
@@ -48,8 +46,8 @@ def test_domain_checks():
 def test_cross_section_bounds():
     # nu1 = nu0 - |a| must stay positive
     with pytest.raises(InvalidInput, match=r"need 0 < nu0 - \|amplitude\|"):
-        validate(ModelParams(cross_section=perturbed_sigma(1.0, 1.5)))
-    cs = perturbed_sigma(1.0, 0.5)
+        validate(ModelParams(cross_section=CrossSection(1.0, 1.5)))
+    cs = CrossSection(1.0, 0.5)
     assert cs.nu1 == 0.5 and cs.nu2 == 1.5
     v = np.linspace(-50, 50, 101)
     s = cs.sigma(v[:, None], v[None, :])
@@ -60,15 +58,15 @@ def test_cross_section_bounds():
 
 
 def test_constant_sigma_is_flat():
-    cs = constant_sigma(2.0)
+    cs = CrossSection(2.0)
     assert np.all(cs.sigma(np.array([0.0, 5.0]), np.array([1.0, -3.0])) == 2.0)
     assert cs.nu1 == cs.nu2 == 2.0
 
 
 def test_field_spec():
     x = np.linspace(0, 2 * np.pi, 7)
-    assert np.all(FieldSpec("zero")(x) == 0.0)
-    assert np.all(FieldSpec("constant", 0.5)(x) == 0.5)
+    assert np.all(FieldSpec(0.0)(x) == 0.0)
+    assert np.all(FieldSpec(0.5)(x) == 0.5)
 
 
 @pytest.mark.parametrize(
@@ -93,6 +91,25 @@ def test_field_spec():
         ({"alpha": 1.5, "field": {"kind": "constant", "e0": float("nan")}}, r"field e0=nan is not finite"),
         ({"alpha": 1.5, "field": {"kind": "constant", "e0": float("-inf")}}, r"field e0=-inf is not finite"),
         ({"alpha": 1.5, "seed": -1}, r"seed=-1 must be non-negative"),
+        ([{"alpha": 1.5}], r"config is not an object: \[\{'alpha': 1.5\}\]"),
+        ({"alpha": 1.5, "cross_section": 3}, r"config entry 'cross_section' is not an object: 3"),
+        ({"alpha": 1.5, "field": None}, r"config entry 'field' is not an object: None"),
+        ({"alpha": 1.5, "velocity_grid": [128]}, r"config entry 'velocity_grid' is not an object: \[128\]"),
+        ({"alpha": 1.5, "field": {"kind": 5}}, r"config entry 'field': kind 5 is not a string"),
+        ({"alpha": 1.5, "cross_section": {"kind": None}}, r"config entry 'cross_section': kind None is not a string"),
+        ({"alpha": 1.5, "cross_section": {"kind": "Constant", "amplitude": 0.5}},
+         r"config entry 'cross_section.amplitude': constant cross section with amplitude=0.5"),
+        ({"alpha": 1.5, "cross_section": {"kind": "Quadratic"}}, r"unknown cross section kind 'Quadratic'"),
+        ({"alpha": 1.5, "velocity_grid": {"vmax_over_inv_eps": float("inf")}},
+         r"vmax_over_inv_eps=inf must be positive and finite"),
+        ({"alpha": 1.5, "velocity_grid": {"vmax_over_inv_eps": float("nan")}},
+         r"vmax_over_inv_eps=nan must be positive and finite"),
+        ({"alpha": 1.5, "velocity_grid": {"vmax_over_inv_eps": 0.0}}, r"vmax_over_inv_eps=0.0 must be positive"),
+        ({"alpha": 1.5, "velocity_grid": {"vmax_over_inv_eps": -5.0}}, r"vmax_over_inv_eps=-5.0 must be positive"),
+        ({"alpha": 1.5, "particles": 2.7}, r"config entry 'particles' is not an integer: 2.7"),
+        ({"alpha": 1.5, "seed": 1.5}, r"config entry 'seed' is not an integer: 1.5"),
+        ({"alpha": 1.5, "x_bins": 16.5}, r"config entry 'x_bins' is not an integer: 16.5"),
+        ({"alpha": 1.5, "velocity_grid": {"nodes": 96.5}}, r"config entry 'velocity_grid.nodes' is not an integer: 96.5"),
     ],
 )
 def test_from_config_refusals(cfg, match):
@@ -100,11 +117,28 @@ def test_from_config_refusals(cfg, match):
         from_config(cfg)
 
 
+def test_integral_floats_load_as_integers():
+    p = from_config({"alpha": 1.5, "particles": 1e6, "seed": 7.0, "x_bins": 32.0, "velocity_grid": {"nodes": 96.0}})
+    assert (p.particles, p.seed, p.x_bins, p.velocity_nodes) == (1_000_000, 7, 32, 96)
+    assert all(type(n) is int for n in (p.particles, p.seed, p.x_bins, p.velocity_nodes))
+
+
+def test_kinds_map_to_numbers():
+    # the kinds only fix numbers: a zero-amplitude PerturbedConstant is the
+    # constant cross section, and a constant field of 0 is the zero field
+    const = from_config({"alpha": 1.5, "cross_section": {"kind": "Constant", "nu0": 2.0}})
+    pert = from_config({"alpha": 1.5, "cross_section": {"kind": "PerturbedConstant", "nu0": 2.0, "amplitude": 0.0}})
+    assert pert == const and const.cross_section == CrossSection(2.0, 0.0)
+    assert from_config({"alpha": 1.5, "field": {"kind": "constant", "e0": 0.0}}) == from_config({"alpha": 1.5})
+    assert from_config({"alpha": 1.5, "cross_section": {"kind": "Constant", "amplitude": 0.0}}) == from_config(
+        {"alpha": 1.5})
+
+
 def test_zero_field_refuses_nonzero_e0():
     # a "zero" field with e0 != 0 would drive the macro solve but not the particles
     with pytest.raises(InvalidInput, match="zero field with e0=0.5"):
         from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.5}})
-    assert from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.0}}).field_spec == FieldSpec("zero")
+    assert from_config({"alpha": 1.5, "field": {"kind": "zero", "e0": 0.0}}).field_spec == FieldSpec(0.0)
 
 
 def test_from_config_round_trip(tmp_path):
@@ -123,8 +157,8 @@ def test_from_config_round_trip(tmp_path):
         "time_step_macro": 0.01,
     }
     p = from_config(cfg)  # dim 1 and the retired time_step_macro still load
-    assert p.cross_section.kind == "perturbed"
-    assert p.field_spec.e0 == 0.5
+    assert p.cross_section == CrossSection(1.0, 0.25)
+    assert p.field_spec == FieldSpec(0.5)
     assert p.vmax == pytest.approx(50.0)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
