@@ -57,7 +57,6 @@ from .velocity import (
     Tail,
     VelocityGrid,
     VelocityProfile,
-    build_grid,
     equilibrium_profile,
     eval_M,
     moment,

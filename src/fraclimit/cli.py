@@ -23,7 +23,7 @@ from .errors import InvalidInput
 from .harness import BUMP_WIDTH, MACRO_NODES, emit, macro_limit, run_convergence, run_operator_study
 from .macro import advance_macro, gaussian_bump
 from .params import ModelParams, load_config, validate, with_seed
-from .velocity import build_grid
+from .velocity import VelocityGrid
 
 
 def _load(args) -> ModelParams:
@@ -34,7 +34,7 @@ def _load(args) -> ModelParams:
 
 
 def _ctx(params: ModelParams) -> CollisionContext:
-    grid = build_grid(params.velocity_nodes, params.vmax)
+    grid = VelocityGrid(params.velocity_nodes, params.vmax)
     return CollisionContext(grid, params.cross_section, params.alpha)
 
 
@@ -46,12 +46,19 @@ def _write_csv(path, header: str, rows):
 
 
 def _snapshots(args, final_time: float) -> list[float]:
-    """Sorted snapshot times (default: the final time); a negative or non-finite one is refused."""
+    """Sorted snapshot times (default: the final time), then an explicit
+    --final-time as the last one; a negative or non-finite time, or a
+    snapshot past --final-time, is refused."""
     T = args.final_time if args.final_time is not None else final_time
-    for t in [T, *(args.snapshot or [])]:
+    snaps = sorted(args.snapshot or [])
+    for t in [T, *snaps]:
         if not 0.0 <= t < math.inf:
             raise InvalidInput(f"time {t} must be finite and non-negative")
-    return sorted(args.snapshot or [T])
+    if args.final_time is None:
+        return snaps or [T]
+    if snaps and snaps[-1] > T:
+        raise InvalidInput(f"snapshot {snaps[-1]} lies past --final-time {T}")
+    return [t for t in snaps if t < T] + [T]
 
 
 def cmd_equilibrium(args) -> int:
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=None)
     p.add_argument("--final-time", type=float, default=None)
     p.add_argument("--snapshot", type=float, action="append", default=None,
-                   help="snapshot time (repeatable; default: final time)")
+                   help="snapshot time (repeatable; default: final time; an explicit --final-time comes last)")
     p.add_argument("--scaling", choices=["diffusive", "high_field"], default="diffusive")
     p.set_defaults(fn=cmd_kinetic_run)
 

@@ -12,9 +12,13 @@ from .velocity import VelocityGrid, VelocityProfile, eval_M
 
 _LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
+# panel edges before the kink, in units of 0.5/nu_min; 0.5 * 2^7 > 45, so the
+# last one always lies past the 45/nu_min truncation
+_DOUBLING = 2.0 ** np.arange(8)
 # quadrature points per block when assembling or applying a flight plan:
-# bounds the (points x PANEL_PTS) and (points x columns) arrays
-_PLAN_BLOCK = 512
+# bounds the (PANEL_PTS x points) and (points x columns) arrays; at 1024 the
+# former hold 16384 entries, no more than a 128 x 128 matrix of the u solve
+_PLAN_BLOCK = 1024
 
 
 class CollisionContext:
@@ -79,68 +83,87 @@ class _FlightPlan(NamedTuple):
 
 
 def _flight_points(E: float, ctx: CollisionContext):
-    """Quadrature of the flight integral at E > 0 as flat point arrays.
+    """Per-row quadrature of the flight integral at E > 0 as flat point arrays.
 
     Returns (row, s, c, z): point k adds c_k exp(z_k - damp_k) h(v_row - E s_k)
-    to row `row`, with damp = int_0^s nu(v - E t) dt.
+    to row `row`, with damp = int_0^s nu(v - E t) dt.  Rows v > 0 get only
+    their panels before the kink s0 = v/E: past it, all of them share one
+    set of points (see `_build_flight_plan`).
     """
     v = ctx.grid.nodes
+    n2 = len(v) // 2
     nmin = ctx.nu_min
-    s0 = np.maximum(v, 0.0) / E
-    # beyond the kink: s = s0 + z/nu_min, plain Laguerre
-    rows = [np.repeat(np.arange(len(v)), len(_LAG_Z))]
-    ss = [(s0[:, None] + _LAG_Z[None, :] / nmin).ravel()]
-    cs = [np.tile(_LAG_W / nmin, len(v))]
-    zs = [np.tile(_LAG_Z, len(v))]
-    # before the kink (v > 0 only): smooth on (0, v], panels doubling in s to
-    # resolve the exp(-nu s) decay, truncated once the damping is ~e^-45
-    scap = 45.0 / nmin
-    for i in np.nonzero(s0 > 0)[0]:
-        smax = min(s0[i], scap)
-        edges = [0.0]
-        t = min(0.5 / nmin, smax)
-        while t < smax:
-            edges.append(t)
-            t *= 2.0
-        edges.append(smax)
-        a, b = np.array(edges[:-1]), np.array(edges[1:])
-        rows.append(np.full(len(a) * len(_XG16), i))
-        ss.append(((a + b)[:, None] / 2 + (b - a)[:, None] / 2 * _XG16[None, :]).ravel())
-        cs.append(((b - a)[:, None] / 2 * _WG16[None, :]).ravel())
-        zs.append(np.zeros(len(a) * len(_XG16)))
-    return tuple(np.concatenate(parts) for parts in (rows, ss, cs, zs))
+    # rows v < 0 never reach the kink: s = z/nu_min, plain Laguerre
+    lag = (np.repeat(np.arange(n2), len(_LAG_Z)), np.tile(_LAG_Z / nmin, n2),
+           np.tile(_LAG_W / nmin, n2), np.tile(_LAG_Z, n2))
+    # rows v > 0 before the kink: smooth on (0, s0], panels doubling in s to
+    # resolve the exp(-nu s) decay, truncated once the damping is ~e^-45; one
+    # edge table for all rows, edges past smax clamped to it and the empty
+    # panels this leaves dropped
+    smax = np.minimum(v[n2:] / E, 45.0 / nmin)
+    edges = np.column_stack([np.zeros(n2), np.minimum(0.5 / nmin * _DOUBLING, smax[:, None])])
+    keep = edges[:, 1:] > edges[:, :-1]
+    a, b = edges[:, :-1][keep], edges[:, 1:][keep]
+    leg = (np.repeat(n2 + np.nonzero(keep)[0], len(_XG16)),
+           ((a + b)[:, None] / 2 + (b - a)[:, None] / 2 * _XG16[None, :]).ravel(),
+           ((b - a)[:, None] / 2 * _WG16[None, :]).ravel(), np.zeros(len(a) * len(_XG16)))
+    return tuple(np.concatenate(parts) for parts in zip(lag, leg))
 
 
-def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
-    g = ctx.grid
-    n = g.n
+def _flight_terms(E: float, ctx: CollisionContext, A: float, B: float):
+    """The points of `_flight_points` as (row, q, w): point k adds w_k h(q_k)
+    to row `row`, with q = v - E s and w = c exp(z - damp)."""
     row, s, c, z = _flight_points(E, ctx)
-    v = g.nodes[row]
+    v = ctx.grid.nodes[row]
     q = v - E * s
     # the damping int_0^s nu(v - E t) dt of nu = A + B/(1+|w|) in closed form,
     # A s plus B/E times the log of (1 + max(|v|,|q|))/(1 + min(|v|,|q|)) while
     # the flight stays on one side of 0, or of (1+|v|)(1+|q|) once it crossed it
-    A, B = ctx.cross_section.nu_coefficients(*ctx.nu_moments)
     av, aq = np.abs(v), np.abs(q)
     logs = np.where((q >= 0) == (v >= 0), np.log1p(E * s / (1.0 + np.minimum(av, aq))),
                     np.log1p(av) + np.log1p(aq))
-    w = c * np.exp(z - A * s - B / E * logs)
+    return row, q, c * np.exp(z - A * s - B / E * logs)
+
+
+def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
+    g = ctx.grid
+    n, n2 = g.n, g.n // 2
+    A, B = ctx.cross_section.nu_coefficients(*ctx.nu_moments)
+    row, q, w = _flight_terms(E, ctx, A, B)
     P = np.zeros(n * n)
     outside = np.abs(q) > g.vmax
     for lo in range(0, len(q), _PLAN_BLOCK):
         blk = slice(lo, lo + _PLAN_BLOCK)
         inside = ~outside[blk]
         cols, coef = g.interp_rows(q[blk][inside])
-        P += np.bincount((row[blk][inside, None] * n + cols).ravel(),
-                         (coef * w[blk][inside, None]).ravel(), minlength=n * n)
-    return _FlightPlan(E, P.reshape(n, n), row[outside], q[outside], w[outside])
+        cols += row[blk][inside] * n
+        coef *= w[blk][inside]
+        P += np.bincount(cols.ravel(), coef.ravel(), minlength=n * n)
+    P = P.reshape(n, n)
+    # rows v > 0 past the kink, s = v/E + z/nu_min, share the points
+    # q = -E z/nu_min, and their damping splits into a row part
+    # A v/E + B/E log1p(v) and a point part A z/nu_min + B/E log1p(|q|): their
+    # block of P is the rank-one r (x) p, p the weighted rows of the points
+    zn = _LAG_Z / ctx.nu_min
+    qs = -E * zn
+    ws = _LAG_W / ctx.nu_min * np.exp(_LAG_Z - A * zn - B / E * np.log1p(E * zn))
+    vp = g.nodes[n2:]
+    r = np.exp(-A * vp / E - B / E * np.log1p(vp))
+    far = -qs > g.vmax
+    cols, coef = g.interp_rows(qs[~far])
+    P[n2:] += np.outer(r, np.bincount(cols.ravel(), (coef * ws[~far]).ravel(), minlength=n))
+    # their points beyond vmax join the tail points once per row
+    rows_out = np.concatenate([row[outside], np.repeat(np.arange(n2, n), np.count_nonzero(far))])
+    q_out = np.concatenate([q[outside], np.tile(qs[far], n2)])
+    w_out = np.concatenate([w[outside], np.outer(r, ws[far]).ravel()])
+    return _FlightPlan(E, P, rows_out, q_out, w_out)
 
 
 def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> VelocityProfile:
     """Inverse of A = nu + E d/dv along accelerated flights.
 
     (A^-1 h)(v) = int_0^inf exp(-int_0^s nu(v - E tau) dtau) h(v - E s) ds,
-    with the damping integral in closed form (`_build_flight_plan`), free of
+    with the damping integral in closed form (`_flight_terms`), free of
     cancellation at any E.  nu and h may have a |v|-type kink at v = 0, so
     the s-integral is split at the crossing s = v/E: composite Gauss-Legendre
     before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.  Beyond

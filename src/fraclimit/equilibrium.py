@@ -65,7 +65,7 @@ def _assemble_u(E: float, ctx: CollisionContext) -> np.ndarray:
     Solved for u/M (the L^2(M^-1) weighting; unscaled, far tails of ~1e-21
     come out as roundoff): the border column is 1, the constraint row w*M.
     E times the multiplier is the defect of F; it tracks the power iteration's
-    eig - 1 (within 1 % on build_grid(128, 40)) and is refused above its 1e-6.
+    eig - 1 (within 1 % on VelocityGrid(128, 40)) and is refused above its 1e-6.
     """
     g, n, M, alpha = ctx.grid, ctx.grid.n, ctx.M.values, ctx.alpha
 

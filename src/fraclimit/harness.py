@@ -15,7 +15,7 @@ from .collision import CollisionContext
 from .errors import InvalidInput
 from .macro import advance_macro, gaussian_bump, limit_operator
 from .params import ModelParams, validate
-from .velocity import build_grid
+from .velocity import VelocityGrid
 
 # width of the initial density bump of the kinetic and macro runs, and the
 # nodes of the macro grid
@@ -49,7 +49,7 @@ def _params_dict(params: ModelParams) -> dict:
 def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
     """(kappa, drift) of the macro run, from `limit_model` on a grid reaching
     at least |v| = 1000, far enough for D and mu(E) whatever the epsilon schedule."""
-    grid = build_grid(params.velocity_nodes, max(params.vmax, 1000.0))
+    grid = VelocityGrid(params.velocity_nodes, max(params.vmax, 1000.0))
     ctx = CollisionContext(grid, params.cross_section, params.alpha)
     return limit_model(ctx, params.field_spec.e0, scaling)
 
@@ -109,7 +109,7 @@ def run_operator_study(params: ModelParams) -> dict:
     """L_eps vs the limit operator across the epsilon schedule."""
     validate(params)
     eps_list = params.epsilon_schedule
-    grid = build_grid(params.velocity_nodes, params.vmax)
+    grid = VelocityGrid(params.velocity_nodes, params.vmax)
     ctx = CollisionContext(grid, params.cross_section, params.alpha)
     alpha = params.alpha
     E = params.field_spec.e0

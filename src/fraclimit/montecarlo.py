@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InvalidInput
 from .macro import MacroState
 from .params import CrossSection, ModelParams
-from .velocity import VelocityProfile, build_grid, eval_M, moment
+from .velocity import VelocityGrid, VelocityProfile, eval_M, moment
 
 BLOCK = 4096  # particles per random stream
 _CHUNK = 1 << 13  # sample_M proposals per round: bounds its scratch to ~200 kB
@@ -98,7 +98,7 @@ def nu_continuum(cross_section: CrossSection, alpha: float):
     callable: `CrossSection.nu` with m0 = 1 and m1 = int M/(1+|v|), the
     tail-corrected moment on a fixed grid to |v| = 1000 (within 1e-10 of
     the integral for alpha in [1, 2))."""
-    g = build_grid(128, 1e3)
+    g = VelocityGrid(128, 1e3)
     i1 = moment(VelocityProfile(g, eval_M(g.nodes, alpha) / (1.0 + np.abs(g.nodes))), 0)
     return lambda v: cross_section.nu(v, 1.0, i1)
 

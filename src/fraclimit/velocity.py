@@ -114,37 +114,38 @@ class VelocityGrid:
         inside = np.abs(x) <= self.vmax
         out = np.empty(len(x))
         cols, coef = self.interp_rows(x[inside])
-        out[inside] = np.sum(coef * values[cols], axis=1)
+        out[inside] = np.sum(coef * values[cols], axis=0)
         if not inside.all():
             out[~inside] = Tail(self, values)(x[~inside])
         return out[0] if scalar else out
 
     def interp_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Barycentric rows of points with |x| <= vmax.
+        """Barycentric rows of points with |x| <= vmax, node-major.
 
-        Returns (cols, coef), both of shape (len(x), PANEL_PTS), such that
-        `interp(f, x)` equals sum(coef * f[cols], axis=1): inside the grid,
+        Returns (cols, coef), both of shape (PANEL_PTS, len(x)), such that
+        `interp(f, x)` equals sum(coef * f[cols], axis=0): inside the grid,
         interpolation is linear in the nodal values f.  A point on a node
-        gets a one-hot row.
+        gets a one-hot column.  Node-major, each of the PANEL_PTS passes of
+        the barycentric formula runs over one contiguous row.
         """
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         k = np.clip(np.searchsorted(self.edges, ax, side="right") - 1, 0, self.K - 1)
         # s on the panel map of __init__ (the log is taken only where k > 0)
         s = np.log(ax, out=ax.copy(), where=k > 0)
-        d = ((s - self.mid[k]) / self.half[k])[:, None] - _XG
-        exact = np.abs(d) < 1e-14
-        d[exact] = 1.0
-        coef = np.divide(_BW, d, out=d)
-        coef /= coef.sum(axis=1, keepdims=True)
-        hit = exact.any(axis=1)
-        coef[hit] = exact[hit]
+        t = (s - self.mid[k]) / self.half[k]
+        d = t - _XG[:, None]
+        hit = np.abs(d).min(axis=0) < 1e-14
+        d[:, hit] = 1.0
+        coef = np.divide(_BW[:, None], d, out=d)
+        coef /= coef.sum(axis=0)
+        coef[:, hit] = np.abs(t[hit] - _XG[:, None]) < 1e-14
         # panel k holds the nodes n2 + 16k + j (v > 0) and n2 - 1 - 16k - j (v < 0)
         n2 = self.n // 2
         neg = x < 0
-        first = np.where(neg, n2 - 1 - PANEL_PTS * k, n2 + PANEL_PTS * k)
-        step = np.where(neg, -1, 1)
-        return first[:, None] + step[:, None] * np.arange(PANEL_PTS), coef
+        cols = np.multiply.outer(np.arange(PANEL_PTS), np.where(neg, -1, 1))
+        cols += np.where(neg, n2 - 1 - PANEL_PTS * k, n2 + PANEL_PTS * k)
+        return cols, coef
 
     def deriv(self, values: np.ndarray) -> np.ndarray:
         """Per-panel spectral derivative d/dv of nodal values."""
@@ -162,11 +163,6 @@ class VelocityGrid:
 
     def __repr__(self):
         return f"VelocityGrid(n={self.n}, vmax={self.vmax})"
-
-
-def build_grid(n_nodes: int, vmax: float) -> VelocityGrid:
-    """Symmetric heavy-tail-aware grid whose linear inner panel is [0, 1]."""
-    return VelocityGrid(n_nodes, vmax)
 
 
 class VelocityProfile:
@@ -219,13 +215,16 @@ def _tail_fit3(vv: np.ndarray, pp: np.ndarray, side: str) -> tuple[float, float,
     """Fit log p = log c - q log v + log(1 + b v^-2), linearized in (log c, q, b).
 
     Raises TailDivergence, naming the side, its nodes and its values, when
-    c, q or b is not finite (three roundoff values can put log c past the
-    float range).
+    the system is singular or c, q or b is not finite (three roundoff values
+    can put log c past the float range).
     """
     sol = np.full(3, np.nan)
     if np.all(np.isfinite(pp)):
         A = np.column_stack([np.ones(3), -np.log(vv), vv ** -2.0])
-        sol, *_ = np.linalg.lstsq(A, np.log(pp), rcond=None)
+        try:  # three points, three unknowns: exactly determined
+            sol = np.linalg.solve(A, np.log(pp))
+        except np.linalg.LinAlgError:  # singular: sol stays nan
+            pass
         if np.all(np.isfinite(sol)) and sol[0] <= _LOG_MAX:
             return math.exp(sol[0]), sol[1], sol[2]
     raise TailDivergence(

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from fraclimit import CollisionContext, CrossSection, build_grid
+from fraclimit import CollisionContext, CrossSection, VelocityGrid
 
 
 @pytest.fixture(scope="session")
 def grid128():
-    return build_grid(128, 200.0)
+    return VelocityGrid(128, 200.0)
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ from fraclimit import (
     CrossSection,
     MacroState,
     ModelParams,
+    VelocityGrid,
     advance,
-    build_grid,
     c_d_alpha,
     chi_decay_check,
     dissipation_Q,
@@ -86,13 +86,13 @@ def test_02_constant_sigma_identities():
     errs = {}
     for alpha in (1.25, 1.5, 1.75):
         # the lambda identity is tail-limited at roughly vmax^-alpha
-        ctx = CollisionContext(build_grid(160, 1e6), CrossSection(1.0), alpha)
+        ctx = CollisionContext(VelocityGrid(160, 1e6), CrossSection(1.0), alpha)
         lam = solve_lambda(ctx)
         errs[f"lambda(a={alpha})"] = float(
             np.max(np.abs(lam.profile.values + eval_M_deriv(ctx.grid.nodes, alpha)))
         )
         errs[f"D(a={alpha})"] = abs(matrix_D(lam, ctx) - 1.0)
-    ctx1 = CollisionContext(build_grid(160, 1e5), CrossSection(1.0), 1.0)
+    ctx1 = CollisionContext(VelocityGrid(160, 1e5), CrossSection(1.0), 1.0)
     for E in (0.25, 0.5, 1.0):
         errs[f"mu(E={E})"] = abs(drift_mu(E, ctx1) - E)
     ok = (
@@ -215,7 +215,7 @@ def test_08_end_to_end_limit():
     p = _params(alpha=1.0, field_spec=FieldSpec(0.5))
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
     ens = advance(ens, 0.05, p, p.final_time)
-    ctx = CollisionContext(build_grid(128, 200.0), CrossSection(1.0), 1.0)
+    ctx = CollisionContext(VelocityGrid(128, 200.0), CrossSection(1.0), 1.0)
     F = solve_F(0.5, ctx)  # alpha=1: effective field is E itself
     ks = stats.kstest(ens.v, _F_cdf_factory(F.profile, ctx.grid)).statistic
     ok &= ks < 0.01

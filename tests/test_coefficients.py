@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from fraclimit import (
     CollisionContext,
     CrossSection,
-    build_grid,
+    VelocityGrid,
     c_d_alpha,
     drift_mu,
     gamma_of_M,
@@ -63,7 +63,7 @@ def test_kappa_rejects_bad_args():
 
 
 def test_matrix_D_identity():
-    ctx = CollisionContext(build_grid(160, 1e5), CrossSection(1.0), 1.5)
+    ctx = CollisionContext(VelocityGrid(160, 1e5), CrossSection(1.0), 1.5)
     D = matrix_D(solve_lambda(ctx), ctx)
     assert D == pytest.approx(1.0, abs=1e-6)
 
@@ -71,7 +71,7 @@ def test_matrix_D_identity():
 def test_matrix_D_refuses_non_finite_D():
     # a left tail decaying like |v|^-1.5 makes int v lambda dv diverge,
     # which cannot happen for the true lambda at alpha > 1
-    g = build_grid(160, 1e6)
+    g = VelocityGrid(160, 1e6)
     ctx = CollisionContext(g, CrossSection(1.0), 1.25)
     vals = -eval_M_deriv(g.nodes, 1.25)
     vals[:3] = np.sign(vals[:3]) * 1e-3 * np.abs(g.nodes[:3]) ** -1.5
@@ -80,7 +80,7 @@ def test_matrix_D_refuses_non_finite_D():
 
 
 def test_matrix_D_refuses_critical_case():
-    ctx = CollisionContext(build_grid(128, 200.0), CrossSection(1.0), 1.0)
+    ctx = CollisionContext(VelocityGrid(128, 200.0), CrossSection(1.0), 1.0)
     with pytest.raises(TailDivergence):
         matrix_D(solve_lambda(ctx), ctx)
 

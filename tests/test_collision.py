@@ -4,17 +4,18 @@ import pytest
 from fraclimit import (
     CollisionContext,
     CrossSection,
+    VelocityGrid,
     VelocityProfile,
     apply_A_inverse,
     apply_K,
     apply_Q,
     apply_T,
-    build_grid,
     dissipation_Q,
     dissipation_T,
     equilibrium_profile,
     gamma_of_M,
 )
+from fraclimit.collision import _flight_points
 from fraclimit.equilibrium import solve_F
 from fraclimit.errors import InvalidInput
 
@@ -78,7 +79,7 @@ def test_K_positive(ctx15, rng):
 
 
 def test_grid_mismatch(ctx15):
-    other = build_grid(160, 200.0)
+    other = VelocityGrid(160, 200.0)
     f = equilibrium_profile(other, 1.5)
     with pytest.raises(InvalidInput, match="profile grid differs from context grid"):
         apply_Q(f, ctx15)
@@ -108,7 +109,7 @@ def test_A_inverse_positivity(ctx15):
 def test_T_residual_on_equilibrium():
     # demanding tolerance needs a far-out grid: the residual floor is set by
     # the tail mass beyond vmax
-    grid = build_grid(192, 4000.0)
+    grid = VelocityGrid(192, 4000.0)
     ctx = CollisionContext(grid, CrossSection(1.0), 1.5)
     F = solve_F(0.5, ctx)
     res = apply_T(F.profile, 0.5, ctx)
@@ -192,7 +193,7 @@ def _A_inverse_reference(h, E, ctx):
 @pytest.fixture(scope="module")
 def ctx15p_short():
     # short grid: the Laguerre points leave [-vmax, vmax] and use the tail fit
-    return CollisionContext(build_grid(128, 40.0), CrossSection(1.0, 0.5), 1.5)
+    return CollisionContext(VelocityGrid(128, 40.0), CrossSection(1.0, 0.5), 1.5)
 
 
 @pytest.mark.parametrize("E", [0.5, -0.5, 0.05])
@@ -215,3 +216,81 @@ def test_A_inverse_plan_memo_not_stale(ctx15p_short):
     for E, got in zip(fields, shared):
         fresh = solve_F(E, CollisionContext(grid, CrossSection(1.0, 0.5), 1.5))
         assert np.array_equal(got, fresh.profile.values)
+
+
+def _panel_points_per_row(E, ctx):
+    """The doubling Legendre panels before the kink s0 = v/E, row by row:
+    edges 0, 0.5/nu_min doubling while below smax = min(s0, 45/nu_min), smax."""
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    nmin = ctx.nu_min
+    rows, ss, cs = [], [], []
+    for i, v in enumerate(ctx.grid.nodes):
+        if v <= 0:
+            continue
+        smax = min(v / E, 45.0 / nmin)
+        edges = [0.0]
+        t = min(0.5 / nmin, smax)
+        while t < smax:
+            edges.append(t)
+            t *= 2.0
+        edges.append(smax)
+        a, b = np.array(edges[:-1]), np.array(edges[1:])
+        rows.append(np.full(len(a) * len(xg), i))
+        ss.append(((a + b)[:, None] / 2 + (b - a)[:, None] / 2 * xg[None, :]).ravel())
+        cs.append(((b - a)[:, None] / 2 * wg[None, :]).ravel())
+    return tuple(np.concatenate(parts) for parts in (rows, ss, cs))
+
+
+@pytest.mark.parametrize("E", [0.05, 0.5, 50.0])
+def test_flight_points_match_per_row_doubling(ctx15p_short, E):
+    # E = 50 leaves the inner rows a single panel (s0 < 0.5/nu_min), E = 0.05
+    # truncates the outer ones at 45/nu_min
+    ctx = ctx15p_short
+    n2 = ctx.grid.n // 2
+    row, s, c, z = _flight_points(E, ctx)
+    leg = row >= n2
+    for got, ref in zip((row[leg], s[leg], c[leg]), _panel_points_per_row(E, ctx)):
+        assert np.array_equal(got, ref)
+    assert np.all(z[leg] == 0.0)
+    # rows v < 0: the plain Laguerre rule, 64 points each
+    zl, wl = np.polynomial.laguerre.laggauss(64)
+    assert np.array_equal(row[~leg], np.repeat(np.arange(n2), 64))
+    assert np.array_equal(s[~leg], np.tile(zl / ctx.nu_min, n2))
+    assert np.array_equal(c[~leg], np.tile(wl / ctx.nu_min, n2))
+
+
+def _A_inverse_per_point(h, E, ctx):
+    """A^-1 h (E > 0) with every row's Laguerre points past the kink taken on
+    their own, s = v/E + z/nu_min: the closed-form damping and an
+    interpolation of h (its tail beyond vmax) at each point."""
+    g = ctx.grid
+    n2 = g.n // 2
+    zl, wl = np.polynomial.laguerre.laggauss(64)
+    row, s, c, z = _flight_points(E, ctx)
+    pos = np.arange(n2, g.n)
+    row = np.concatenate([row, np.repeat(pos, 64)])
+    s = np.concatenate([s, (g.nodes[pos, None] / E + zl / ctx.nu_min).ravel()])
+    c = np.concatenate([c, np.tile(wl / ctx.nu_min, n2)])
+    z = np.concatenate([z, np.tile(zl, n2)])
+    v = g.nodes[row]
+    q = v - E * s
+    A, B = ctx.cross_section.nu_coefficients(*ctx.nu_moments)
+    av, aq = np.abs(v), np.abs(q)
+    same_side = (q >= 0) == (v >= 0)
+    logs = np.where(same_side, np.log1p(E * s / (1.0 + np.minimum(av, aq))), np.log1p(av) + np.log1p(aq))
+    w = c * np.exp(z - A * s - B / E * logs)
+    return np.bincount(row, w * g.interp(h.values, q), minlength=g.n)
+
+
+@pytest.mark.parametrize("E", [0.5, 0.05])
+@pytest.mark.parametrize("amplitude", [0.5, -0.5, 0.0])
+def test_A_inverse_shared_block_matches_per_point_assembly(ctx15p_short, amplitude, E):
+    ctx = CollisionContext(ctx15p_short.grid, CrossSection(1.0, amplitude), 1.5)
+    v = ctx.grid.nodes
+    h = VelocityProfile(ctx.grid, ctx.nu.values * ctx.M.values * (1 + 0.4 * np.tanh(v)))
+    out = apply_A_inverse(h, E, ctx).values
+    ref = _A_inverse_per_point(h, E, ctx)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # at E = 0.5 some shared points lie beyond vmax: every row v > 0 gets them
+    shared_out = np.unique(ctx._flight_plan.rows_out[v[ctx._flight_plan.rows_out] > 0])
+    assert len(shared_out) == (ctx.grid.n // 2 if E == 0.5 else 0)

@@ -6,9 +6,9 @@ import pytest
 from fraclimit import (
     CollisionContext,
     CrossSection,
+    VelocityGrid,
     VelocityProfile,
     apply_Q,
-    build_grid,
     deviation_R,
     drift_mu,
     moment,
@@ -23,7 +23,7 @@ from fraclimit.errors import InvalidInput, SolverFailure
 @pytest.fixture(scope="module")
 def big_ctx1():
     # drift identities are tail-mass limited; push vmax out
-    return CollisionContext(build_grid(160, 1e5), CrossSection(1.0), 1.0)
+    return CollisionContext(VelocityGrid(160, 1e5), CrossSection(1.0), 1.0)
 
 
 def test_field_free_is_M(ctx15):
@@ -93,7 +93,7 @@ def test_perturbed_sigma_uses_linear_solve(ctx15p):
     Fm = solve_F(-0.25, ctx15p).profile.values
     assert np.max(np.abs(Fm - F.profile.values[::-1])) < 1e-12 * np.max(F.profile.values)
     # both routes refuse the same unresolved grid (Perron eigenvalue 0.9999988)
-    ctx = CollisionContext(build_grid(128, 40), CrossSection(1.0, 0.5), 1.5)
+    ctx = CollisionContext(VelocityGrid(128, 40), CrossSection(1.0, 0.5), 1.5)
     with pytest.raises(SolverFailure, match="border multiplier"):
         solve_F(0.5, ctx)
     with pytest.raises(SolverFailure, match="dominant eigenvalue"):
@@ -102,7 +102,7 @@ def test_perturbed_sigma_uses_linear_solve(ctx15p):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_linear_matches_power_iteration(alpha):
-    ctx = CollisionContext(build_grid(128, 400), CrossSection(1.0, 0.5), alpha)
+    ctx = CollisionContext(VelocityGrid(128, 400), CrossSection(1.0, 0.5), alpha)
     for E in (0.5, 0.05, 1e-4):
         Fl = solve_F(E, ctx).profile.values
         Fp = solve_F(E, ctx, method="power_iteration").profile.values
@@ -126,7 +126,7 @@ def test_tiny_field_is_first_order(ctx15p, E):
     [(128, 1000.0, CrossSection(1.0, 0.5), 1.5), (160, 1e5, CrossSection(1.0), 1.0)],
 )
 def test_drift_mu_over_E_tends_to_int_v_lambda(nodes, vmax, cross_section, alpha):
-    ctx = CollisionContext(build_grid(nodes, vmax), cross_section, alpha)
+    ctx = CollisionContext(VelocityGrid(nodes, vmax), cross_section, alpha)
     D = moment(solve_lambda(ctx).profile, 1)
 
     def gap(E):
@@ -142,7 +142,7 @@ def test_drift_mu_over_E_gap_is_second_order():
     # is even as F(v, -E) = F(-v, E): the gap is O(E^2), each factor 10 in E
     # cuts it 100-fold, and at E = 1e-6 only a damping free of cancellation
     # resolves it
-    ctx = CollisionContext(build_grid(128, 200.0), CrossSection(1.0, 0.5), 1.5)
+    ctx = CollisionContext(VelocityGrid(128, 200.0), CrossSection(1.0, 0.5), 1.5)
     D = moment(solve_lambda(ctx).profile, 1)
     scaled = [(drift_mu(E, ctx) / E - D) / E**2 for E in (1e-4, 1e-5, 1e-6)]
     assert scaled[0] > 0
@@ -151,7 +151,7 @@ def test_drift_mu_over_E_gap_is_second_order():
 
 
 def test_lambda_constant_sigma_is_minus_M_prime():
-    ctx = CollisionContext(build_grid(160, 1e5), CrossSection(1.0), 1.5)
+    ctx = CollisionContext(VelocityGrid(160, 1e5), CrossSection(1.0), 1.5)
     lam = solve_lambda(ctx)
     assert np.max(np.abs(lam.profile.values + eval_M_deriv(ctx.grid.nodes, 1.5))) < 1e-8
     # zero-mean constraint is enforced exactly
@@ -162,7 +162,7 @@ def test_lambda_constant_sigma_is_minus_M_prime():
 def test_lambda_residual_is_M_weighted(alpha):
     # the reported residual is max |Q(lambda) - M'| / M, which resolves the
     # far tail where M ~ 1e-15 and lambda ~ 1e-21
-    ctx = CollisionContext(build_grid(160, 1e6), CrossSection(1.0, 0.5), alpha)
+    ctx = CollisionContext(VelocityGrid(160, 1e6), CrossSection(1.0, 0.5), alpha)
     lam = solve_lambda(ctx)
     rho = np.max(
         np.abs(apply_Q(lam.profile, ctx).values - eval_M_deriv(ctx.grid.nodes, alpha))

@@ -166,6 +166,33 @@ def test_cli_kinetic_run(tmp_path):
     assert len(lines) == 1 + 2 * 16
 
 
+def test_cli_kinetic_run_final_time_follows_snapshots(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "kinetic-run", "--particles", "1000",
+                 "--final-time", "0.01", "--snapshot", "0.005"]) == 0
+    manifest = json.loads((tmp_path / "kinetic_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["snapshots"] == [0.005, 0.01]
+    rows = (tmp_path / "kinetic_run.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.005] * 16 + [0.01] * 16
+
+
+def test_cli_macro_run_final_time_follows_snapshots(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "macro-run",
+                 "--final-time", "0.01", "--snapshot", "0.005"]) == 0
+    rows = (tmp_path / "macro_run.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.005] * 512 + [0.01] * 512
+
+
+@pytest.mark.parametrize("command", ["kinetic-run", "macro-run"])
+def test_cli_refuses_snapshot_past_final_time(tmp_path, command):
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(InvalidInput, match=r"snapshot 0.02 lies past --final-time 0.01"):
+        main(["--config", cfg, "--out", str(tmp_path), command,
+              "--final-time", "0.01", "--snapshot", "0.005", "--snapshot", "0.02"])
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_cli_rejects_threads_below_one(tmp_path, threads):
     cfg = _write_cfg(tmp_path)

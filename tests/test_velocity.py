@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from fraclimit import (
     VelocityGrid,
     VelocityProfile,
-    build_grid,
     equilibrium_profile,
     eval_M,
     gamma_of_M,
@@ -17,14 +16,14 @@ from fraclimit import (
 )
 from fraclimit.equilibrium import eval_M_deriv
 from fraclimit.errors import InvalidInput, TailDivergence
-from fraclimit.velocity import Tail
+from fraclimit.velocity import PANEL_PTS, Tail
 
 
 def test_build_grid_validation():
     with pytest.raises(InvalidInput, match="n_nodes=100 must be a positive multiple of 32"):
-        build_grid(100, 50.0)  # not a multiple of 32
+        VelocityGrid(100, 50.0)  # not a multiple of 32
     with pytest.raises(InvalidInput, match="n_nodes=-64 must be a positive multiple"):
-        build_grid(-64, 50.0)
+        VelocityGrid(-64, 50.0)
     # the linear inner panel is [0, 1], so vmax must exceed 1
     for vmax in (-1.0, 1.0, float("inf"), float("nan")):
         with pytest.raises(InvalidInput, match=f"vmax={vmax} must be finite and exceed 1"):
@@ -80,7 +79,7 @@ def test_moment_richardson():
     # halving the resolution changes tail-corrected moments below 1e-6
     vals = []
     for n in (128, 256):
-        g = build_grid(n, 200.0)
+        g = VelocityGrid(n, 200.0)
         vals.append(moment(equilibrium_profile(g, 1.5), 0.5))
     assert abs(vals[1] - vals[0]) < 1e-6
 
@@ -115,7 +114,7 @@ def test_profile_algebra(grid128):
     b = 2.0 * a
     assert np.allclose((b - a).values, a.values)
     assert np.allclose((a + a).values, b.values)
-    other = build_grid(160, 200.0)
+    other = VelocityGrid(160, 200.0)
     with pytest.raises(InvalidInput, match="profiles live on different grids"):
         a + equilibrium_profile(other, 1.5)
     with pytest.raises(InvalidInput, match="profile contains non-finite entries"):
@@ -152,11 +151,24 @@ def test_interp_rows_linear_form(grid128):
     x = np.concatenate([grid128.nodes, rng.uniform(-vmax, vmax, 200), [0.0],
                         edges, -edges, [vmax, -vmax]])
     cols, coef = grid128.interp_rows(x)
-    lin = np.sum(coef * m[cols], axis=1)
+    # node-major: one row per panel point, one column per x
+    assert cols.shape == coef.shape == (PANEL_PTS, len(x))
+    lin = np.sum(coef * m[cols], axis=0)
+    # a point on a node gets the one-hot column of that node
+    on_node = coef[:, : grid128.n] == 1.0
+    assert np.all(on_node.sum(axis=0) == 1) and np.all(coef[:, : grid128.n][~on_node] == 0.0)
+    assert np.array_equal(np.sum(cols[:, : grid128.n] * on_node, axis=0), np.arange(grid128.n))
     assert np.array_equal(lin[: grid128.n], m)
     assert np.allclose(lin, grid128.interp(m, x), rtol=1e-14, atol=0)
     # panel boundaries (t = -1 or +1) and 0 interpolate M like interior points
     assert np.max(np.abs(lin - eval_M(x, 1.5))) < 1e-9
+
+
+@pytest.mark.parametrize("vv", [[2.0, 2.0, 3.0], [1e160, 2e160, 3e160]])
+def test_tail_fit_refuses_singular_system(vv):
+    # a repeated node, or v^-2 underflowing to 0: the 3 x 3 system is singular
+    with pytest.raises(TailDivergence, match=r"right tail fit .* is not finite"):
+        Tail.fit(np.array(vv), np.array([1.0, 0.5, 0.2]), "right")
 
 
 _pos = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
