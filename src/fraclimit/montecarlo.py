@@ -3,18 +3,19 @@
 Initial data are well prepared, rho_0(x) M(v): x uniform or exactly the
 periodized Gaussian (`init_ensemble`), v from `sample_M`, an exact
 rejection sampler with a Cauchy proposal.  Per particle: free flight in the
-constant field E (velocity drift E/eps, positions in closed form),
+constant field E = e0 (velocity drift E/eps, positions in closed form),
 collisions at the events of a Poisson clock with the majorant rate
 nu2/eps^alpha, post-collision velocity from the gain kernel.
 
 The cross section's amplitude picks the path.  At amplitude 0 (constant
 sigma) every candidate is a collision and each post-collision velocity is a
 fresh M sample, independent of the past.  The whole clock is then drawn up
-front: K ~ Poisson(rate*tau) collisions in the interval tau, K+1 flight
-times as Dirichlet spacings (normalised exponentials), and one fused pass
-sums the flights per particle.  A nonzero amplitude (thinning acceptance
-nu(v)/nu2, gain-kernel rejection) takes the candidate loop, one exponential
-candidate per live particle and round.  E is the params' field e0.
+front: K ~ Poisson(rate*tau) collisions in the interval tau, and K+1 flight
+times as Dirichlet spacings (normalised exponentials), the K after a
+collision being the Exp(1) excesses of the rejection test that accepted its
+velocity; one fused pass sums the flights per particle.  A nonzero amplitude
+(thinning acceptance nu(v)/nu2, gain-kernel rejection) takes the candidate
+loop, one exponential candidate per live particle and round.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Results depend on the seed
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import InvalidInput
 from .macro import MacroState
 from .params import CrossSection, ModelParams
-from .velocity import VelocityGrid, VelocityProfile, eval_M, moment
+from .velocity import VelocityGrid, VelocityProfile, eval_M, moment, norm_Z
 
 BLOCK = 4096  # particles per random stream
 _CHUNK = 1 << 13  # sample_M proposals per round: bounds its scratch to ~200 kB
@@ -55,41 +56,58 @@ def _cauchy(rng: np.random.Generator, out: np.ndarray):
     np.tan(out, out=out)
 
 
-def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None):
+def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess=None):
     """Exact draws from M(v) = (1 + v^2)^(-(1+alpha)/2) / Z_M(alpha), alpha >= 1.
 
     Rejection from a Cauchy proposal (Devroye 1986, II.3): c = tan(pi (U - 1/2))
-    is accepted iff an Exp(1) variate exceeds (alpha-1)/2 log(1 + c^2), i.e.
-    U' < (1 + c^2)^((1-alpha)/2) = (pi/Z_M) M(c) / Cauchy(c) <= 1.  A proposal
-    is accepted with probability Z_M(alpha)/pi (0.76 at alpha = 1.5).  At
-    alpha = 1, M is the Cauchy law and c is returned without a test.
-    Otherwise proposals are made in rounds of at most _CHUNK, each covering
-    only the draws still missing.  `size=None` returns a scalar; a contiguous
-    float array `out` is filled and returned in place of a new array.
+    is accepted iff an Exp(1) variate E exceeds t(c) = (alpha-1)/2 log(1 + c^2),
+    i.e. U' < (1 + c^2)^((1-alpha)/2) = (pi/Z_M) M(c) / Cauchy(c) <= 1, with
+    probability p = Z_M(alpha)/pi (0.76 at alpha = 1.5).  For the m draws still
+    missing a round makes min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) proposals and
+    keeps the first m accepted.  At alpha = 1, M is the Cauchy law: no test.
+    `excess` is filled with E - t(c) of each accepted c, i.i.d. Exp(1) and
+    independent of the draws, since the exponential is memoryless (at
+    alpha = 1, fresh Exp(1) draws).  `size=None` returns a scalar; `out` is
+    filled and returned in place of a new array.  `out` and `excess` must be
+    writeable C-contiguous float64 arrays of the result's shape.
     """
     if alpha < 1.0:
         raise InvalidInput(f"alpha={alpha} < 1: M is not dominated by the Cauchy law")
-    out = np.empty(() if size is None else size) if out is None else out
-    flat = out.reshape(-1)
+    shape = np.shape(out) if size is None else (size,) if np.ndim(size) == 0 else tuple(size)
+    out = np.empty(shape) if out is None else out
+    for name, a in (("out", out), ("excess", excess)):
+        if a is not None and not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
+                                  and a.flags.c_contiguous and a.flags.writeable):
+            raise InvalidInput(f"{name} must be a writeable C-contiguous float64 array of shape {shape}")
+    flat, xs = out.reshape(-1), None if excess is None else excess.reshape(-1)
     if alpha == 1.0:
         _cauchy(rng, flat)
+        if xs is not None:
+            rng.standard_exponential(out=xs)
     else:
-        m = min(flat.size, _CHUNK)
-        c, t, e, keep = np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-        h = 0.5 * (alpha - 1.0)
-        filled = 0
+        p, h = norm_Z(alpha) / math.pi, 0.5 * (alpha - 1.0)
+
+        def proposals(m):  # about 4 sigma more accepted than the m missing, at p >= 2/pi
+            return min(math.ceil(m / p + 3.0 * math.sqrt(m / p)) + 8, _CHUNK)
+
+        c, t, e = np.empty((3, proposals(flat.size)))
+        keep, filled = np.empty(len(c), dtype=bool), 0
         while filled < flat.size:
-            m = min(flat.size - filled, _CHUNK)
-            cm, tm, em, km = c[:m], t[:m], e[:m], keep[:m]
+            m = flat.size - filled
+            r = proposals(m)
+            cm, tm, em, km = c[:r], t[:r], e[:r], keep[:r]
             _cauchy(rng, cm)
             np.multiply(cm, cm, out=tm)
             np.log1p(tm, out=tm)
             tm *= h
             rng.standard_exponential(out=em)
             np.greater(em, tm, out=km)
-            k = np.count_nonzero(km)
-            np.compress(km, cm, out=flat[filled:filled + k])
-            filled += k
+            i = km.nonzero()[0][:m]  # the first m accepted
+            np.take(cm, i, out=flat[filled:filled + len(i)], mode="clip")  # i is in range; "raise" buffers
+            if xs is not None:
+                em -= tm
+                np.take(em, i, out=xs[filled:filled + len(i)], mode="clip")
+            filled += len(i)
     return out[()]
 
 
@@ -140,23 +158,23 @@ def _flight(x, v, dt, E, xfac, eps, L):
 
 
 def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
-    """Constant sigma: draw each particle's whole clock and
-    sum its flights in one fused pass.  Returns the number of collisions.
+    """Constant sigma: draw each particle's whole clock and sum its flights
+    in one fused pass.  Returns the number of collisions.
 
     Draws k ~ Poisson(rate*tau), the first flights e0, then the K = sum(k)
-    later flights e and their start velocities w ~ M, each particle's at its
-    exclusive start, plus a zero sentinel slot for the trailing k = 0 ones.
-    The Dirichlet scale tau/(e0 + sum e) is applied after the per-particle
-    sums; without a collision the flight is exactly tau.
+    start velocities w ~ M with their flights e (`sample_M`'s excesses),
+    each particle's at its exclusive start, plus a zero sentinel slot for
+    the trailing k = 0 ones.  The Dirichlet scale tau/(e0 + sum e) is applied
+    after the per-particle sums; without a collision the flight is exactly tau.
     """
     k = rng.poisson(rate * tau, len(x))
     e0 = rng.standard_exponential(len(x))
     starts = np.zeros(len(x), dtype=np.int64)
     np.cumsum(k[:-1], out=starts[1:])
     K = int(starts[-1] + k[-1])
-    e, w = np.zeros(K + 1), np.zeros(K + 1)
-    rng.standard_exponential(out=e[:K])
-    sample_M(rng, alpha, out=w[:K])
+    e, w = np.empty(K + 1), np.empty(K + 1)
+    e[K] = w[K] = 0.0
+    sample_M(rng, alpha, out=w[:K], excess=e[:K])
     empty = k == 0
 
     def sums(a):  # per particle; reduceat gives an empty segment the next entry
@@ -256,6 +274,5 @@ def advance(
 
 def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
     """Histogram density, normalized to unit mass."""
-    counts, edges = np.histogram(ens.x, bins=x_bins, range=(0.0, ens.L))
-    dx = ens.L / x_bins
-    return MacroState(counts / (len(ens.x) * dx), ens.L, ens.t)
+    counts = np.histogram(ens.x, bins=x_bins, range=(0.0, ens.L))[0]
+    return MacroState(counts / (len(ens.x) * (ens.L / x_bins)), ens.L, ens.t)

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tracemalloc
 
@@ -14,6 +15,7 @@ from fraclimit import (
     estimate_density,
     eval_M,
     init_ensemble,
+    norm_Z,
     nu_continuum,
     sample_M,
 )
@@ -85,23 +87,79 @@ def test_sample_M_same_key_same_draws():
 
 
 def _sample_M_reference(rng, alpha, n):
-    # sample_M's rounds written out plainly: at most _CHUNK Cauchy proposals
-    # per round, only the shortfall, accepted iff Exp(1) > (alpha-1)/2 log(1+c^2)
-    out = []
-    while len(out) < n:
-        m = min(n - len(out), _CHUNK)
-        c = np.tan((rng.random(m) - 0.5) * np.pi)
-        keep = rng.standard_exponential(m) > 0.5 * (alpha - 1.0) * np.log1p(c * c)
-        out.extend(c[keep])
-    return np.array(out)
+    # sample_M's rounds written out plainly: for the m draws still missing,
+    # min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) Cauchy proposals c, accepted iff
+    # Exp(1) > t(c) = (alpha-1)/2 log(1+c^2); the first m accepted are kept,
+    # with their excesses Exp(1) - t(c).  At alpha = 1: n proposals, n Exp(1).
+    if alpha == 1.0:
+        return np.tan((rng.random(n) - 0.5) * np.pi), rng.standard_exponential(n)
+    p = norm_Z(alpha) / math.pi
+    v, excess = [], []
+    while len(v) < n:
+        m = n - len(v)
+        r = min(math.ceil(m / p + 3.0 * math.sqrt(m / p)) + 8, _CHUNK)
+        c = np.tan((rng.random(r) - 0.5) * np.pi)
+        t = 0.5 * (alpha - 1.0) * np.log1p(c * c)
+        e = rng.standard_exponential(r)
+        v.extend(c[e > t][:m])
+        excess.extend((e - t)[e > t][:m])
+    return np.array(v), np.array(excess)
 
 
 def test_sample_M_chunk_boundary():
     # one past a multiple of the chunk: the last rounds propose fewer than _CHUNK
     n = 2 * _CHUNK + 1
-    v = sample_M(_rng_for(4, 0), 1.5, n)
-    assert np.array_equal(v, _sample_M_reference(_rng_for(4, 0), 1.5, n))
+    excess = np.empty(n)
+    v = sample_M(_rng_for(4, 0), 1.5, n, excess=excess)
+    v_ref, excess_ref = _sample_M_reference(_rng_for(4, 0), 1.5, n)
+    assert np.array_equal(v, v_ref) and np.array_equal(excess, excess_ref)
     assert stats.kstest(v, lambda q: _M_cdf(q, 1.5)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.99])
+def test_sample_M_excess_is_exp1_independent_of_v(alpha):
+    # memorylessness: E - t(c) given acceptance is Exp(1) whatever c is
+    n = 200_000
+    excess = np.empty(n)
+    v = sample_M(_rng_for(6, 0), alpha, n, excess=excess)
+    assert isinstance(v, np.ndarray) and v.shape == (n,)  # the velocities alone
+    v_ref, excess_ref = _sample_M_reference(_rng_for(6, 0), alpha, n)
+    assert np.array_equal(v, v_ref) and np.array_equal(excess, excess_ref)
+    assert stats.kstest(excess, "expon").pvalue > 1e-3
+    slow = np.abs(v) < np.median(np.abs(v))
+    assert stats.ks_2samp(excess[slow], excess[~slow]).pvalue > 1e-3
+
+
+class _CountingRng:
+    # one standard_exponential call per rejection round
+    def __init__(self, rng):
+        self.rng, self.rounds = rng, 0
+
+    def __getattr__(self, name):
+        self.rounds += name == "standard_exponential"
+        return getattr(self.rng, name)
+
+
+def test_sample_M_block_takes_few_rounds():
+    rng = _CountingRng(_rng_for(7, 0))
+    sample_M(rng, 1.5, BLOCK)
+    assert 1 <= rng.rounds <= 3
+
+
+@pytest.mark.parametrize(
+    "alpha, size, out, excess",
+    [
+        (1.5, None, np.full((4, 4), 7.0)[:, :2], None),  # not contiguous: a reshape would copy
+        (1.5, None, np.zeros(5, dtype=np.int64), None),  # would truncate the draws
+        (1.5, None, np.zeros(5, dtype=np.float32), None),  # would round off the tails
+        (1.0, None, np.zeros(10)[::2], None),  # strided
+        (1.5, 3, np.zeros(5), None),  # size and out disagree
+        (1.5, 5, None, np.zeros(4)),  # excess of another shape
+    ],
+)
+def test_sample_M_refuses_buffers_it_cannot_fill(alpha, size, out, excess):
+    with pytest.raises(InvalidInput, match="must be a writeable C-contiguous float64 array"):
+        sample_M(_rng_for(8, 0), alpha, size, out=out, excess=excess)
 
 
 def test_bitwise_reproducibility():
@@ -139,13 +197,13 @@ def test_ballistic_characteristics_exact():
 
 
 def _clock_pass_reference(x, v, rng, alpha, rate, tau, E, xfac, eps, L):
-    # _clock_pass's draws in the same order, each particle's flights summed
-    # in a plain loop; also returns the size of the summed displacement terms
+    # _clock_pass's draws in the same order, the later flights being the
+    # sampler's excesses, each particle's flights summed in a plain loop;
+    # also returns the size of the summed displacement terms
     n = len(x)
     k = rng.poisson(rate * tau, n)
     e0 = rng.standard_exponential(n)
-    e = rng.standard_exponential(k.sum())
-    w = sample_M(rng, alpha, k.sum())
+    w, e = _sample_M_reference(rng, alpha, k.sum())
     x_out, v_out, size = np.empty(n), np.empty(n), np.empty(n)
     j = 0
     for i in range(n):

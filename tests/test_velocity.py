@@ -171,6 +171,18 @@ def test_tail_fit_refuses_singular_system(vv):
         Tail.fit(np.array(vv), np.array([1.0, 0.5, 0.2]), "right")
 
 
+@pytest.mark.parametrize("c, q, b", [(0.3, 2.5, 4.0), (0.3, 2.5, -4.0), (1e-3, 3.5, 50.0), (0.7, 3.0, 0.0)])
+def test_tail_fit_far_grid_pins_c_and_q(c, q, b):
+    # an exact tail c|v|^-q (1 + b v^-2) on the far grid of criterion 2: c and
+    # q come back to roundoff (measured <= 6e-12 and 4.3e-13).  b does not:
+    # b v^-2 ~ 1e-12 of log p, so b is only good to a few percent, with this
+    # basis or the rescaled (log(v/v3), (v3/v)^2) alike.
+    g = VelocityGrid(160, 1e6)
+    tail = Tail(g, c * np.abs(g.nodes) ** -q * (1.0 + b * g.nodes**-2.0))
+    for cf, qf, bf in (tail.right, tail.left):
+        assert abs(cf / c - 1.0) <= 5e-11 and abs(qf - q) <= 5e-12 and np.isfinite(bf)
+
+
 _pos = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 
 
