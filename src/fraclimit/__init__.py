@@ -42,7 +42,6 @@ from .montecarlo import (
     advance,
     estimate_density,
     init_ensemble,
-    nu_continuum,
     sample_M,
 )
 from .params import (

@@ -4,18 +4,20 @@ Initial data are well prepared, rho_0(x) M(v): x uniform or exactly the
 periodized Gaussian (`init_ensemble`), v from `sample_M`, an exact
 rejection sampler with a Cauchy proposal.  Per particle: free flight in the
 constant field E = e0 (velocity drift E/eps, positions in closed form),
-collisions at the events of a Poisson clock with the majorant rate
-nu2/eps^alpha, post-collision velocity from the gain kernel.
+collision candidates at the events of a Poisson clock with the majorant rate
+nu2/eps^alpha.
 
-The cross section's amplitude picks the path.  At amplitude 0 (constant
-sigma) every candidate is a collision and each post-collision velocity is a
-fresh M sample, independent of the past.  The whole clock is then drawn up
-front: K ~ Poisson(rate*tau) collisions in the interval tau, and K+1 flight
-times as Dirichlet spacings (normalised exponentials), the K after a
-collision being the Exp(1) excesses of the rejection test that accepted its
-velocity; one fused pass sums the flights per particle.  A nonzero amplitude
-(thinning acceptance nu(v)/nu2, gain-kernel rejection) takes the candidate
-loop, one exponential candidate per live particle and round.
+The jump kernel sigma(w, v) M(w) is bounded by nu2 M(w), so one thinning
+stage is exact (Lewis & Shedler 1979): a candidate proposes w ~ M and is
+accepted iff U nu2 < sigma(w, v-), v- the velocity just before it; a
+rejected one leaves v unchanged.  The proposals do not depend on v, so the
+whole clock is drawn up front: K ~ Poisson(rate*tau) candidates in the
+interval tau, K+1 flight times as Dirichlet spacings (normalised
+exponentials), the K after a candidate being the Exp(1) excesses of the
+rejection test that drew its w.  Only the accept tests run in rounds, one
+candidate per particle each; at amplitude 0 (constant sigma) every candidate
+is a collision and there are none.  One fused pass then sums the flights per
+particle; a flight in the constant field composes exactly at a rejected time.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Results depend on the seed
@@ -32,8 +34,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .macro import MacroState
-from .params import CrossSection, ModelParams
-from .velocity import VelocityGrid, VelocityProfile, eval_M, moment, norm_Z
+from .params import ModelParams
+from .velocity import norm_Z
 
 BLOCK = 4096  # particles per random stream
 _CHUNK = 1 << 13  # sample_M proposals per round: bounds its scratch to ~200 kB
@@ -111,16 +113,6 @@ def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess
     return out[()]
 
 
-def nu_continuum(cross_section: CrossSection, alpha: float):
-    """Continuum collision frequency nu(v) = int sigma(v',v) M(v') dv' as a
-    callable: `CrossSection.nu` with m0 = 1 and m1 = int M/(1+|v|), the
-    tail-corrected moment on a fixed grid to |v| = 1000 (within 1e-10 of
-    the integral for alpha in [1, 2))."""
-    g = VelocityGrid(128, 1e3)
-    i1 = moment(VelocityProfile(g, eval_M(g.nodes, alpha) / (1.0 + np.abs(g.nodes))), 0)
-    return lambda v: cross_section.nu(v, 1.0, i1)
-
-
 @dataclass
 class ParticleEnsemble:
     x: np.ndarray
@@ -146,6 +138,7 @@ def init_ensemble(N: int, L: float, alpha: float, seed: int, width: float | None
     return ParticleEnsemble(x, v, L, 0.0, tuple(rngs))
 
 
+# unused in the package (_clock_pass sums the flights); bench/tracing.py names it
 def _flight(x, v, dt, E, xfac, eps, L):
     """Free flight for times dt in the constant field E, in place.
 
@@ -157,15 +150,18 @@ def _flight(x, v, dt, E, xfac, eps, L):
     np.mod(x, L, out=x)
 
 
-def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
-    """Constant sigma: draw each particle's whole clock and sum its flights
-    in one fused pass.  Returns the number of collisions.
+def _clock_pass(x, v, rng, cs, alpha, rate, tau, E, xfac, eps, L) -> int:
+    """Draw each particle's whole clock, thin it and sum its flights in one
+    fused pass.  Returns the number of collisions.
 
     Draws k ~ Poisson(rate*tau), the first flights e0, then the K = sum(k)
-    start velocities w ~ M with their flights e (`sample_M`'s excesses),
-    each particle's at its exclusive start, plus a zero sentinel slot for
-    the trailing k = 0 ones.  The Dirichlet scale tau/(e0 + sum e) is applied
-    after the per-particle sums; without a collision the flight is exactly tau.
+    proposals w ~ M with their flights e (`sample_M`'s excesses), each
+    particle's at its exclusive start, plus a zero sentinel slot for the
+    trailing k = 0 ones; at a nonzero amplitude also K uniforms U.  Round j
+    tests candidate j of the particles with k > j, a prefix once they are
+    sorted by k, and overwrites a rejected w with v-.  The Dirichlet scale
+    tau/(e0 + sum e) is applied after the per-particle sums; without a
+    candidate the flight is exactly tau.
     """
     k = rng.poisson(rate * tau, len(x))
     e0 = rng.standard_exponential(len(x))
@@ -183,8 +179,22 @@ def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
         return out
 
     scale = tau / (e0 + sums(e))
+    drift = (E / eps) * scale
+    accepted = K
+    if cs.amplitude != 0.0:
+        u = rng.random(K) * cs.nu2
+        order = np.argsort(-k)
+        first, before, flight, dv = starts[order], v[order], e0[order], drift[order]
+        for j, n in enumerate(len(x) - np.cumsum(np.bincount(k))[:-1]):  # n: particles with k > j
+            i = first[:n] + j
+            v_minus = before[:n] + dv[:n] * flight[:n]
+            wi = w[i]
+            keep = u[i] < cs.sigma(wi, v_minus)
+            accepted -= n - np.count_nonzero(keep)
+            before[:n] = w[i] = np.where(keep, wi, v_minus)
+            flight[:n] = e[i]
     last = starts + k - 1
-    v_end = np.where(empty, v + (E / eps) * tau, w[last] + (E / eps) * scale * e[last])
+    v_end = np.where(empty, v + (E / eps) * tau, w[last] + drift * e[last])
     w *= e
     dx = (v * e0 + sums(w)) * scale
     if E != 0.0:
@@ -193,39 +203,7 @@ def _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, L) -> int:
     x += xfac * dx
     np.mod(x, L, out=x)
     v[:] = v_end
-    return K
-
-
-def _candidate_loop(x, v, rng, t0, until, eps, alpha, cs, nu_fun, E, xfac, L, rate) -> int:
-    """Perturbed sigma: one exponential candidate per live particle and round,
-    thinning with acceptance nu(v)/nu2, gain-kernel rejection.  Returns the
-    collisions.  With constant sigma both acceptances are identically 1."""
-    nu2 = cs.nu2
-    n_coll = 0
-    t = np.full(len(x), t0)
-    alive = np.ones(len(x), dtype=bool)
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        cand = rng.exponential(1.0 / rate, len(idx))
-        dt = np.minimum(cand, until - t[idx])
-        hit = cand <= until - t[idx]
-        xi, vi = x[idx], v[idx]
-        _flight(xi, vi, dt, E, xfac, eps, L)
-        x[idx], v[idx] = xi, vi
-        t[idx] += dt
-        ha = idx[hit]
-        ha = ha[rng.random(len(ha)) < np.asarray(nu_fun(v[ha])) / nu2]
-        # gain kernel sigma(w, v) M(w)/nu(v): rejection against M with
-        # acceptance sigma(w, v)/nu2
-        pending = ha
-        while len(pending):
-            w = sample_M(rng, alpha, len(pending))
-            keep = rng.random(len(pending)) < cs.sigma(w, v[pending]) / nu2
-            v[pending[keep]] = w[keep]
-            pending = pending[~keep]
-        n_coll += len(ha)
-        alive = t < until - 1e-15
-    return n_coll
+    return int(accepted)
 
 
 def advance(
@@ -250,19 +228,14 @@ def advance(
     cs = params.cross_section
     alpha = params.alpha
     rate = cs.nu2 / eps**alpha if scaling == "diffusive" else cs.nu2 / eps
-    flat = cs.amplitude == 0.0
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
     E = params.field_spec.e0
     tau = max(until - ens.t, 0.0)
-    nu_fun = None if flat else nu_continuum(cs, alpha)
 
     blocks = _blocks(len(ens.x))
 
     def run(b):
-        x, v, rng = ens.x[blocks[b]], ens.v[blocks[b]], ens.rngs[b]
-        if flat:
-            return _clock_pass(x, v, rng, alpha, rate, tau, E, xfac, eps, ens.L)
-        return _candidate_loop(x, v, rng, ens.t, until, eps, alpha, cs, nu_fun, E, xfac, ens.L, rate)
+        return _clock_pass(ens.x[blocks[b]], ens.v[blocks[b]], ens.rngs[b], cs, alpha, rate, tau, E, xfac, eps, ens.L)
 
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:

@@ -179,23 +179,6 @@ class VelocityProfile:
         self.grid = grid
         self.values = values
 
-    def _check(self, other: "VelocityProfile"):
-        if self.grid is not other.grid and self.grid != other.grid:
-            raise InvalidInput("profiles live on different grids")
-
-    def __add__(self, other):
-        self._check(other)
-        return VelocityProfile(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return VelocityProfile(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float):
-        return VelocityProfile(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
     def __call__(self, x):
         return self.grid.interp(self.values, x)
 

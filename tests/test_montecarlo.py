@@ -16,11 +16,10 @@ from fraclimit import (
     eval_M,
     init_ensemble,
     norm_Z,
-    nu_continuum,
     sample_M,
 )
 from fraclimit.cli import main
-from fraclimit.montecarlo import BLOCK, _CHUNK, _blocks, _candidate_loop, _clock_pass, _rng_for
+from fraclimit.montecarlo import BLOCK, _CHUNK, _clock_pass, _rng_for
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -196,28 +195,36 @@ def test_ballistic_characteristics_exact():
     assert np.max(np.abs(out.x[free] - expect_x[free])) < 1e-10
 
 
-def _clock_pass_reference(x, v, rng, alpha, rate, tau, E, xfac, eps, L):
+def _clock_pass_reference(x, v, rng, cs, alpha, rate, tau, E, xfac, eps, L):
     # _clock_pass's draws in the same order, the later flights being the
-    # sampler's excesses, each particle's flights summed in a plain loop;
-    # also returns the size of the summed displacement terms
+    # sampler's excesses, each particle's candidates thinned and its flights
+    # summed in a plain loop; also returns the size of the summed
+    # displacement terms and the accepted count
     n = len(x)
     k = rng.poisson(rate * tau, n)
     e0 = rng.standard_exponential(n)
     w, e = _sample_M_reference(rng, alpha, k.sum())
+    u = rng.random(k.sum()) * cs.nu2 if cs.amplitude else np.zeros(k.sum())
     x_out, v_out, size = np.empty(n), np.empty(n), np.empty(n)
-    j = 0
+    j, accepted = 0, 0
     for i in range(n):
         flights, starts_v = [e0[i], *e[j:j + k[i]]], [v[i], *w[j:j + k[i]]]
-        j += k[i]
         total, dx, mag = sum(flights), 0.0, 0.0
-        for u, f in zip(starts_v, flights):
+        for c in range(1, k[i] + 1):  # candidate c ends flight c - 1; a rejected one keeps v-
+            v_minus = starts_v[c - 1] + E / eps * (tau * flights[c - 1] / total)
+            if u[j + c - 1] < cs.sigma(starts_v[c], v_minus):
+                accepted += 1
+            else:
+                starts_v[c] = v_minus
+        j += k[i]
+        for u0, f in zip(starts_v, flights):
             d = tau * f / total
-            term = u * d + E / (2.0 * eps) * d * d
+            term = u0 * d + E / (2.0 * eps) * d * d
             dx, mag = dx + term, mag + abs(term)
         x_out[i] = (x[i] + xfac * dx) % L
         v_out[i] = starts_v[-1] + E / eps * (tau * flights[-1] / total)
         size[i] = xfac * mag
-    return x_out, v_out, size, k
+    return x_out, v_out, size, k, accepted
 
 
 @pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
@@ -230,11 +237,31 @@ def test_clock_pass_matches_reference(scaling, E, mean_k):
     tau = mean_k / rate
     ens = init_ensemble(BLOCK, L, alpha, 9)
     args = (alpha, rate, tau, E, xfac, eps, L)
-    xr, vr, size, k = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 5), *args)
+    xr, vr, size, k, _ = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 5), CrossSection(1.0), *args)
     x, v = ens.x.copy(), ens.v.copy()
-    assert _clock_pass(x, v, _rng_for(9, 5), *args) == k.sum()
+    assert _clock_pass(x, v, _rng_for(9, 5), CrossSection(1.0), *args) == k.sum()
     if mean_k < 1:  # empty segments at both ends of the block (the sentinel) and inside
         assert k[0] == 0 and np.any(k[1:-1] == 0) and k[-1] == 0
+    gap = np.mod(x - xr + L / 2, L) - L / 2
+    assert np.all(np.abs(gap) <= 1e-12 * (L + size))
+    np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
+
+
+@pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
+@pytest.mark.parametrize("amplitude", [0.5, -0.5])
+def test_thinning_matches_reference(scaling, amplitude):
+    # perturbed sigma: the rounds' accept tests against a plain loop's, on
+    # the same draws; a rejection keeps v- and the flight goes on
+    eps, alpha, E = 0.1, 1.5, 0.5
+    cs = CrossSection(1.0, amplitude)
+    rate = cs.nu2 * (eps**-alpha if scaling == "diffusive" else 1.0 / eps)
+    xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
+    tau = 8.0 / rate
+    ens = init_ensemble(BLOCK, L, alpha, 9)
+    args = (cs, alpha, rate, tau, E, xfac, eps, L)
+    xr, vr, size, k, accepted = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 6), *args)
+    x, v = ens.x.copy(), ens.v.copy()
+    assert _clock_pass(x, v, _rng_for(9, 6), *args) == accepted < k.sum()
     gap = np.mod(x - xr + L / 2, L) - L / 2
     assert np.all(np.abs(gap) <= 1e-12 * (L + size))
     np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
@@ -307,28 +334,26 @@ def test_init_periodized_gaussian():
     assert stats.kstest(ens.x, cdf).pvalue > 1e-3
 
 
-def test_nu_continuum_bounds():
-    cs = CrossSection(1.0, 0.5)
-    nu = nu_continuum(cs, 1.5)
-    v = np.linspace(-100, 100, 401)
-    vals = nu(v)
-    assert np.all(vals > cs.nu1) and np.all(vals < cs.nu2)
-    assert nu(0.0) > nu(50.0)  # perturbation decays in |v|
-    flat = nu_continuum(CrossSection(2.0), 1.5)
-    assert np.all(flat(v) == 2.0)
-
-
-@pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.75, 1.99])
-def test_nu_continuum_matches_quadrature(alpha):
-    # nu = nu0 + a i1/(1+|v|) with i1 = int M/(1+|v|), here by adaptive quadrature
+@pytest.mark.parametrize("amplitude", [0.5, -0.5])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.99])
+def test_stationary_collision_rate(alpha, amplitude):
+    # at E = 0, M is invariant under Q, so from M the collisions come at the
+    # mean rate int nu M / eps^alpha = (nu0 + a i1^2)/eps^alpha, with
+    # nu(v) = nu0 + a i1/(1+|v|) and i1 = int M/(1+|v|)
+    n, eps, T = 20_000, 0.2, 0.5
     i1, _ = quad(lambda u: eval_M(u, alpha) / (1.0 + abs(u)), -np.inf, np.inf)
-    nu = nu_continuum(CrossSection(1.0, 0.5), alpha)
-    v = np.array([0.0, -0.5, 3.0, 1e4])
-    assert np.max(np.abs(nu(v) - (1.0 + 0.5 * i1 / (1.0 + np.abs(v))))) <= 1e-10
+    p = _params(alpha=alpha, cross_section=CrossSection(1.0, amplitude), particles=n)
+    out = advance(init_ensemble(n, L, alpha, 4), eps, p, T)
+    mean = T * (1.0 + amplitude * i1**2) / eps**alpha  # per particle
+    # a particle's count is a unit-jump martingale of variance `mean` plus
+    # its compensator int nu(v_t) dt / eps^alpha, which ranges over an
+    # interval of width T |a| i1 / eps^alpha: sd <= sqrt(mean) + half that
+    sd = np.sqrt(n) * (np.sqrt(mean) + T * abs(amplitude) * i1 / (2.0 * eps**alpha))
+    assert abs(out.collisions - n * mean) <= 5.0 * sd
 
 
 def test_perturbed_collisions_relax_to_M():
-    # thinning + kernel rejection must still equilibrate the velocity marginal
+    # single-stage thinning must keep the velocity marginal at M
     p = _params(cross_section=CrossSection(1.0, 0.5), particles=100_000)
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
     out = advance(ens, 0.2, p, 0.5)
@@ -336,26 +361,48 @@ def test_perturbed_collisions_relax_to_M():
     assert ks < 0.01
 
 
+def _event_reference(x, v, rng, cs, alpha, T, E, xfac, eps, L, rate):
+    # event by event: one Exp(rate) candidate per live particle and round,
+    # the closed-form flight to it (or to T), w ~ M accepted iff
+    # U nu2 < sigma(w, v-); returns the accepted count
+    t, live, accepted = np.zeros(len(x)), np.arange(len(x)), 0
+    while len(live):
+        dt = rng.exponential(1.0 / rate, len(live))
+        hit = t[live] + dt < T
+        dt[~hit] = T - t[live[~hit]]
+        x[live] += xfac * (v[live] * dt + E * dt * dt / (2.0 * eps))
+        v[live] += E / eps * dt
+        t[live] += dt
+        live = live[hit]
+        w = sample_M(rng, alpha, len(live))
+        keep = rng.random(len(live)) * cs.nu2 < cs.sigma(w, v[live])
+        v[live[keep]] = w[keep]
+        accepted += np.count_nonzero(keep)
+    np.mod(x, L, out=x)
+    return accepted
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
 @pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
 @pytest.mark.parametrize("e0", [0.0, 0.5])
-def test_clock_pass_matches_candidate_loop(scaling, e0):
-    # constant sigma takes the flat clock pass; the candidate loop, called
-    # directly, has the same law (its thinning and kernel acceptances are 1)
+def test_advance_matches_event_reference(amplitude, scaling, e0):
+    # the clock pass against a plain event-by-event simulation of the same
+    # thinned clock, on independent initial ensembles
     eps, T, n = 0.2, 0.5, 50_000
-    p = _params(field_spec=FieldSpec(e0), particles=n)
-    flat = advance(init_ensemble(n, L, p.alpha, 1, width=2.0), eps, p, T, scaling=scaling)
+    cs = CrossSection(1.0, amplitude)
+    p = _params(cross_section=cs, field_spec=FieldSpec(e0), particles=n)
+    out = advance(init_ensemble(n, L, p.alpha, 1, width=2.0), eps, p, T, scaling=scaling)
     ens = init_ensemble(n, L, p.alpha, 2, width=2.0)
-    cs, alpha = p.cross_section, p.alpha
-    rate = cs.nu2 / (eps if scaling == "high_field" else eps**alpha)
-    xfac = 1.0 if scaling == "high_field" else eps ** (1.0 - alpha)
-    loop = sum(_candidate_loop(ens.x[sl], ens.v[sl], ens.rngs[b], 0.0, T, eps, alpha, cs,
-                               nu_continuum(cs, alpha), e0, xfac, L, rate)
-               for b, sl in enumerate(_blocks(n)))
-    assert stats.ks_2samp(flat.x, ens.x).pvalue > 1e-3
-    assert stats.ks_2samp(flat.v, ens.v).pvalue > 1e-3
-    m = n * T / (eps if scaling == "high_field" else eps**1.5)
-    for collisions in (flat.collisions, loop):
-        assert abs(collisions - m) <= 6 * np.sqrt(m)
+    rate = cs.nu2 / (eps if scaling == "high_field" else eps**p.alpha)
+    xfac = 1.0 if scaling == "high_field" else eps ** (1.0 - p.alpha)
+    ref = _event_reference(ens.x, ens.v, _rng_for(3, 0), cs, p.alpha, T, e0, xfac, eps, L, rate)
+    assert stats.ks_2samp(out.x, ens.x).pvalue > 1e-3
+    assert stats.ks_2samp(out.v, ens.v).pvalue > 1e-3
+    m = n * T * rate  # the candidates' mean, at least the collisions'
+    assert abs(out.collisions - ref) <= 6 * np.sqrt(2 * m)
+    if amplitude == 0.0:
+        for collisions in (out.collisions, ref):
+            assert abs(collisions - m) <= 6 * np.sqrt(m)
 
 
 def test_consecutive_advances_use_elapsed_time():
@@ -372,8 +419,9 @@ def test_consecutive_advances_use_elapsed_time():
     assert stats.ks_2samp(ens.v, once.v).pvalue > 1e-3
 
 
-def test_clock_pass_memory_is_per_block():
-    p = _params(field_spec=FieldSpec(0.5), particles=250_000)
+@pytest.mark.parametrize("cs", [CrossSection(1.0), CrossSection(1.0, 0.5)])
+def test_clock_pass_memory_is_per_block(cs):
+    p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=250_000)
     ens = init_ensemble(p.particles, L, p.alpha, p.seed)
     tracemalloc.start()
     try:
@@ -381,8 +429,9 @@ def test_clock_pass_memory_is_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block of flights at a time: ~5 MB here; the per-round candidate
-    # loop over the whole ensemble peaked at 31 MB
+    # one block of flights, proposals and thinning uniforms at a time: 3.4 MB
+    # here at constant sigma, 7.2 MB perturbed; the whole ensemble's flights
+    # and proposals alone would take ~180 MB
     assert peak < 16e6
 
 
@@ -425,7 +474,7 @@ def test_cli_outputs_do_not_depend_on_threads(tmp_path, case):
         "field": {"kind": "constant", "e0": 0.5},
     }
     argv = ["kinetic-run", "--snapshot", "0.1", "--snapshot", "0.2"]
-    if case == "kinetic-perturbed":  # the candidate loop
+    if case == "kinetic-perturbed":  # thinning rounds in the clock pass
         cfg["cross_section"] = {"kind": "PerturbedConstant", "nu0": 1.0, "amplitude": 0.5}
     elif case == "converge":
         argv = ["converge"]

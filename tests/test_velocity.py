@@ -109,14 +109,7 @@ def test_spectral_derivative(grid128):
     assert np.max(np.abs(d - eval_M_deriv(grid128.nodes, 1.5))) < 1e-7
 
 
-def test_profile_algebra(grid128):
-    a = equilibrium_profile(grid128, 1.5)
-    b = 2.0 * a
-    assert np.allclose((b - a).values, a.values)
-    assert np.allclose((a + a).values, b.values)
-    other = VelocityGrid(160, 200.0)
-    with pytest.raises(InvalidInput, match="profiles live on different grids"):
-        a + equilibrium_profile(other, 1.5)
+def test_profile_refusals(grid128):
     with pytest.raises(InvalidInput, match="profile contains non-finite entries"):
         VelocityProfile(grid128, np.full(grid128.n, np.nan))
     with pytest.raises(InvalidInput, match=r"values shape \(3,\) != \(128,\)"):
