@@ -56,7 +56,6 @@ from .velocity import (
     Tail,
     VelocityGrid,
     VelocityProfile,
-    equilibrium_profile,
     eval_M,
     moment,
     norm_Z,

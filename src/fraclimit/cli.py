@@ -13,17 +13,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import montecarlo as mc
 from .coefficients import limit_coefficients
-from .collision import CollisionContext
 from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
-from .harness import BUMP_WIDTH, MACRO_NODES, emit, macro_limit, run_convergence, run_operator_study
+from .harness import BUMP_WIDTH, MACRO_NODES, context, emit, macro_limit, run_convergence, run_operator_study
 from .macro import advance_macro, gaussian_bump
 from .params import ModelParams, load_config, validate, with_seed
-from .velocity import VelocityGrid
 
 
 def _load(args) -> ModelParams:
@@ -31,11 +29,6 @@ def _load(args) -> ModelParams:
     if args.seed is not None:
         params = with_seed(params, args.seed)
     return params
-
-
-def _ctx(params: ModelParams) -> CollisionContext:
-    grid = VelocityGrid(params.velocity_nodes, params.vmax)
-    return CollisionContext(grid, params.cross_section, params.alpha)
 
 
 def _write_csv(path, header: str, rows):
@@ -63,7 +56,7 @@ def _snapshots(args, final_time: float) -> list[float]:
 
 def cmd_equilibrium(args) -> int:
     params = _load(args)
-    ctx = _ctx(params)
+    ctx = context(params)
     E = args.field if args.field is not None else params.field_spec.e0
     Eeff = E if args.raw_field else min(params.epsilon_schedule) ** (params.alpha - 1.0) * E
     F = solve_F(Eeff, ctx)
@@ -86,8 +79,8 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_coefficients(args) -> int:
     params = _load(args)
-    co = limit_coefficients(_ctx(params))
-    payload = json.dumps(co.as_dict(), indent=2)
+    co = limit_coefficients(context(params))
+    payload = json.dumps(asdict(co), indent=2)
     print(payload)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

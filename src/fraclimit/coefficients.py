@@ -59,16 +59,6 @@ class LimitCoefficients:
     kappa: float
     D: float | None  # None in the critical case alpha=1
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "nu0": self.nu0,
-            "gamma": self.gamma,
-            "c_d_alpha": self.c_d_alpha,
-            "kappa": self.kappa,
-            "D": self.D,
-        }
-
 
 def limit_coefficients(ctx: CollisionContext) -> LimitCoefficients:
     """Assemble all limit coefficients for the context's model instance."""

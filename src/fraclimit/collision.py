@@ -24,11 +24,13 @@ _PLAN_BLOCK = 1024
 class CollisionContext:
     """Grid-bound collision data: equilibrium M, kernel matrix, frequency nu.
 
-    nu(v) = A + B/(1+|v|) is `CrossSection.nu` with the grid moments
-    m0 = sum_j w_j M_j and m1 = sum_j w_j M_j/(1+|v_j|): at the nodes it is
-    the quadrature sum sum_j w_j sigma(v_j, v) M_j, so mass conservation of Q
-    is exact by symmetry (at the price of an O(tail-mass) offset from nu0 for
-    the constant cross section), and it is the same closed form off the grid.
+    nu(v) = int sigma(v', v) M(v') dv' = A + B/(1+|v|) for the cross section
+    sigma = nu0 + a/((1+|v|)(1+|v'|)), with (A, B) = `nu_coefficients` =
+    (nu0 m0, a m1) from the grid moments m0 = sum_j w_j M_j and
+    m1 = sum_j w_j M_j/(1+|v_j|): at the nodes it is the quadrature sum
+    sum_j w_j sigma(v_j, v) M_j, so mass conservation of Q is exact by
+    symmetry (at the price of an O(tail-mass) offset from nu0 for the
+    constant cross section), and it is the same closed form off the grid.
     Immutable after construction, except for two memos keyed by the field
     value E: the last flight plan of A^-1 (see `flight_inverse`), and
     u = (F - M)/E at E = 0 and the last E (see `equilibrium._solve_u`).
@@ -42,7 +44,8 @@ class CollisionContext:
         v = grid.nodes
         self.sigma_matrix = cross_section.sigma(v[:, None], v[None, :])
         wM = grid.weights * self.M.values
-        self.nu_moments = (float(np.sum(wM)), float(np.sum(wM / (1.0 + np.abs(v)))))
+        self.nu_coefficients = (cross_section.nu0 * float(np.sum(wM)),
+                                cross_section.amplitude * float(np.sum(wM / (1.0 + np.abs(v)))))
         self.nu = VelocityProfile(grid, self.nu_at(v))
         self.nu_min = float(self.nu.values.min())
         self._flight_plan: _FlightPlan | None = None
@@ -50,7 +53,8 @@ class CollisionContext:
 
     def nu_at(self, v):
         """nu at arbitrary points, inside the grid or beyond vmax."""
-        return self.cross_section.nu(v, *self.nu_moments)
+        A, B = self.nu_coefficients
+        return A + B / (1.0 + np.abs(np.asarray(v, dtype=float)))
 
     def check_profile(self, f: VelocityProfile):
         if f.grid is not self.grid and f.grid != self.grid:
@@ -128,7 +132,7 @@ def _flight_terms(E: float, ctx: CollisionContext, A: float, B: float):
 def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
     g = ctx.grid
     n, n2 = g.n, g.n // 2
-    A, B = ctx.cross_section.nu_coefficients(*ctx.nu_moments)
+    A, B = ctx.nu_coefficients
     row, q, w = _flight_terms(E, ctx, A, B)
     P = np.zeros(n * n)
     outside = np.abs(q) > g.vmax

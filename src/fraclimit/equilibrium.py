@@ -20,7 +20,6 @@ _LAG_Z128, _LAG_W128 = np.polynomial.laguerre.laggauss(128)
 @dataclass(frozen=True)
 class EquilibriumF:
     profile: VelocityProfile
-    field_value: float
     residual: float
     method: str  # "explicit" (constant sigma), "linear" (F = M + E u) or "power_iteration"
     eigenvalue: float | None = None
@@ -36,7 +35,7 @@ def _equilibrium(values, E, ctx, method, eigenvalue=None) -> EquilibriumF:
     # unit full-line (tail-corrected) mass: the continuum constraint int F dv = 1
     F = VelocityProfile(ctx.grid, values / moment(VelocityProfile(ctx.grid, values), 0))
     res = float(np.max(np.abs(apply_T(F, E, ctx).values)))
-    return EquilibriumF(F, E, res, method, eigenvalue)
+    return EquilibriumF(F, res, method, eigenvalue)
 
 
 def eval_M_deriv(v, alpha: float):
@@ -103,7 +102,7 @@ def solve_F(E: float, ctx: CollisionContext, method: str | None = None) -> Equil
     """
     if E == 0.0 and method is None:
         res = float(np.max(np.abs(apply_T(ctx.M, 0.0, ctx).values)))
-        return EquilibriumF(ctx.M, 0.0, res, "explicit")
+        return EquilibriumF(ctx.M, res, "explicit")
     if method is None:
         method = "explicit" if ctx.cross_section.amplitude == 0.0 else "linear"
     if method not in ("explicit", "linear", "power_iteration"):

@@ -24,42 +24,36 @@ MACRO_NODES = 512
 # band and width of the operator study's test function
 PHI_BANDWIDTH = 4
 PHI_WIDTH = 0.8
+# a convergence study passes when its finest L1 error exceeds the noise floor
+# by less than this
+MARGIN = 0.05
 
 
 @dataclass
 class ConvergenceReport:
-    cases: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
     seed: int = 0
+    config: dict = field(default_factory=dict)
+    cases: list = field(default_factory=list)
 
     @property
     def all_pass(self) -> bool:
         return all(c["verdict"] == "PASS" for c in self.cases)
 
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "config": self.config, "cases": self.cases}
 
-
-def _params_dict(params: ModelParams) -> dict:
-    d = asdict(params)
-    d["epsilon_schedule"] = list(params.epsilon_schedule)
-    return d
+def context(params: ModelParams, vmax: float | None = None) -> CollisionContext:
+    """The collision context of the params' model on their velocity grid,
+    reaching out to `vmax` (default: the params' vmax)."""
+    grid = VelocityGrid(params.velocity_nodes, params.vmax if vmax is None else vmax)
+    return CollisionContext(grid, params.cross_section, params.alpha)
 
 
 def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
     """(kappa, drift) of the macro run, from `limit_model` on a grid reaching
     at least |v| = 1000, far enough for D and mu(E) whatever the epsilon schedule."""
-    grid = VelocityGrid(params.velocity_nodes, max(params.vmax, 1000.0))
-    ctx = CollisionContext(grid, params.cross_section, params.alpha)
-    return limit_model(ctx, params.field_spec.e0, scaling)
+    return limit_model(context(params, max(params.vmax, 1000.0)), params.field_spec.e0, scaling)
 
 
-def run_convergence(
-    params: ModelParams,
-    scaling: str = "diffusive",
-    margin: float = 0.05,
-    threads: int = 1,
-) -> ConvergenceReport:
+def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: int = 1) -> ConvergenceReport:
     """Kinetic MC vs limit-equation solve across the epsilon schedule.
 
     `threads` sets how many workers advance the particle blocks; it does not
@@ -90,7 +84,7 @@ def run_convergence(
         rows.append({"eps": eps, "l1": l1, "linf": linf, "noise_floor": noise, "collisions": ens.collisions})
     errs = [r["l1"] for r in rows]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
-    finest_ok = errs[-1] - rows[-1]["noise_floor"] < margin
+    finest_ok = errs[-1] - rows[-1]["noise_floor"] < MARGIN
     order = float(np.polyfit(np.log(params.epsilon_schedule), np.log(errs), 1)[0])
     case = {
         "label": f"alpha={params.alpha} E={params.field_spec.e0} scaling={scaling}",
@@ -102,15 +96,14 @@ def run_convergence(
         "monotone": monotone,
         "verdict": "PASS" if (monotone and finest_ok) else "FAIL",
     }
-    return ConvergenceReport([case], _params_dict(params), params.seed)
+    return ConvergenceReport(params.seed, asdict(params), [case])
 
 
 def run_operator_study(params: ModelParams) -> dict:
     """L_eps vs the limit operator across the epsilon schedule."""
     validate(params)
     eps_list = params.epsilon_schedule
-    grid = VelocityGrid(params.velocity_nodes, params.vmax)
-    ctx = CollisionContext(grid, params.cross_section, params.alpha)
+    ctx = context(params)
     alpha = params.alpha
     E = params.field_spec.e0
     kap, drift_gen = limit_model(ctx, E, "diffusive")
@@ -143,7 +136,7 @@ def emit(report: ConvergenceReport, out_dir) -> int:
     """Write report.json plus per-case CSVs; returns the process exit code."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
     for i, case in enumerate(report.cases):
         path = os.path.join(out_dir, f"case_{i}.csv")
         with open(path, "w", encoding="utf-8") as fh:

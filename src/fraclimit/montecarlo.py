@@ -218,7 +218,10 @@ def advance(
     E = params.field_spec.e0.
 
     Blocks are advanced by a pool of `threads` workers; the result does not
-    depend on their number.
+    depend on their number.  Consumes `ens`: its arrays and streams are
+    advanced in place and shared with the returned ensemble, while `ens`
+    keeps its old t and collision count, so advancing it again moves the
+    same particles twice.  Use only the returned ensemble.
     """
     if scaling not in ("diffusive", "high_field") or not 0 < eps <= 1 or not math.isfinite(until):
         raise InvalidInput(f"need scaling diffusive or high_field, eps in (0, 1] and a finite until; "

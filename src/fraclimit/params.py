@@ -35,17 +35,6 @@ class CrossSection:
         vp = np.asarray(vp, dtype=float)
         return self.nu0 + self.amplitude / ((1.0 + np.abs(v)) * (1.0 + np.abs(vp)))
 
-    def nu_coefficients(self, m0: float, m1: float) -> tuple[float, float]:
-        """(A, B) of the collision frequency nu(v) = int sigma(v', v) M(v') dv'
-        = A + B/(1+|v|): A = nu0 m0 and B = amplitude m1, from the moments
-        m0 = int M and m1 = int M(v')/(1+|v'|)."""
-        return self.nu0 * m0, self.amplitude * m1
-
-    def nu(self, v, m0: float, m1: float):
-        """nu(v) = A + B/(1+|v|); see `nu_coefficients`."""
-        A, B = self.nu_coefficients(m0, m1)
-        return A + B / (1.0 + np.abs(np.asarray(v, dtype=float)))
-
 
 @dataclass(frozen=True)
 class FieldSpec:

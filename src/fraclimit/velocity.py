@@ -158,9 +158,6 @@ class VelocityGrid:
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, VelocityGrid) and (self.n, self.vmax) == (other.n, other.vmax))
 
-    def __hash__(self):
-        return hash((self.n, self.vmax))
-
     def __repr__(self):
         return f"VelocityGrid(n={self.n}, vmax={self.vmax})"
 
@@ -181,10 +178,6 @@ class VelocityProfile:
 
     def __call__(self, x):
         return self.grid.interp(self.values, x)
-
-
-def equilibrium_profile(grid: VelocityGrid, alpha: float) -> VelocityProfile:
-    return VelocityProfile(grid, eval_M(grid.nodes, alpha))
 
 
 # -- tail machinery --------------------------------------------------------

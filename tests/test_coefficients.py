@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -87,8 +88,8 @@ def test_matrix_D_refuses_critical_case():
 
 def test_limit_coefficients_bundle(ctx15):
     co = limit_coefficients(ctx15)
-    d = co.as_dict()
-    assert set(d) == {"alpha", "nu0", "gamma", "c_d_alpha", "kappa", "D"}
+    d = asdict(co)
+    assert list(d) == ["alpha", "nu0", "gamma", "c_d_alpha", "kappa", "D"]
     assert d["alpha"] == 1.5 and d["nu0"] == 1.0
     assert d["D"] == pytest.approx(1.0, abs=1e-3)  # vmax=200 grid: tail-mass limited
 

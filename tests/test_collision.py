@@ -12,7 +12,7 @@ from fraclimit import (
     apply_T,
     dissipation_Q,
     dissipation_T,
-    equilibrium_profile,
+    eval_M,
     gamma_of_M,
 )
 from fraclimit.collision import _flight_points
@@ -57,6 +57,20 @@ def test_nu_perturbed_bounds(ctx15p):
     assert nu[ctx15p.grid.n // 2] > nu[-1]
 
 
+@pytest.mark.parametrize("amplitude", [0.5, -0.5])
+def test_nu_off_grid_is_the_quadrature_sum(grid128, amplitude):
+    # nu_at between the nodes and beyond vmax, where L_eps and chi_eps
+    # evaluate it, is the nodal sum sum_j w_j sigma(v_j, v) M_j
+    cs = CrossSection(1.0, amplitude)
+    ctx = CollisionContext(grid128, cs, 1.5)
+    nodes = grid128.nodes
+    mid = (nodes[:-1] + nodes[1:]) / 2
+    far = grid128.vmax * np.array([1.5, 10.0, 1e4])
+    v = np.concatenate([mid, far, -far])
+    ref = (grid128.weights * ctx.M.values * cs.sigma(nodes[None, :], v[:, None])).sum(axis=1)
+    assert np.max(np.abs(ctx.nu_at(v) / ref - 1.0)) <= 1e-13
+
+
 @pytest.mark.parametrize("ctxname", ["ctx15", "ctx15p"])
 def test_Q_annihilates_M(ctxname, request):
     ctx = request.getfixturevalue(ctxname)
@@ -80,7 +94,7 @@ def test_K_positive(ctx15, rng):
 
 def test_grid_mismatch(ctx15):
     other = VelocityGrid(160, 200.0)
-    f = equilibrium_profile(other, 1.5)
+    f = VelocityProfile(other, eval_M(other.nodes, 1.5))
     with pytest.raises(InvalidInput, match="profile grid differs from context grid"):
         apply_Q(f, ctx15)
 
@@ -274,7 +288,7 @@ def _A_inverse_per_point(h, E, ctx):
     z = np.concatenate([z, np.tile(zl, n2)])
     v = g.nodes[row]
     q = v - E * s
-    A, B = ctx.cross_section.nu_coefficients(*ctx.nu_moments)
+    A, B = ctx.nu_coefficients
     av, aq = np.abs(v), np.abs(q)
     same_side = (q >= 0) == (v >= 0)
     logs = np.where(same_side, np.log1p(E * s / (1.0 + np.minimum(av, aq))), np.log1p(av) + np.log1p(aq))

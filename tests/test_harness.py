@@ -9,7 +9,7 @@ import pytest
 import fraclimit
 from fraclimit import CrossSection, ModelParams, run_convergence, run_operator_study
 from fraclimit.cli import build_parser, main
-from fraclimit.harness import ConvergenceReport, emit
+from fraclimit.harness import MARGIN, ConvergenceReport, emit
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -36,7 +36,7 @@ def _params(**kw):
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_convergence(_params(), margin=0.06)
+    return run_convergence(_params())
 
 
 def test_run_convergence_report(small_report):
@@ -57,7 +57,7 @@ def test_verdict_pure_function(small_report):
     case = small_report.cases[0]
     errs = [r["l1"] for r in case["rows"]]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
-    finest_ok = errs[-1] - case["rows"][-1]["noise_floor"] < 0.06
+    finest_ok = errs[-1] - case["rows"][-1]["noise_floor"] < MARGIN
     assert (case["verdict"] == "PASS") == (monotone and finest_ok)
 
 
@@ -78,7 +78,9 @@ def test_run_convergence_refuses_x_bins(bins, match):
 def test_emit_roundtrip(small_report, tmp_path):
     code = emit(small_report, tmp_path)
     data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(data) == ["seed", "config", "cases"]
     assert data["seed"] == 11
+    assert isinstance(data["config"]["epsilon_schedule"], list)
     assert len(data["cases"]) == 1
     csv = (tmp_path / "case_0.csv").read_text(encoding="utf-8").splitlines()
     assert csv[0] == "eps,l1,linf,noise_floor"
@@ -87,14 +89,14 @@ def test_emit_roundtrip(small_report, tmp_path):
 
 
 def test_emit_empty_report(tmp_path):
-    rep = ConvergenceReport([], {}, 0)
+    rep = ConvergenceReport(seed=0, config={}, cases=[])
     assert emit(rep, tmp_path) == 0
     data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert data["cases"] == []
 
 
 def test_emit_fail_exit_code(tmp_path):
-    rep = ConvergenceReport([{"verdict": "FAIL", "rows": []}], {}, 0)
+    rep = ConvergenceReport(seed=0, config={}, cases=[{"verdict": "FAIL", "rows": []}])
     assert emit(rep, tmp_path) == 1
 
 

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from fraclimit import (
     VelocityGrid,
     VelocityProfile,
-    equilibrium_profile,
     eval_M,
     gamma_of_M,
     moment,
@@ -43,7 +42,7 @@ def test_grid_symmetry(grid128):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 1.75])
 def test_equilibrium_mass(grid128, alpha):
-    m = equilibrium_profile(grid128, alpha)
+    m = VelocityProfile(grid128, eval_M(grid128.nodes, alpha))
     # tail-corrected mass matches the analytic normalization
     assert moment(m, 0) == pytest.approx(1.0, abs=1e-8)
     # plain grid sum misses the analytic tail mass (tau is first order in
@@ -53,13 +52,13 @@ def test_equilibrium_mass(grid128, alpha):
 
 
 def test_odd_moment_vanishes(grid128):
-    m = equilibrium_profile(grid128, 1.5)
+    m = VelocityProfile(grid128, eval_M(grid128.nodes, 1.5))
     assert abs(moment(m, 1)) < 1e-12
 
 
 def test_divergent_moment_is_refused(grid128):
     # at alpha = 1, M ~ |v|^-2: the first and second moments do not exist
-    m = equilibrium_profile(grid128, 1.0)
+    m = VelocityProfile(grid128, eval_M(grid128.nodes, 1.0))
     for p in (1, 2):
         with pytest.raises(TailDivergence, match="right tail .* is not integrable"):
             moment(m, p)
@@ -69,7 +68,7 @@ def test_moment_against_adaptive_quadrature(grid128):
     # int |v|^(1/2) M dv = 1 exactly for alpha = 3/2 (Beta-function identity);
     # the |v|^(1/2) kink at v=0 limits the inner panel to algebraic accuracy
     alpha = 1.5
-    m = equilibrium_profile(grid128, alpha)
+    m = VelocityProfile(grid128, eval_M(grid128.nodes, alpha))
     ref, _ = quad(lambda v: abs(v) ** 0.5 * eval_M(v, alpha), 0, np.inf, limit=200)
     assert 2.0 * ref == pytest.approx(1.0, rel=1e-9)
     assert moment(m, 0.5) == pytest.approx(1.0, rel=1e-4)
@@ -80,7 +79,7 @@ def test_moment_richardson():
     vals = []
     for n in (128, 256):
         g = VelocityGrid(n, 200.0)
-        vals.append(moment(equilibrium_profile(g, 1.5), 0.5))
+        vals.append(moment(VelocityProfile(g, eval_M(g.nodes, 1.5)), 0.5))
     assert abs(vals[1] - vals[0]) < 1e-6
 
 
@@ -117,7 +116,7 @@ def test_profile_refusals(grid128):
 
 
 def test_profile_call(grid128):
-    m = equilibrium_profile(grid128, 1.5)
+    m = VelocityProfile(grid128, eval_M(grid128.nodes, 1.5))
     assert m(0.5) == pytest.approx(eval_M(0.5, 1.5), rel=1e-10)
 
 
