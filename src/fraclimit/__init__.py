@@ -50,7 +50,6 @@ from .params import (
     ModelParams,
     from_config,
     load_config,
-    validate,
 )
 from .velocity import (
     Tail,

@@ -47,11 +47,11 @@ def chi_decay_check(phi: MacroState, eps_list, ctx: CollisionContext) -> dict:
     return {"eps": list(eps_list), "errors": errs.tolist(), "slope": slope}
 
 
-def _tail_panels(vmax: float, factor: float = 1e4, panels: int = 6):
-    """Log-spaced Gauss-Legendre panels on [vmax, vmax*factor] for tail sums."""
-    edges = vmax * factor ** (np.arange(panels + 1) / panels)
+def _tail_panels(vmax: float):
+    """Six log-spaced Gauss-Legendre panels on [vmax, 1e4 vmax] for tail sums."""
+    edges = vmax * 1e4 ** (np.arange(7) / 6)
     *_, v, jac = _log_panels(edges)
-    return v, np.tile(_WG, panels) * jac, edges[-1]
+    return v, np.tile(_WG, 6) * jac, edges[-1]
 
 
 def L_eps(phi: MacroState, eps: float, E: float, ctx: CollisionContext) -> MacroState:

@@ -21,14 +21,12 @@ from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
 from .harness import BUMP_WIDTH, MACRO_NODES, context, emit, macro_limit, run_convergence, run_operator_study
 from .macro import advance_macro, gaussian_bump
-from .params import ModelParams, load_config, validate, with_seed
+from .params import ModelParams, load_config
 
 
 def _load(args) -> ModelParams:
-    params = load_config(args.config) if args.config else validate(ModelParams())
-    if args.seed is not None:
-        params = with_seed(params, args.seed)
-    return params
+    params = load_config(args.config) if args.config else ModelParams()
+    return params if args.seed is None else replace(params, seed=args.seed)
 
 
 def _write_csv(path, header: str, rows):
@@ -104,13 +102,12 @@ def cmd_operator_check(args) -> int:
 def cmd_kinetic_run(args) -> int:
     params = _load(args)
     overrides = {"particles": args.particles, "final_time": args.final_time}
-    params = validate(replace(params, **{k: v for k, v in overrides.items() if v is not None}))
+    params = replace(params, **{k: v for k, v in overrides.items() if v is not None})
     eps = args.eps if args.eps is not None else min(params.epsilon_schedule)
     if not 0 < eps <= 1:
         raise InvalidInput(f"--eps {eps} outside (0, 1]")
     snaps = _snapshots(args, params.final_time)
-    ens = mc.init_ensemble(params.particles, params.domain_length, params.alpha,
-                           params.seed, width=BUMP_WIDTH)
+    ens = mc.init_ensemble(params, width=BUMP_WIDTH)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for t in snaps:

@@ -14,7 +14,7 @@ from .coefficients import limit_model
 from .collision import CollisionContext
 from .errors import InvalidInput
 from .macro import advance_macro, gaussian_bump, limit_operator
-from .params import ModelParams, validate
+from .params import ModelParams
 from .velocity import VelocityGrid
 
 # width of the initial density bump of the kinetic and macro runs, and the
@@ -59,7 +59,6 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     `threads` sets how many workers advance the particle blocks; it does not
     change the result.
     """
-    validate(params)
     L, T = params.domain_length, params.final_time
     bins = params.x_bins
     if MACRO_NODES % bins:
@@ -71,7 +70,7 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     rows = []
     noise = None
     for eps in params.epsilon_schedule:
-        ens = mc.init_ensemble(params.particles, L, params.alpha, params.seed, width=BUMP_WIDTH)
+        ens = mc.init_ensemble(params, width=BUMP_WIDTH)
         ens = mc.advance(ens, eps, params, T, scaling=scaling, threads=threads)
         dens = mc.estimate_density(ens, bins)
         l1 = float(np.sum(np.abs(dens.rho - macro_binned)) * dx)
@@ -101,7 +100,6 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
 
 def run_operator_study(params: ModelParams) -> dict:
     """L_eps vs the limit operator across the epsilon schedule."""
-    validate(params)
     eps_list = params.epsilon_schedule
     ctx = context(params)
     alpha = params.alpha

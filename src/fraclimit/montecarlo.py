@@ -1,11 +1,12 @@
 """Event-driven Monte Carlo for the scaled kinetic equation.
 
+The model and run geometry come from a `ModelParams`, checked when built.
 Initial data are well prepared, rho_0(x) M(v): x uniform or exactly the
 periodized Gaussian (`init_ensemble`), v from `sample_M`, an exact
 rejection sampler with a Cauchy proposal.  Per particle: free flight in the
 constant field E = e0 (velocity drift E/eps, positions in closed form),
 collision candidates at the events of a Poisson clock with the majorant rate
-nu2/eps^alpha.
+nu2/eps^alpha, nu2 = nu0 + max(a, 0) the least upper bound of sigma.
 
 The jump kernel sigma(w, v) M(w) is bounded by nu2 M(w), so one thinning
 stage is exact (Lewis & Shedler 1979): a candidate proposes w ~ M and is
@@ -123,17 +124,19 @@ class ParticleEnsemble:
     collisions: int = 0
 
 
-def init_ensemble(N: int, L: float, alpha: float, seed: int, width: float | None = None) -> ParticleEnsemble:
-    """Well-prepared data rho_0(x) M(v): v from M, and x uniform on [0, L),
-    or with `width`, x = (L/2 + width Z) mod L for a standard normal Z,
-    exactly the law of the periodized Gaussian `macro.gaussian_bump`."""
+def init_ensemble(params: ModelParams, width: float | None = None) -> ParticleEnsemble:
+    """Well-prepared data rho_0(x) M(v) for the params' particles, domain
+    length L, alpha and seed: v from M, and x uniform on [0, L), or with
+    `width`, x = (L/2 + width Z) mod L for a standard normal Z, exactly the
+    law of the periodized Gaussian `macro.gaussian_bump`."""
+    N, L = params.particles, params.domain_length
     x, v = np.empty(N), np.empty(N)
     rngs = []
     for b, sl in enumerate(_blocks(N)):
-        rng = _rng_for(seed, b)
+        rng = _rng_for(params.seed, b)
         n = sl.stop - sl.start
         x[sl] = rng.random(n) * L if width is None else np.mod(L / 2 + width * rng.standard_normal(n), L)
-        v[sl] = sample_M(rng, alpha, n)
+        v[sl] = sample_M(rng, params.alpha, n)
         rngs.append(rng)
     return ParticleEnsemble(x, v, L, 0.0, tuple(rngs))
 

@@ -1,11 +1,12 @@
-"""Validated model definition: exponent, cross section (nu0, amplitude),
-field e0, run geometry.  `from_config` maps the config's kinds to numbers."""
+"""Model definition: exponent, cross section (nu0, amplitude), field e0, run
+geometry.  Each type refuses bad values when built, so `dataclasses.replace`
+checks them again; `from_config` maps the config's kinds to numbers."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
@@ -15,12 +16,21 @@ from .errors import InvalidInput
 class CrossSection:
     """Collision cross section sigma = nu0 + a/((1+|v|)(1+|v'|)), a = amplitude.
 
-    Symmetric, bounded between nu1 = nu0 - |a| and nu2 = nu0 + |a|, and
-    |sigma - nu0| <= |a|/(1+|v|).  a = 0 is the constant cross section.
+    Symmetric, bounded below by nu1 = nu0 - |a| > 0 (refused otherwise), and
+    |sigma - nu0| <= |a|/(1+|v|).  Its least upper bound, the majorant
+    nu2 = nu0 + max(a, 0), is reached at v = v' = 0 for a > 0 and approached
+    at large |v|, |v'| for a < 0.  a = 0 is the constant cross section.
     """
 
     nu0: float = 1.0
     amplitude: float = 0.0
+
+    def __post_init__(self):
+        if not (self.nu1 > 0 and math.isfinite(self.nu2)):
+            raise InvalidInput(
+                f"need 0 < nu0 - |amplitude| and a finite nu0 + |amplitude|; "
+                f"got nu0={self.nu0}, amplitude={self.amplitude}"
+            )
 
     @property
     def nu1(self) -> float:
@@ -28,7 +38,7 @@ class CrossSection:
 
     @property
     def nu2(self) -> float:
-        return self.nu0 + abs(self.amplitude)
+        return self.nu0 + max(self.amplitude, 0.0)
 
     def sigma(self, v, vp):
         v = np.asarray(v, dtype=float)
@@ -41,6 +51,10 @@ class FieldSpec:
     """Acceleration field E = e0, the same everywhere and at all times."""
 
     e0: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.e0):
+            raise InvalidInput(f"field e0={self.e0} is not finite")
 
     def __call__(self, x):
         """E at the points x."""
@@ -61,42 +75,31 @@ class ModelParams:
     vmax_over_inv_eps: float = 10.0
     x_bins: int = 64
 
+    def __post_init__(self):
+        if not 1.0 <= self.alpha < 2.0:
+            raise InvalidInput(f"alpha={self.alpha} outside [1,2)")
+        if not (0 < self.domain_length < math.inf and 0 < self.final_time < math.inf):
+            raise InvalidInput(
+                f"domain_length and final_time must be positive and finite; "
+                f"got {self.domain_length}, {self.final_time}"
+            )
+        eps = self.epsilon_schedule
+        if len(eps) == 0:
+            raise InvalidInput("epsilon_schedule is empty")
+        if not all(0 < e <= 1 for e in eps):
+            raise InvalidInput("epsilon values must lie in (0,1]")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise InvalidInput("epsilon_schedule must be strictly decreasing")
+        if not 0 < self.vmax_over_inv_eps < math.inf:
+            raise InvalidInput(f"vmax_over_inv_eps={self.vmax_over_inv_eps} must be positive and finite")
+        if self.particles < 1 or self.x_bins < 1:
+            raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {self.particles}, {self.x_bins}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed={self.seed} must be non-negative")
+
     @property
     def vmax(self) -> float:
         return self.vmax_over_inv_eps / min(self.epsilon_schedule)
-
-
-def validate(params: ModelParams) -> ModelParams:
-    """Check every invariant; returns the params unchanged on success."""
-    if not 1.0 <= params.alpha < 2.0:
-        raise InvalidInput(f"alpha={params.alpha} outside [1,2)")
-    if not (0 < params.domain_length < math.inf and 0 < params.final_time < math.inf):
-        raise InvalidInput(
-            f"domain_length and final_time must be positive and finite; "
-            f"got {params.domain_length}, {params.final_time}"
-        )
-    eps = params.epsilon_schedule
-    if len(eps) == 0:
-        raise InvalidInput("epsilon_schedule is empty")
-    if not all(0 < e <= 1 for e in eps):
-        raise InvalidInput("epsilon values must lie in (0,1]")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise InvalidInput("epsilon_schedule must be strictly decreasing")
-    cs = params.cross_section
-    if not (cs.nu1 > 0 and math.isfinite(cs.nu2)):
-        raise InvalidInput(
-            f"need 0 < nu0 - |amplitude| and a finite nu0 + |amplitude|; "
-            f"got nu0={cs.nu0}, amplitude={cs.amplitude}"
-        )
-    if not math.isfinite(params.field_spec.e0):
-        raise InvalidInput(f"field e0={params.field_spec.e0} is not finite")
-    if not 0 < params.vmax_over_inv_eps < math.inf:
-        raise InvalidInput(f"vmax_over_inv_eps={params.vmax_over_inv_eps} must be positive and finite")
-    if params.particles < 1 or params.x_bins < 1:
-        raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {params.particles}, {params.x_bins}")
-    if params.seed < 0:
-        raise InvalidInput(f"seed={params.seed} must be non-negative")
-    return params
 
 
 def _entry(cfg: dict, key: str, default=None):
@@ -143,7 +146,7 @@ def _kind_number(cfg: dict, key: str, kinds: dict) -> float:
 
 
 def from_config(cfg: dict) -> ModelParams:
-    """Build validated params from the JSON config mapping.  Keys it does not
+    """Build the params from the JSON config mapping.  Keys it does not
     read, such as the retired `time_step_macro`, are ignored; `dim` must be 1.
 
     The kinds map to numbers: cross section `Constant` is amplitude 0 and
@@ -155,7 +158,7 @@ def from_config(cfg: dict) -> ModelParams:
         raise InvalidInput(f"config is not an object: {cfg!r}")
     if _number(cfg, "dim", 1) != 1:
         raise InvalidInput(f"dim={cfg['dim']}: the solvers are one-dimensional")
-    params = ModelParams(
+    return ModelParams(
         alpha=_number(cfg, "alpha"),
         cross_section=CrossSection(_number(cfg, "cross_section.nu0", 1.0), _kind_number(
             cfg, "cross_section.amplitude", {"constant": False, "perturbedconstant": True, "perturbed": True})),
@@ -169,13 +172,8 @@ def from_config(cfg: dict) -> ModelParams:
         vmax_over_inv_eps=_number(cfg, "velocity_grid.vmax_over_inv_eps", 10.0),
         x_bins=_number(cfg, "x_bins", 64, int),
     )
-    return validate(params)
 
 
 def load_config(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         return from_config(json.load(fh))
-
-
-def with_seed(params: ModelParams, seed: int) -> ModelParams:
-    return replace(params, seed=seed)

@@ -213,7 +213,7 @@ def test_08_end_to_end_limit():
         details.append(f"{label}: L1 {' > '.join(f'{e:.3f}' for e in errs)}")
     # velocity marginal at the finest eps for the critical constant-field case
     p = _params(alpha=1.0, field_spec=FieldSpec(0.5))
-    ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+    ens = init_ensemble(p)
     ens = advance(ens, 0.05, p, p.final_time)
     ctx = CollisionContext(VelocityGrid(128, 200.0), CrossSection(1.0), 1.0)
     F = solve_F(0.5, ctx)  # alpha=1: effective field is E itself

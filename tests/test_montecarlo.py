@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def test_bitwise_reproducibility():
     p = _params()
     runs = []
     for _ in range(2):
-        ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+        ens = init_ensemble(p)
         ens = advance(ens, 0.1, p, 0.2)
         runs.append((ens.x.copy(), ens.v.copy(), ens.collisions))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -174,8 +175,8 @@ def test_bitwise_reproducibility():
 
 
 def test_seed_changes_stream():
-    a = init_ensemble(1000, L, 1.5, 1)
-    b = init_ensemble(1000, L, 1.5, 2)
+    a = init_ensemble(_params(particles=1000, seed=1))
+    b = init_ensemble(_params(particles=1000, seed=2))
     assert not np.array_equal(a.v, b.v)
 
 
@@ -184,7 +185,7 @@ def test_ballistic_characteristics_exact():
     # v0 + E T/eps exactly and sits on its quadratic-in-time path
     p = _params(field_spec=FieldSpec(0.5))
     eps, T, n = 0.1, 0.01, 2000
-    ens = init_ensemble(n, L, p.alpha, p.seed)
+    ens = init_ensemble(replace(p, particles=n))
     x0, v0 = ens.x.copy(), ens.v.copy()
     out = advance(ens, eps, p, T)
     free = out.v == v0 + (0.5 / eps) * T
@@ -235,7 +236,7 @@ def test_clock_pass_matches_reference(scaling, E, mean_k):
     rate = eps**-alpha if scaling == "diffusive" else 1.0 / eps
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
     tau = mean_k / rate
-    ens = init_ensemble(BLOCK, L, alpha, 9)
+    ens = init_ensemble(_params(alpha=alpha, particles=BLOCK, seed=9))
     args = (alpha, rate, tau, E, xfac, eps, L)
     xr, vr, size, k, _ = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 5), CrossSection(1.0), *args)
     x, v = ens.x.copy(), ens.v.copy()
@@ -257,7 +258,7 @@ def test_thinning_matches_reference(scaling, amplitude):
     rate = cs.nu2 * (eps**-alpha if scaling == "diffusive" else 1.0 / eps)
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
     tau = 8.0 / rate
-    ens = init_ensemble(BLOCK, L, alpha, 9)
+    ens = init_ensemble(_params(alpha=alpha, particles=BLOCK, seed=9))
     args = (cs, alpha, rate, tau, E, xfac, eps, L)
     xr, vr, size, k, accepted = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 6), *args)
     x, v = ens.x.copy(), ens.v.copy()
@@ -271,7 +272,7 @@ def test_collision_count_rate():
     # constant sigma: expected nu0 * T / eps^alpha collisions per particle
     p = _params(particles=20_000)
     eps, T = 0.2, 0.5
-    ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+    ens = init_ensemble(p)
     out = advance(ens, eps, p, T)
     expect = p.particles * T / eps**p.alpha
     assert out.collisions == pytest.approx(expect, rel=0.02)
@@ -280,14 +281,14 @@ def test_collision_count_rate():
 def test_high_field_rate():
     p = _params()
     eps, T = 0.2, 0.5
-    ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+    ens = init_ensemble(p)
     out = advance(ens, eps, p, T, scaling="high_field")
     assert out.collisions == pytest.approx(p.particles * T / eps, rel=0.03)
 
 
 def test_time_monotonicity_guard():
     p = _params()
-    ens = init_ensemble(100, L, p.alpha, p.seed)
+    ens = init_ensemble(replace(p, particles=100))
     ens = advance(ens, 0.2, p, 0.3)
     with pytest.raises(InvalidInput, match="until=0.1 < current t=0.3"):
         advance(ens, 0.2, p, 0.1)
@@ -307,13 +308,13 @@ def test_time_monotonicity_guard():
 )
 def test_advance_refusals(eps, until, scaling):
     p = _params()
-    ens = init_ensemble(100, L, p.alpha, p.seed)
+    ens = init_ensemble(replace(p, particles=100))
     with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, eps in"):
         advance(ens, eps, p, until, scaling=scaling)
 
 
 def test_estimate_density_mass():
-    ens = init_ensemble(5000, L, 1.5, 0)
+    ens = init_ensemble(_params(particles=5000, seed=0))
     dens = estimate_density(ens, 32)
     assert dens.mass == pytest.approx(1.0, abs=1e-12)
     assert dens.n == 32
@@ -328,7 +329,7 @@ def test_init_periodized_gaussian():
         x = np.atleast_1d(x)[None, :]
         return np.sum(stats.norm.cdf((x - L / 2 + s * L) / w) - stats.norm.cdf((-L / 2 + s * L) / w), axis=0)
 
-    ens = init_ensemble(200_000, L, 1.5, 5, width=w)
+    ens = init_ensemble(_params(particles=200_000, seed=5), width=w)
     assert np.all((ens.x >= 0.0) & (ens.x <= L))
     assert cdf(L)[0] == pytest.approx(1.0, abs=1e-14)
     assert stats.kstest(ens.x, cdf).pvalue > 1e-3
@@ -343,7 +344,7 @@ def test_stationary_collision_rate(alpha, amplitude):
     n, eps, T = 20_000, 0.2, 0.5
     i1, _ = quad(lambda u: eval_M(u, alpha) / (1.0 + abs(u)), -np.inf, np.inf)
     p = _params(alpha=alpha, cross_section=CrossSection(1.0, amplitude), particles=n)
-    out = advance(init_ensemble(n, L, alpha, 4), eps, p, T)
+    out = advance(init_ensemble(replace(p, seed=4)), eps, p, T)
     mean = T * (1.0 + amplitude * i1**2) / eps**alpha  # per particle
     # a particle's count is a unit-jump martingale of variance `mean` plus
     # its compensator int nu(v_t) dt / eps^alpha, which ranges over an
@@ -355,7 +356,7 @@ def test_stationary_collision_rate(alpha, amplitude):
 def test_perturbed_collisions_relax_to_M():
     # single-stage thinning must keep the velocity marginal at M
     p = _params(cross_section=CrossSection(1.0, 0.5), particles=100_000)
-    ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+    ens = init_ensemble(p)
     out = advance(ens, 0.2, p, 0.5)
     ks = stats.kstest(out.v, lambda q: _M_cdf(q, p.alpha)).statistic
     assert ks < 0.01
@@ -391,8 +392,8 @@ def test_advance_matches_event_reference(amplitude, scaling, e0):
     eps, T, n = 0.2, 0.5, 50_000
     cs = CrossSection(1.0, amplitude)
     p = _params(cross_section=cs, field_spec=FieldSpec(e0), particles=n)
-    out = advance(init_ensemble(n, L, p.alpha, 1, width=2.0), eps, p, T, scaling=scaling)
-    ens = init_ensemble(n, L, p.alpha, 2, width=2.0)
+    out = advance(init_ensemble(replace(p, seed=1), width=2.0), eps, p, T, scaling=scaling)
+    ens = init_ensemble(replace(p, seed=2), width=2.0)
     rate = cs.nu2 / (eps if scaling == "high_field" else eps**p.alpha)
     xfac = 1.0 if scaling == "high_field" else eps ** (1.0 - p.alpha)
     ref = _event_reference(ens.x, ens.v, _rng_for(3, 0), cs, p.alpha, T, e0, xfac, eps, L, rate)
@@ -409,9 +410,9 @@ def test_consecutive_advances_use_elapsed_time():
     # 0 -> 0.1 -> 0.2 has the law of one advance 0 -> 0.2
     p = _params(field_spec=FieldSpec(0.5), particles=50_000)
     eps = 0.2
-    ens = init_ensemble(p.particles, L, p.alpha, 1, width=2.0)
+    ens = init_ensemble(replace(p, seed=1), width=2.0)
     ens = advance(advance(ens, eps, p, 0.1), eps, p, 0.2)
-    once = advance(init_ensemble(p.particles, L, p.alpha, 2, width=2.0), eps, p, 0.2)
+    once = advance(init_ensemble(replace(p, seed=2), width=2.0), eps, p, 0.2)
     assert ens.t == 0.2
     m = p.particles * 0.2 / eps**p.alpha
     assert abs(ens.collisions - m) <= 6 * np.sqrt(m)
@@ -422,7 +423,7 @@ def test_consecutive_advances_use_elapsed_time():
 @pytest.mark.parametrize("cs", [CrossSection(1.0), CrossSection(1.0, 0.5)])
 def test_clock_pass_memory_is_per_block(cs):
     p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=250_000)
-    ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+    ens = init_ensemble(p)
     tracemalloc.start()
     try:
         advance(ens, 0.05, p, p.final_time)
@@ -445,7 +446,7 @@ def test_more_threads_than_cores_same_result(cs):
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 5):
-            ens = init_ensemble(p.particles, L, p.alpha, p.seed)
+            ens = init_ensemble(p)
             ens = advance(ens, 0.2, p, 0.3, threads=threads)
             runs.append((ens.x, ens.v, ens.collisions))
     finally:

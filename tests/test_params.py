@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,12 @@ from fraclimit import (
     ModelParams,
     from_config,
     load_config,
-    validate,
 )
 from fraclimit.errors import InvalidInput
-from fraclimit.params import with_seed
 
 
 def test_defaults_validate():
-    p = validate(ModelParams())
+    p = ModelParams()
     assert p.alpha == 1.5
     assert p.vmax == pytest.approx(10.0 / 0.05)
 
@@ -24,37 +23,59 @@ def test_defaults_validate():
 @pytest.mark.parametrize("alpha", [0.5, 0.99, 2.0, 2.5])
 def test_alpha_range(alpha):
     with pytest.raises(InvalidInput, match=r"alpha=.* outside \[1,2\)"):
-        validate(ModelParams(alpha=alpha))
+        ModelParams(alpha=alpha)
 
 
 def test_epsilon_schedule_checks():
     with pytest.raises(InvalidInput, match="epsilon_schedule is empty"):
-        validate(ModelParams(epsilon_schedule=()))
+        ModelParams(epsilon_schedule=())
     with pytest.raises(InvalidInput, match="epsilon_schedule must be strictly decreasing"):
-        validate(ModelParams(epsilon_schedule=(0.1, 0.2)))
+        ModelParams(epsilon_schedule=(0.1, 0.2))
     with pytest.raises(InvalidInput, match=r"epsilon values must lie in \(0,1\]"):
-        validate(ModelParams(epsilon_schedule=(0.2, -0.1)))
+        ModelParams(epsilon_schedule=(0.2, -0.1))
 
 
 def test_domain_checks():
     with pytest.raises(InvalidInput, match="domain_length and final_time must be positive"):
-        validate(ModelParams(domain_length=0.0))
+        ModelParams(domain_length=0.0)
     with pytest.raises(InvalidInput, match="domain_length and final_time must be positive"):
-        validate(ModelParams(final_time=-1.0))
+        ModelParams(final_time=-1.0)
 
 
 def test_cross_section_bounds():
     # nu1 = nu0 - |a| must stay positive
     with pytest.raises(InvalidInput, match=r"need 0 < nu0 - \|amplitude\|"):
-        validate(ModelParams(cross_section=CrossSection(1.0, 1.5)))
-    cs = CrossSection(1.0, 0.5)
-    assert cs.nu1 == 0.5 and cs.nu2 == 1.5
+        ModelParams(cross_section=CrossSection(1.0, 1.5))
     v = np.linspace(-50, 50, 101)
-    s = cs.sigma(v[:, None], v[None, :])
-    assert np.all(s >= cs.nu1) and np.all(s <= cs.nu2)
-    assert np.allclose(s, s.T)  # symmetric
-    # |sigma - nu0| <= |a| / (1+|v|)
-    assert np.all(np.abs(s - 1.0) <= 0.5 / (1.0 + np.abs(v))[:, None] + 1e-15)
+    for a in (0.5, -0.5):
+        cs = CrossSection(1.0, a)
+        assert cs.nu1 == 0.5 and cs.nu2 == 1.0 + max(a, 0.0)
+        s = cs.sigma(v[:, None], v[None, :])
+        assert np.all(s >= cs.nu1) and np.all(s <= cs.nu2)
+        assert np.allclose(s, s.T)  # symmetric
+        # |sigma - nu0| <= |a| / (1+|v|)
+        assert np.all(np.abs(s - 1.0) <= 0.5 / (1.0 + np.abs(v))[:, None] + 1e-15)
+        # nu2 is the least upper bound: reached at 0 for a > 0, approached far out for a < 0
+        top = cs.sigma(0.0, 0.0) if a > 0 else cs.sigma(1e12, 1e12)
+        assert abs(top - cs.nu2) <= (0.0 if a > 0 else 1e-12)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CrossSection(1.0, -1.5),
+        lambda: FieldSpec(float("nan")),
+        lambda: ModelParams(alpha=2.5),
+        lambda: ModelParams(domain_length=float("nan")),
+        lambda: replace(ModelParams(), seed=-1),
+    ],
+    ids=["cross_section", "field", "alpha", "domain_length", "replace_seed"],
+)
+def test_model_types_refuse_bad_values_when_built(build):
+    # refused where the value is made, before a CollisionContext, advance or
+    # init_ensemble can use it
+    with pytest.raises(InvalidInput):
+        build()
 
 
 def test_constant_sigma_is_flat():
@@ -167,6 +188,6 @@ def test_from_config_round_trip(tmp_path):
 
 def test_with_seed():
     p = ModelParams(seed=0)
-    q = with_seed(p, 42)
+    q = replace(p, seed=42)
     assert q.seed == 42 and p.seed == 0
     assert q.alpha == p.alpha
