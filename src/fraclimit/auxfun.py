@@ -9,9 +9,7 @@ import numpy as np
 from .collision import CollisionContext
 from .equilibrium import solve_F
 from .macro import MacroState
-from .velocity import Tail, _WG, _log_panels
-
-_LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
+from .velocity import Tail, _LAG_W, _LAG_Z, _WG, _log_panels
 
 
 def chi_eps(phi: MacroState, eps: float, x: float, v: float, ctx: CollisionContext) -> float:
@@ -22,24 +20,24 @@ def chi_eps(phi: MacroState, eps: float, x: float, v: float, ctx: CollisionConte
     return float(np.sum(_LAG_W * phi(pts)))
 
 
-def _chi_mode_factor(k_phys: float, eps: float, v: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Per-mode closed form: chi_hat_k / phi_hat_k = 1/(1 - i k eps v / nu)."""
-    return 1.0 / (1.0 - 1j * k_phys * eps * v / nu)
+def _flight_mean(k: np.ndarray, eps: float, v: np.ndarray, nu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j (1/(1 - i k eps v_j/nu_j) - 1) for each wavenumber in the column k:
+    the flight average's mode multiplier chi_hat_k/phi_hat_k - 1 averaged against w."""
+    return (w * (1 / (1 - 1j * k * eps * v / nu) - 1.0)).sum(axis=1)
 
 
 def chi_decay_check(phi: MacroState, eps_list, ctx: CollisionContext) -> dict:
-    """e(eps) = sqrt(int (int M |chi_eps - phi| dv)^2 dx) and its log-log slope."""
+    """e(eps) = sqrt(int (int M (chi_eps - phi) dv)^2 dx) on phi's grid (one irfft) and its log-log slope."""
     g = ctx.grid
-    x, kphys, c = phi.x, phi.wavenumbers(), phi.coeffs() / phi.n
+    band = phi.band()
+    kp = phi.wavenumbers()[band][:, None]
     errs = []
     for eps in eps_list:
-        dev = np.zeros((len(x), g.n))
-        for k in phi.band():
-            fac = _chi_mode_factor(kphys[k], eps, g.nodes, ctx.nu.values) - 1.0
-            dev += 2.0 * np.real(c[k] * np.exp(1j * kphys[k] * x)[:, None] * fac[None, :])
+        mult = np.zeros(phi.n // 2 + 1, dtype=complex)
+        mult[band] = _flight_mean(kp, eps, g.nodes, ctx.nu.values, g.weights * ctx.M.values)
         # signed velocity average: the O(eps v) odd term must cancel for the
         # decay rate to reach alpha (pointwise |.| would cap the slope at 1)
-        inner = np.abs(np.sum(g.weights[None, :] * ctx.M.values[None, :] * dev, axis=1))
+        inner = np.fft.irfft(mult * phi.coeffs(), n=phi.n)
         errs.append(float(np.sqrt(np.sum(inner**2) * (phi.L / phi.n))))
     errs = np.array(errs)
     le, lv = np.log(np.asarray(eps_list, dtype=float)), np.log(np.maximum(errs, 1e-300))
@@ -58,7 +56,7 @@ def L_eps(phi: MacroState, eps: float, E: float, ctx: CollisionContext) -> Macro
     """Rescaled operator L_eps(phi)(x) = eps^-alpha int nu F_eps (chi_eps - phi) dv.
 
     F_eps = F(., eps^(alpha-1) E) does not depend on x, so L_eps is a Fourier
-    multiplier: per mode, the velocity integral in closed form on the grid plus
+    multiplier: per band mode, `_flight_mean` against w nu F on the grid plus
     the |v| > vmax region from F's fitted power-law tails.
     """
     g = ctx.grid
@@ -75,11 +73,10 @@ def L_eps(phi: MacroState, eps: float, E: float, ctx: CollisionContext) -> Macro
 
     band = phi.band()
     kp = phi.wavenumbers()[band][:, None]
-    fac = _chi_mode_factor(kp, eps, g.nodes, ctx.nu.values) - 1.0
-    core = (g.weights * ctx.nu.values * F * fac).sum(axis=1)
-    tfac_p = _chi_mode_factor(kp, eps, tv, nu_t) - 1.0
-    tfac_m = _chi_mode_factor(kp, eps, -tv, nu_t) - 1.0
+    core = _flight_mean(kp, eps, g.nodes, ctx.nu.values, g.weights * ctx.nu.values * F)
+    right = _flight_mean(kp, eps, tv, nu_t, wr)
+    left = _flight_mean(kp, eps, -tv, nu_t, wl)
     mult = np.zeros(phi.n // 2 + 1, dtype=complex)
-    mult[band] = core + ((wr * tfac_p).sum(axis=1) + (wl * tfac_m).sum(axis=1) + rem)
+    mult[band] = core + (right + left + rem)
     out = np.fft.irfft(mult * phi.coeffs(), n=phi.n)
     return MacroState(out / eps**alpha, phi.L)

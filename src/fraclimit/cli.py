@@ -21,7 +21,7 @@ from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
 from .harness import BUMP_WIDTH, MACRO_NODES, context, emit, macro_limit, run_convergence, run_operator_study
 from .macro import advance_macro, gaussian_bump
-from .params import ModelParams, load_config
+from .params import SCALINGS, ModelParams, load_config
 
 
 def _load(args) -> ModelParams:
@@ -182,10 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "so results do not depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("equilibrium", help="tabulate v, M, F, lambda, G, R")
-    p.add_argument("--field", type=float, default=None, help="field value E (default: config e0)")
-    p.add_argument("--raw-field", action="store_true",
-                   help="use E as the effective field without the eps^(alpha-1) scaling")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", type=float, default=None, help="field value E (default: config e0)")
+    field.add_argument("--raw-field", action="store_true",
+                       help="use E as the effective field without the eps^(alpha-1) scaling")
+    times = argparse.ArgumentParser(add_help=False)
+    times.add_argument("--final-time", type=float, default=None)
+    times.add_argument("--snapshot", type=float, action="append", default=None,
+                       help="snapshot time (repeatable; default: final time; an explicit --final-time comes last)")
+    scaling = argparse.ArgumentParser(add_help=False)
+    scaling.add_argument("--scaling", choices=SCALINGS, default=SCALINGS[0])
+
+    p = sub.add_parser("equilibrium", parents=[field], help="tabulate v, M, F, lambda, G, R")
     p.set_defaults(fn=cmd_equilibrium)
 
     p = sub.add_parser("coefficients", help="print limit coefficients as JSON")
@@ -194,29 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("operator-check", help="rescaled operator vs limit operator")
     p.set_defaults(fn=cmd_operator_check)
 
-    p = sub.add_parser("kinetic-run", help="single Monte Carlo run")
+    p = sub.add_parser("kinetic-run", parents=[times, scaling], help="single Monte Carlo run")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--particles", type=int, default=None)
-    p.add_argument("--final-time", type=float, default=None)
-    p.add_argument("--snapshot", type=float, action="append", default=None,
-                   help="snapshot time (repeatable; default: final time; an explicit --final-time comes last)")
-    p.add_argument("--scaling", choices=["diffusive", "high_field"], default="diffusive")
     p.set_defaults(fn=cmd_kinetic_run)
 
-    p = sub.add_parser("macro-run", help="solve the limit equation")
-    p.add_argument("--final-time", type=float, default=None)
-    p.add_argument("--snapshot", type=float, action="append", default=None)
-    p.add_argument("--scaling", choices=["diffusive", "high_field"], default="diffusive")
+    p = sub.add_parser("macro-run", parents=[times, scaling], help="solve the limit equation")
     p.set_defaults(fn=cmd_macro_run)
 
-    p = sub.add_parser("converge", help="full kinetic-vs-macro convergence study")
-    p.add_argument("--scaling", choices=["diffusive", "high_field"], default="diffusive")
+    p = sub.add_parser("converge", parents=[scaling], help="full kinetic-vs-macro convergence study")
     p.set_defaults(fn=cmd_converge)
 
-    p = sub.add_parser("all", help="coefficients + equilibrium + operator-check + converge")
-    p.add_argument("--field", type=float, default=None)
-    p.add_argument("--raw-field", action="store_true")
-    p.add_argument("--scaling", choices=["diffusive", "high_field"], default="diffusive")
+    p = sub.add_parser("all", parents=[field, scaling],
+                       help="coefficients + equilibrium + operator-check + converge")
     p.set_defaults(fn=cmd_all)
     return parser
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .collision import CollisionContext
 from .equilibrium import LambdaField, drift_mu, solve_lambda
 from .errors import InvalidInput, TailDivergence
+from .params import SCALINGS
 from .velocity import moment, norm_Z
 
 
@@ -79,7 +80,7 @@ def limit_model(ctx: CollisionContext, E: float, scaling: str) -> tuple[float, f
     pure transport, kappa = 0 and drift E.  A zero field has drift 0 with no
     solve.  Unknown scalings are refused.
     """
-    if scaling not in ("diffusive", "high_field"):
+    if scaling not in SCALINGS:
         raise InvalidInput(f"unknown scaling {scaling!r}")
     if scaling == "high_field":
         return 0.0, E

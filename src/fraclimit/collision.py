@@ -8,10 +8,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .params import CrossSection
-from .velocity import VelocityGrid, VelocityProfile, eval_M
+from .velocity import _LAG_W, _LAG_Z, _WG, _XG, VelocityGrid, VelocityProfile, eval_M
 
-_LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
-_XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 # panel edges before the kink, in units of 0.5/nu_min; 0.5 * 2^7 > 45, so the
 # last one always lies past the 45/nu_min truncation
 _DOUBLING = 2.0 ** np.arange(8)
@@ -108,9 +106,9 @@ def _flight_points(E: float, ctx: CollisionContext):
     edges = np.column_stack([np.zeros(n2), np.minimum(0.5 / nmin * _DOUBLING, smax[:, None])])
     keep = edges[:, 1:] > edges[:, :-1]
     a, b = edges[:, :-1][keep], edges[:, 1:][keep]
-    leg = (np.repeat(n2 + np.nonzero(keep)[0], len(_XG16)),
-           ((a + b)[:, None] / 2 + (b - a)[:, None] / 2 * _XG16[None, :]).ravel(),
-           ((b - a)[:, None] / 2 * _WG16[None, :]).ravel(), np.zeros(len(a) * len(_XG16)))
+    leg = (np.repeat(n2 + np.nonzero(keep)[0], len(_XG)),
+           ((a + b)[:, None] / 2 + (b - a)[:, None] / 2 * _XG[None, :]).ravel(),
+           ((b - a)[:, None] / 2 * _WG[None, :]).ravel(), np.zeros(len(a) * len(_XG)))
     return tuple(np.concatenate(parts) for parts in zip(lag, leg))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .macro import MacroState
-from .params import ModelParams
+from .params import SCALINGS, ModelParams
 from .velocity import norm_Z
 
 BLOCK = 4096  # particles per random stream
@@ -226,7 +226,7 @@ def advance(
     keeps its old t and collision count, so advancing it again moves the
     same particles twice.  Use only the returned ensemble.
     """
-    if scaling not in ("diffusive", "high_field") or not 0 < eps <= 1 or not math.isfinite(until):
+    if scaling not in SCALINGS or not 0 < eps <= 1 or not math.isfinite(until):
         raise InvalidInput(f"need scaling diffusive or high_field, eps in (0, 1] and a finite until; "
                            f"got {scaling!r}, {eps}, {until}")
     if until < ens.t - 1e-15:

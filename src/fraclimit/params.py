@@ -11,6 +11,9 @@ import numpy as np
 
 from .errors import InvalidInput
 
+# the scalings of the kinetic equation in eps; the first is the default
+SCALINGS = ("diffusive", "high_field")
+
 
 @dataclass(frozen=True)
 class CrossSection:
@@ -92,6 +95,9 @@ class ModelParams:
             raise InvalidInput("epsilon_schedule must be strictly decreasing")
         if not 0 < self.vmax_over_inv_eps < math.inf:
             raise InvalidInput(f"vmax_over_inv_eps={self.vmax_over_inv_eps} must be positive and finite")
+        for name in ("seed", "particles", "x_bins", "velocity_nodes"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InvalidInput(f"{name}={getattr(self, name)!r} is not an integer")
         if self.particles < 1 or self.x_bins < 1:
             raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {self.particles}, {self.x_bins}")
         if self.seed < 0:

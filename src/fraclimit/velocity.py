@@ -5,7 +5,7 @@ so the grid is a symmetric composite of Gauss-Legendre panels: one linear
 panel [0, 1] and geometrically log-spaced panels from 1 out to vmax,
 mirrored to v < 0.  Beyond vmax a profile is continued by its `Tail`, a
 per-side two-term power law c|v|^-q (1 + b v^-2), which also gives the
-moments v^p or |v|^p their closed-form |v| > vmax part.
+moments v^p their closed-form |v| > vmax part.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import InvalidInput, TailDivergence
 PANEL_PTS = 16
 
 _XG, _WG = np.polynomial.legendre.leggauss(PANEL_PTS)
+_LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(64)
 
 
 def _bary_weights(x: np.ndarray) -> np.ndarray:
@@ -264,17 +265,15 @@ class Tail:
         return out[0], out[1]
 
 
-def moment(profile: VelocityProfile, p) -> float:
-    """Tail-corrected moment of a profile: weight v^p for an integer p (p=0
-    gives the mass), |v|^p for a float p.  The |v| > vmax part is the
-    closed-form integral of the profile's `Tail`.
+def moment(profile: VelocityProfile, p: int) -> float:
+    """Tail-corrected moment of a profile against v^p for an integer p >= 0
+    (p = 0 gives the mass); any other p is refused.  The |v| > vmax part is
+    the closed-form integral of the profile's `Tail`.
     """
+    if not isinstance(p, (int, np.integer)) or p < 0:
+        raise InvalidInput(f"moment order p={p!r} must be a non-negative integer")
     g = profile.grid
-    signed = isinstance(p, (int, np.integer))
-    wv = g.nodes ** p if signed else np.abs(g.nodes) ** float(p)
-    base = float(np.sum(g.weights * wv * profile.values))
+    base = float(np.sum(g.weights * g.nodes ** p * profile.values))
     right, left = Tail(g, profile.values).integral(float(p))
-    if signed:
-        # weight v^p with integer p: left side picks up (-1)^p
-        left *= (-1.0) ** int(round(p))
-    return base + (right + left)
+    # weight v^p: the left side picks up (-1)^p
+    return base + (right + left * (-1.0) ** p)

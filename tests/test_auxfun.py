@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from fraclimit import (
+    CollisionContext,
+    CrossSection,
     L_eps,
     MacroState,
+    VelocityGrid,
     chi_decay_check,
     chi_eps,
     gaussian_bump,
@@ -62,6 +65,47 @@ def test_chi_decay_rate(ctx15):
     rep = chi_decay_check(phi, [0.05, 0.025, 0.0125], ctx15)
     assert rep["slope"] >= 1.5 - 0.2
     assert all(b < a for a, b in zip(rep["errors"], rep["errors"][1:]))
+
+
+def _chi_errors_per_mode(phi, eps_list, ctx):
+    """chi_decay_check as a loop over modes on the (x, v) grid: each mode but
+    the Nyquist one stands for a conjugate pair."""
+    g = ctx.grid
+    x, kphys, c = phi.x, phi.wavenumbers(), phi.coeffs() / phi.n
+    errs = []
+    for eps in eps_list:
+        dev = np.zeros((len(x), g.n))
+        for k in phi.band():
+            fac = 1.0 / (1.0 - 1j * kphys[k] * eps * g.nodes / ctx.nu.values) - 1.0
+            dev += 2.0 * np.real(c[k] * np.exp(1j * kphys[k] * x)[:, None] * fac[None, :])
+        inner = np.abs(np.sum(g.weights[None, :] * ctx.M.values[None, :] * dev, axis=1))
+        errs.append(float(np.sqrt(np.sum(inner**2) * (phi.L / phi.n))))
+    return errs
+
+
+def test_chi_decay_check_matches_pointwise_chi_eps():
+    # e(eps) from int M (chi_eps - phi) dv at the grid points, with the
+    # pointwise flight average; phi holds a Nyquist mode, which stands for itself
+    ctx = CollisionContext(VelocityGrid(64, 5.0), CrossSection(1.0), 1.5)
+    g, eps = ctx.grid, [0.1, 0.05]
+    j = np.arange(8)
+    phi = MacroState(np.cos(np.pi * j) + np.cos(2 * np.pi * j / 8), L)
+    ref = []
+    for e in eps:
+        inner = [sum(w * m * (chi_eps(phi, e, x, v, ctx) - phi(x)) for v, w, m in zip(g.nodes, g.weights, ctx.M.values))
+                 for x in phi.x]
+        ref.append(np.sqrt(np.sum(np.square(inner)) * phi.L / phi.n))
+    assert chi_decay_check(phi, eps, ctx)["errors"] == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx1", "ctx15"])
+def test_chi_decay_check_matches_per_mode_loop(request, ctx_name):
+    # criterion 7's phi has no Nyquist mode: the multiplier form and the
+    # per-mode (x, v) loop sum the same terms
+    ctx = request.getfixturevalue(ctx_name)
+    phi, eps = gaussian_bump(4 * np.pi, 0.8, 64, band=4), [0.05, 0.025, 0.0125]
+    errs = chi_decay_check(phi, eps, ctx)["errors"]
+    assert errs == pytest.approx(_chi_errors_per_mode(phi, eps, ctx), rel=1e-12, abs=0)
 
 
 def test_L_eps_constant_phi_is_zero(ctx15):

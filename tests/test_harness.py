@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import fraclimit
 from fraclimit import CrossSection, ModelParams, run_convergence, run_operator_study
 from fraclimit.cli import build_parser, main
 from fraclimit.harness import MARGIN, ConvergenceReport, emit
-from fraclimit.params import FieldSpec
+from fraclimit.params import SCALINGS, FieldSpec
 from fraclimit.errors import InvalidInput
 
 L = 4 * np.pi
@@ -261,6 +262,32 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_cli_threads_default_to_usable_cores():
     assert build_parser().parse_args(["coefficients"]).threads == len(os.sched_getaffinity(0))
+
+
+_GLOBAL_FLAGS = {"config": None, "out": "out", "seed": None}
+_FIELD_FLAGS = {"field": None, "raw_field": False}
+_TIME_FLAGS = {"final_time": None, "snapshot": None}
+# every subcommand's parsed keys and defaults beyond the global flags
+_CLI_SURFACE = {
+    "equilibrium": _FIELD_FLAGS,
+    "coefficients": {},
+    "operator-check": {},
+    "kinetic-run": {"eps": None, "particles": None, **_TIME_FLAGS, "scaling": "diffusive"},
+    "macro-run": {**_TIME_FLAGS, "scaling": "diffusive"},
+    "converge": {"scaling": "diffusive"},
+    "all": {**_FIELD_FLAGS, "scaling": "diffusive"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_SURFACE))
+def test_cli_surface(command):
+    args = vars(build_parser().parse_args([command]))
+    assert args.pop("threads") >= 1 and callable(args.pop("fn"))
+    assert args == {**_GLOBAL_FLAGS, "command": command, **_CLI_SURFACE[command]}
+    if "scaling" in args:
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flag = next(a for a in sub.choices[command]._actions if a.dest == "scaling")
+        assert tuple(flag.choices) == SCALINGS
 
 
 def test_cli_seed_override(tmp_path, capsys):

@@ -78,6 +78,18 @@ def test_model_types_refuse_bad_values_when_built(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [dict(seed=1.5, particles=10), dict(particles=10.5), dict(x_bins=2.5), dict(velocity_nodes=128.0)],
+    ids=["seed", "particles", "x_bins", "velocity_nodes"],
+)
+def test_model_params_refuse_non_integer_counts(kw):
+    # the direct API gets the config route's integer rule, named by field
+    name = next(iter(kw))
+    with pytest.raises(InvalidInput, match=f"{name}={kw[name]!r} is not an integer"):
+        ModelParams(**kw)
+
+
 def test_constant_sigma_is_flat():
     cs = CrossSection(2.0)
     assert np.all(cs.sigma(np.array([0.0, 5.0]), np.array([1.0, -3.0])) == 2.0)

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
 
 from fraclimit import (
     VelocityGrid,
@@ -64,23 +63,21 @@ def test_divergent_moment_is_refused(grid128):
             moment(m, p)
 
 
-def test_moment_against_adaptive_quadrature(grid128):
-    # int |v|^(1/2) M dv = 1 exactly for alpha = 3/2 (Beta-function identity);
-    # the |v|^(1/2) kink at v=0 limits the inner panel to algebraic accuracy
-    alpha = 1.5
-    m = VelocityProfile(grid128, eval_M(grid128.nodes, alpha))
-    ref, _ = quad(lambda v: abs(v) ** 0.5 * eval_M(v, alpha), 0, np.inf, limit=200)
-    assert 2.0 * ref == pytest.approx(1.0, rel=1e-9)
-    assert moment(m, 0.5) == pytest.approx(1.0, rel=1e-4)
-
-
 def test_moment_richardson():
     # halving the resolution changes tail-corrected moments below 1e-6
     vals = []
     for n in (128, 256):
         g = VelocityGrid(n, 200.0)
-        vals.append(moment(VelocityProfile(g, eval_M(g.nodes, 1.5)), 0.5))
+        vals.append(moment(VelocityProfile(g, eval_M(g.nodes, 1.5)), 0))
     assert abs(vals[1] - vals[0]) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, -1])
+def test_moment_refuses_non_integer_or_negative_order(grid128, p):
+    # the weight is v^p for an integer order only: 1.0 is refused, not read as |v|
+    m = VelocityProfile(grid128, eval_M(grid128.nodes, 1.5))
+    with pytest.raises(InvalidInput, match="must be a non-negative integer"):
+        moment(m, p)
 
 
 def test_interp_exact_at_nodes(grid128):
