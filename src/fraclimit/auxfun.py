@@ -9,6 +9,7 @@ import numpy as np
 from .collision import CollisionContext
 from .equilibrium import solve_F
 from .macro import MacroState
+from .params import require_order_schedule
 from .velocity import Tail, _LAG_W, _LAG_Z, _WG, _log_panels
 
 
@@ -28,6 +29,7 @@ def _flight_mean(k: np.ndarray, eps: float, v: np.ndarray, nu: np.ndarray, w: np
 
 def chi_decay_check(phi: MacroState, eps_list, ctx: CollisionContext) -> dict:
     """e(eps) = sqrt(int (int M (chi_eps - phi) dv)^2 dx) on phi's grid (one irfft) and its log-log slope."""
+    require_order_schedule(eps_list)
     g = ctx.grid
     band = phi.band()
     kp = phi.wavenumbers()[band][:, None]

@@ -14,7 +14,7 @@ from .coefficients import limit_model
 from .collision import CollisionContext
 from .errors import InvalidInput
 from .macro import advance_macro, gaussian_bump, limit_operator
-from .params import ModelParams
+from .params import ModelParams, require_order_schedule
 from .velocity import VelocityGrid
 
 # width of the initial density bump of the kinetic and macro runs, and the
@@ -56,10 +56,14 @@ def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
 def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: int = 1) -> ConvergenceReport:
     """Kinetic MC vs limit-equation solve across the epsilon schedule.
 
-    `threads` sets how many workers advance the particle blocks; it does not
-    change the result.
+    Per eps: L1 and sup errors of the binned Monte Carlo density
+    (`montecarlo.schedule_counts`, in O(BLOCK) memory) against the macro
+    solve, its even/odd split-half noise floor and collisions.  `threads`
+    sets how many workers advance the particle blocks; it does not change
+    the result.
     """
-    L, T = params.domain_length, params.final_time
+    require_order_schedule(params.epsilon_schedule)
+    L, T, N = params.domain_length, params.final_time, params.particles
     bins = params.x_bins
     if MACRO_NODES % bins:
         raise InvalidInput(f"x_bins={bins} does not divide the {MACRO_NODES}-point macro grid")
@@ -67,20 +71,15 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
     dx = L / bins
+    counts, collisions = mc.schedule_counts(params, scaling, BUMP_WIDTH, threads)
     rows = []
-    noise = None
-    for eps in params.epsilon_schedule:
-        ens = mc.init_ensemble(params, width=BUMP_WIDTH)
-        ens = mc.advance(ens, eps, params, T, scaling=scaling, threads=threads)
-        dens = mc.estimate_density(ens, bins)
-        l1 = float(np.sum(np.abs(dens.rho - macro_binned)) * dx)
-        linf = float(np.max(np.abs(dens.rho - macro_binned)))
+    for eps, (h1, h2), hits in zip(params.epsilon_schedule, counts, collisions):
+        rho = (h1 + h2) / (N * dx)
+        l1 = float(np.sum(np.abs(rho - macro_binned)) * dx)
+        linf = float(np.max(np.abs(rho - macro_binned)))
         # split-half noise floor
-        h1, _ = np.histogram(ens.x[::2], bins=bins, range=(0.0, L))
-        h2, _ = np.histogram(ens.x[1::2], bins=bins, range=(0.0, L))
-        n_half = len(ens.x[::2])
-        noise = float(np.sum(np.abs(h1 / (n_half * dx) - h2 / (len(ens.x[1::2]) * dx))) * dx / 2.0)
-        rows.append({"eps": eps, "l1": l1, "linf": linf, "noise_floor": noise, "collisions": ens.collisions})
+        noise = float(np.sum(np.abs(h1 / ((N + 1) // 2 * dx) - h2 / (N // 2 * dx))) * dx / 2.0)
+        rows.append({"eps": eps, "l1": l1, "linf": linf, "noise_floor": noise, "collisions": hits})
     errs = [r["l1"] for r in rows]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     finest_ok = errs[-1] - rows[-1]["noise_floor"] < MARGIN
@@ -101,6 +100,7 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
 def run_operator_study(params: ModelParams) -> dict:
     """L_eps vs the limit operator across the epsilon schedule."""
     eps_list = params.epsilon_schedule
+    require_order_schedule(eps_list)
     ctx = context(params)
     alpha = params.alpha
     E = params.field_spec.e0

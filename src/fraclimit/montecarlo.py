@@ -22,7 +22,11 @@ particle; a flight in the constant field composes exactly at a rejected time.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Results depend on the seed
-alone, not on how many threads advance the blocks.
+alone, not on how many threads advance the blocks.  A convergence study
+(`schedule_counts`) runs block-major: each block's initial data are drawn
+once, its stream state is saved and restored for every eps, and only its
+bin counts are kept, so the study holds O(BLOCK) particles and gives the
+numbers of a whole ensemble drawn and advanced per eps.
 """
 
 from __future__ import annotations
@@ -49,6 +53,14 @@ def _rng_for(seed: int, block: int) -> np.random.Generator:
 
 def _blocks(N: int) -> list[slice]:
     return [slice(a, min(a + BLOCK, N)) for a in range(0, N, BLOCK)]
+
+
+def _map_blocks(fn, n_blocks: int, threads: int) -> list:
+    """[fn(b) for b in range(n_blocks)], on a pool of `threads` workers."""
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            return list(pool.map(fn, range(n_blocks)))
+    return [fn(b) for b in range(n_blocks)]
 
 
 def _cauchy(rng: np.random.Generator, out: np.ndarray):
@@ -124,6 +136,13 @@ class ParticleEnsemble:
     collisions: int = 0
 
 
+def _draw_block(rng: np.random.Generator, x: np.ndarray, v: np.ndarray, L: float, alpha: float,
+                width: float | None):
+    """Fill one block's x and v with its initial data, drawn from `rng`."""
+    x[:] = rng.random(len(x)) * L if width is None else np.mod(L / 2 + width * rng.standard_normal(len(x)), L)
+    sample_M(rng, alpha, out=v)
+
+
 def init_ensemble(params: ModelParams, width: float | None = None) -> ParticleEnsemble:
     """Well-prepared data rho_0(x) M(v) for the params' particles, domain
     length L, alpha and seed: v from M, and x uniform on [0, L), or with
@@ -134,9 +153,7 @@ def init_ensemble(params: ModelParams, width: float | None = None) -> ParticleEn
     rngs = []
     for b, sl in enumerate(_blocks(N)):
         rng = _rng_for(params.seed, b)
-        n = sl.stop - sl.start
-        x[sl] = rng.random(n) * L if width is None else np.mod(L / 2 + width * rng.standard_normal(n), L)
-        v[sl] = sample_M(rng, params.alpha, n)
+        _draw_block(rng, x[sl], v[sl], L, params.alpha, width)
         rngs.append(rng)
     return ParticleEnsemble(x, v, L, 0.0, tuple(rngs))
 
@@ -243,15 +260,59 @@ def advance(
     def run(b):
         return _clock_pass(ens.x[blocks[b]], ens.v[blocks[b]], ens.rngs[b], cs, alpha, rate, tau, E, xfac, eps, ens.L)
 
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            counts = list(pool.map(run, range(len(blocks))))
-    else:
-        counts = [run(b) for b in range(len(blocks))]
+    counts = _map_blocks(run, len(blocks), threads)
     return ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + sum(counts))
+
+
+def _bin_index(x: np.ndarray, bins: int, L: float) -> np.ndarray:
+    """Each point's bin in np.histogram(x, bins, range=(0, L)), for x in [0, L].
+
+    The index x bins/L, clipped to the bins, is within one of the true bin;
+    it is corrected against the edges as NumPy does, and L falls in the last
+    bin.  np.searchsorted on the edges gives the same, several times slower.
+    """
+    edges = np.linspace(0.0, L, bins + 1)
+    i = np.clip((x * (bins / L)).astype(np.intp), 0, bins - 1)
+    i -= x < edges[i]
+    i += (x >= edges[i + 1]) & (i != bins - 1)
+    return i
 
 
 def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
     """Histogram density, normalized to unit mass."""
-    counts = np.histogram(ens.x, bins=x_bins, range=(0.0, ens.L))[0]
+    counts = sum(np.bincount(_bin_index(ens.x[sl], x_bins, ens.L), minlength=x_bins)  # per block: O(BLOCK) scratch
+                 for sl in _blocks(len(ens.x)))
     return MacroState(counts / (len(ens.x) * (ens.L / x_bins)), ens.L, ens.t)
+
+
+def schedule_counts(params: ModelParams, scaling: str, width: float | None,
+                    threads: int) -> tuple[np.ndarray, list[int]]:
+    """Per eps of the params' schedule, the x_bins counts of the even- and
+    odd-index particles of `init_ensemble(params, width)` advanced to the
+    final time, shape (len(schedule), 2, x_bins), and its collisions: the
+    numbers of a whole ensemble per eps, computed block-major (each block's
+    data drawn once, its stream state restored per eps).  BLOCK is even, so
+    a block's index parity is the ensemble's.
+    """
+    N, L, bins = params.particles, params.domain_length, params.x_bins
+    schedule = params.epsilon_schedule
+
+    def run(b):
+        rng = _rng_for(params.seed, b)
+        x0, v0 = np.empty((2, min(BLOCK, N - b * BLOCK)))
+        _draw_block(rng, x0, v0, L, params.alpha, width)
+        start = rng.bit_generator.state
+        counts = np.empty((len(schedule), 2, bins), dtype=np.intp)
+        collisions = []
+        for j, eps in enumerate(schedule):
+            rng.bit_generator.state = start
+            ens = advance(ParticleEnsemble(x0.copy(), v0.copy(), L, 0.0, (rng,)), eps, params,
+                          params.final_time, scaling)
+            i = _bin_index(ens.x, bins, L)
+            counts[j, 0] = np.bincount(i[::2], minlength=bins)
+            counts[j, 1] = np.bincount(i[1::2], minlength=bins)
+            collisions.append(ens.collisions)
+        return counts, collisions
+
+    counts, collisions = zip(*_map_blocks(run, len(_blocks(N)), threads))
+    return sum(counts), [sum(k) for k in zip(*collisions)]

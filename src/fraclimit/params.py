@@ -108,6 +108,12 @@ class ModelParams:
         return self.vmax_over_inv_eps / min(self.epsilon_schedule)
 
 
+def require_order_schedule(eps_list):
+    """Refuse an eps schedule too short to fit a convergence order to."""
+    if len(eps_list) < 2:
+        raise InvalidInput(f"a fitted order needs at least two eps values; got {list(eps_list)}")
+
+
 def _entry(cfg: dict, key: str, default=None):
     """The config entry at the dotted `key`, or `default` where it is absent;
     a section on the way that is not an object is refused by name."""

@@ -3,14 +3,27 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import fraclimit
-from fraclimit import CrossSection, ModelParams, run_convergence, run_operator_study
+from fraclimit import (
+    CrossSection,
+    ModelParams,
+    advance,
+    chi_decay_check,
+    gaussian_bump,
+    init_ensemble,
+    run_convergence,
+    run_operator_study,
+)
 from fraclimit.cli import build_parser, main
-from fraclimit.harness import MARGIN, ConvergenceReport, emit
+from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, ConvergenceReport, context, emit, macro_limit
+from fraclimit.macro import advance_macro
+from fraclimit.montecarlo import BLOCK
 from fraclimit.params import SCALINGS, FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -74,6 +87,78 @@ def test_run_convergence_rejects_bad_scaling():
 def test_run_convergence_refuses_x_bins(bins, match):
     with pytest.raises(InvalidInput, match=match):
         run_convergence(_params(x_bins=bins))
+
+
+def _per_eps_reference(params, scaling):
+    """run_convergence as one whole ensemble per eps: init_ensemble, advance,
+    np.histogram of x, x[::2] and x[1::2]."""
+    L, T, bins = params.domain_length, params.final_time, params.x_bins
+    kap, drift = macro_limit(params, scaling)
+    macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
+    macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
+    dx = L / bins
+    rows = []
+    for eps in params.epsilon_schedule:
+        ens = advance(init_ensemble(params, width=BUMP_WIDTH), eps, params, T, scaling=scaling)
+        rho = np.histogram(ens.x, bins=bins, range=(0.0, L))[0] / (len(ens.x) * (L / bins))
+        h1 = np.histogram(ens.x[::2], bins=bins, range=(0.0, L))[0]
+        h2 = np.histogram(ens.x[1::2], bins=bins, range=(0.0, L))[0]
+        noise = float(np.sum(np.abs(h1 / (len(ens.x[::2]) * dx) - h2 / (len(ens.x[1::2]) * dx))) * dx / 2.0)
+        rows.append({"eps": eps, "l1": float(np.sum(np.abs(rho - macro_binned)) * dx),
+                     "linf": float(np.max(np.abs(rho - macro_binned))), "noise_floor": noise,
+                     "collisions": ens.collisions})
+    errs = [r["l1"] for r in rows]
+    monotone = all(b < a for a, b in zip(errs, errs[1:]))
+    case = {
+        "label": f"alpha={params.alpha} E={params.field_spec.e0} scaling={scaling}",
+        "scaling": scaling,
+        "kappa": kap,
+        "drift": drift,
+        "rows": rows,
+        "fitted_order": float(np.polyfit(np.log(params.epsilon_schedule), np.log(errs), 1)[0]),
+        "monotone": monotone,
+        "verdict": "PASS" if monotone and errs[-1] - rows[-1]["noise_floor"] < MARGIN else "FAIL",
+    }
+    return ConvergenceReport(params.seed, asdict(params), [case])
+
+
+@pytest.mark.parametrize("scaling", SCALINGS)
+@pytest.mark.parametrize("e0", [0.0, 0.5])
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+def test_run_convergence_equals_per_eps_reference(amplitude, e0, scaling):
+    # odd N with a partial last block; every field bit for bit, at any thread count
+    p = _params(cross_section=CrossSection(1.0, amplitude), field_spec=FieldSpec(e0),
+                particles=3 * BLOCK + 17, final_time=0.3, epsilon_schedule=(0.2, 0.1))
+    ref = asdict(_per_eps_reference(p, scaling))
+    for threads in (1, 3):
+        assert asdict(run_convergence(p, scaling, threads=threads)) == ref
+
+
+def test_run_convergence_memory_does_not_grow_with_particles():
+    def peak(n):
+        p = _params(field_spec=FieldSpec(0.5), particles=n, final_time=0.3, epsilon_schedule=(0.2, 0.1))
+        tracemalloc.start()
+        try:
+            run_convergence(p)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # caches filled outside the comparison
+    # one block at a time: a whole ensemble per eps grows the peak by ~3 MB here
+    assert abs(peak(32 * BLOCK) - peak(8 * BLOCK)) < 1e6
+
+
+@pytest.mark.parametrize("study", ["convergence", "operator", "chi_decay"])
+def test_order_fits_refuse_one_eps(study):
+    p = _params(epsilon_schedule=(0.05,), velocity_nodes=64)
+    run = {
+        "convergence": lambda: run_convergence(p),
+        "operator": lambda: run_operator_study(p),
+        "chi_decay": lambda: chi_decay_check(gaussian_bump(L, 0.8, 64, band=4), [0.05], context(p)),
+    }[study]
+    with pytest.raises(InvalidInput, match=r"a fitted order needs at least two eps values; got \[0.05\]"):
+        run()
 
 
 def test_emit_roundtrip(small_report, tmp_path):
@@ -167,6 +252,14 @@ def test_cli_kinetic_run(tmp_path):
     lines = (tmp_path / "kinetic_run.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,bin_center,rho"
     assert len(lines) == 1 + 2 * 16
+
+
+def test_cli_one_eps_runs_without_an_order(tmp_path):
+    cfg = _write_cfg(tmp_path, epsilon_schedule=[0.1])
+    assert main(["--config", cfg, "--out", str(tmp_path), "kinetic-run", "--particles", "1000"]) == 0
+    assert main(["--config", cfg, "--out", str(tmp_path), "equilibrium", "--field", "0.5"]) == 0
+    with pytest.raises(InvalidInput, match="a fitted order needs at least two eps values"):
+        main(["--config", cfg, "--out", str(tmp_path), "converge"])
 
 
 def test_cli_kinetic_run_final_time_follows_snapshots(tmp_path):

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from fraclimit import (
     CrossSection,
     ModelParams,
+    ParticleEnsemble,
     advance,
     estimate_density,
     eval_M,
@@ -20,7 +21,7 @@ from fraclimit import (
     sample_M,
 )
 from fraclimit.cli import main
-from fraclimit.montecarlo import BLOCK, _CHUNK, _clock_pass, _rng_for
+from fraclimit.montecarlo import BLOCK, _CHUNK, _bin_index, _clock_pass, _rng_for
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -318,6 +319,20 @@ def test_estimate_density_mass():
     dens = estimate_density(ens, 32)
     assert dens.mass == pytest.approx(1.0, abs=1e-12)
     assert dens.n == 32
+
+
+@pytest.mark.parametrize("length, bins", [(L, 32), (1.0, 7), (2 * np.pi, 64), (0.3, 1000), (10.0, 3), (L, 1)])
+def test_bin_index_matches_np_histogram(length, bins):
+    edges = np.linspace(0.0, length, bins + 1)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    near = near[(near >= 0) & (near <= length)]
+    for xj, ij in zip(near, _bin_index(near, bins, length)):  # each edge point alone
+        assert ij == np.histogram([xj], bins, range=(0.0, length))[0].argmax()
+    x = np.concatenate([np.random.default_rng(bins).random(3 * BLOCK) * length, near])
+    counts = np.histogram(x, bins, range=(0.0, length))[0]
+    assert np.array_equal(np.bincount(_bin_index(x, bins, length), minlength=bins), counts)
+    ens = ParticleEnsemble(x, x, length, 0.0)  # a partial last block
+    assert np.array_equal(estimate_density(ens, bins).rho, counts / (len(x) * (length / bins)))
 
 
 def test_init_periodized_gaussian():
