@@ -77,13 +77,16 @@ def limit_model(ctx: CollisionContext, E: float, scaling: str) -> tuple[float, f
 
     Diffusive scaling: kappa in closed form; the drift is D E for alpha > 1
     and mu(E) at alpha = 1, both solved on ctx's grid.  High-field scaling:
-    pure transport, kappa = 0 and drift E.  A zero field has drift 0 with no
-    solve.  Unknown scalings are refused.
+    pure transport, kappa = 0 and drift int v F(v, E) dv: E/nu0 for the
+    constant cross section (int v nu F dv = E), else mu(E) solved on ctx's
+    grid; the paper's drift E is the case nu = 1.  A zero field has drift 0
+    with no solve.  Unknown scalings are refused.
     """
     if scaling not in SCALINGS:
         raise InvalidInput(f"unknown scaling {scaling!r}")
     if scaling == "high_field":
-        return 0.0, E
+        cs = ctx.cross_section
+        return 0.0, E / cs.nu0 if cs.amplitude == 0.0 else drift_mu(E, ctx)
     kap = kappa(ctx.alpha, ctx.cross_section.nu0, gamma_of_M(ctx.alpha))
     if E == 0.0:
         return kap, 0.0

@@ -2,10 +2,12 @@
 
 F = M + E u with u = (F - M)/E from one linear solve, and u = lambda at E = 0;
 R = E u, G = E (u - lambda) and mu = E int v u are never differences of profiles.
+The closed form at constant sigma builds its 128-point rule on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +16,13 @@ from .collision import CollisionContext, apply_A_inverse, apply_K, apply_Q, appl
 from .errors import InvalidInput, SolverFailure
 from .velocity import VelocityProfile, eval_M, moment, norm_Z
 
-_LAG_Z128, _LAG_W128 = np.polynomial.laguerre.laggauss(128)
+
+@functools.cache
+def _laguerre128() -> tuple[np.ndarray, np.ndarray]:
+    """The explicit solve's 128-point Gauss-Laguerre rule, read-only, built on first use."""
+    z, w = np.polynomial.laguerre.laggauss(128)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,9 @@ def solve_F(E: float, ctx: CollisionContext, method: str | None = None) -> Equil
         # rate = the context's (discrete) nu so both solve routes describe the
         # same discretized operator
         nu = float(ctx.nu.values[0])
-        shifts = ctx.grid.nodes[:, None] - (E / nu) * _LAG_Z128[None, :]
-        vals = (_LAG_W128[None, :] * eval_M(shifts, ctx.alpha)).sum(axis=1)
+        z, w = _laguerre128()
+        shifts = ctx.grid.nodes[:, None] - (E / nu) * z[None, :]
+        vals = (w[None, :] * eval_M(shifts, ctx.alpha)).sum(axis=1)
         return _equilibrium(vals, E, ctx, "explicit")
 
     if method == "linear":

@@ -22,17 +22,17 @@ particle; a flight in the constant field composes exactly at a rejected time.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Results depend on the seed
-alone, not on how many threads advance the blocks.  A convergence study
-(`schedule_counts`) runs block-major: each block's initial data are drawn
-once, its stream state is saved and restored for every eps, and only its
-bin counts are kept, so the study holds O(BLOCK) particles and gives the
-numbers of a whole ensemble drawn and advanced per eps.
+alone, not on how many threads advance the blocks (the thread pool is
+imported only for more than one).  A convergence study (`schedule_counts`)
+runs block-major: each block's initial data are drawn once, its stream
+state is saved and restored for every eps, and only its bin counts are
+kept, so the study holds O(BLOCK) particles and gives the numbers of a
+whole ensemble drawn and advanced per eps.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +58,7 @@ def _blocks(N: int) -> list[slice]:
 def _map_blocks(fn, n_blocks: int, threads: int) -> list:
     """[fn(b) for b in range(n_blocks)], on a pool of `threads` workers."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(threads) as pool:
             return list(pool.map(fn, range(n_blocks)))
     return [fn(b) for b in range(n_blocks)]
@@ -264,14 +265,15 @@ def advance(
     return ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + sum(counts))
 
 
-def _bin_index(x: np.ndarray, bins: int, L: float) -> np.ndarray:
-    """Each point's bin in np.histogram(x, bins, range=(0, L)), for x in [0, L].
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Each point's bin in np.histogram(x, bins, range=(0, L)), for x in [0, L],
+    given that histogram's edges = np.linspace(0, L, bins + 1).
 
     The index x bins/L, clipped to the bins, is within one of the true bin;
     it is corrected against the edges as NumPy does, and L falls in the last
     bin.  np.searchsorted on the edges gives the same, several times slower.
     """
-    edges = np.linspace(0.0, L, bins + 1)
+    bins, L = len(edges) - 1, edges[-1]  # linspace ends exactly at L
     i = np.clip((x * (bins / L)).astype(np.intp), 0, bins - 1)
     i -= x < edges[i]
     i += (x >= edges[i + 1]) & (i != bins - 1)
@@ -280,7 +282,8 @@ def _bin_index(x: np.ndarray, bins: int, L: float) -> np.ndarray:
 
 def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
     """Histogram density, normalized to unit mass."""
-    counts = sum(np.bincount(_bin_index(ens.x[sl], x_bins, ens.L), minlength=x_bins)  # per block: O(BLOCK) scratch
+    edges = np.linspace(0.0, ens.L, x_bins + 1)
+    counts = sum(np.bincount(_bin_index(ens.x[sl], edges), minlength=x_bins)  # per block: O(BLOCK) scratch
                  for sl in _blocks(len(ens.x)))
     return MacroState(counts / (len(ens.x) * (ens.L / x_bins)), ens.L, ens.t)
 
@@ -296,6 +299,7 @@ def schedule_counts(params: ModelParams, scaling: str, width: float | None,
     """
     N, L, bins = params.particles, params.domain_length, params.x_bins
     schedule = params.epsilon_schedule
+    edges = np.linspace(0.0, L, bins + 1)
 
     def run(b):
         rng = _rng_for(params.seed, b)
@@ -308,7 +312,7 @@ def schedule_counts(params: ModelParams, scaling: str, width: float | None,
             rng.bit_generator.state = start
             ens = advance(ParticleEnsemble(x0.copy(), v0.copy(), L, 0.0, (rng,)), eps, params,
                           params.final_time, scaling)
-            i = _bin_index(ens.x, bins, L)
+            i = _bin_index(ens.x, edges)
             counts[j, 0] = np.bincount(i[::2], minlength=bins)
             counts[j, 1] = np.bincount(i[1::2], minlength=bins)
             collisions.append(ens.collisions)

@@ -111,3 +111,11 @@ def test_limit_model_regimes(ctx15, ctx1):
     assert limit_model(ctx1, 0.5, "diffusive") == (kap1, drift_mu(0.5, ctx1))
     with pytest.raises(InvalidInput, match="unknown scaling 'ballistic'"):
         limit_model(ctx15, 0.0, "ballistic")
+
+
+def test_high_field_drift_is_mean_velocity_of_F(grid128, ctx15p):
+    # int v nu F dv = E: the mean velocity is E/nu0 at constant sigma
+    ctx = CollisionContext(grid128, CrossSection(2.0), 1.5)
+    assert limit_model(ctx, 0.5, "high_field") == (0.0, 0.25)
+    assert drift_mu(0.5, ctx) == pytest.approx(0.25, rel=1e-3)
+    assert limit_model(ctx15p, 0.5, "high_field") == (0.0, drift_mu(0.5, ctx15p))

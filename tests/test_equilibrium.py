@@ -11,12 +11,13 @@ from fraclimit import (
     apply_Q,
     deviation_R,
     drift_mu,
+    eval_M,
     moment,
     remainder_G,
     solve_F,
     solve_lambda,
 )
-from fraclimit.equilibrium import eval_M_deriv
+from fraclimit.equilibrium import _laguerre128, eval_M_deriv
 from fraclimit.errors import InvalidInput, SolverFailure
 
 
@@ -47,6 +48,36 @@ def test_F_normalized_and_bounded(ctx15):
     ratio = F.values / ctx15.M.values
     c, C = ratio.min(), ratio.max()
     assert 0.0 < c <= 1.0 <= C < 10.0
+
+
+def test_laguerre128_is_laggauss_read_only():
+    z, w = _laguerre128()
+    z0, w0 = np.polynomial.laguerre.laggauss(128)
+    assert np.array_equal(z, z0) and np.array_equal(w, w0)
+    assert not z.flags.writeable and not w.flags.writeable
+    assert _laguerre128()[0] is z  # built once
+
+
+def test_explicit_same_before_and_after_rule_is_built(ctx15):
+    E = 0.5
+    _laguerre128.cache_clear()
+    first = solve_F(E, ctx15).profile.values  # builds the rule
+    assert _laguerre128.cache_info().currsize == 1
+    assert np.array_equal(solve_F(E, ctx15).profile.values, first)
+    # the flight average of M on a rule built here, normalized as solve_F does
+    z, w = np.polynomial.laguerre.laggauss(128)
+    vals = (w * eval_M(ctx15.grid.nodes[:, None] - E / float(ctx15.nu.values[0]) * z, ctx15.alpha)).sum(axis=1)
+    assert np.array_equal(first, vals / moment(VelocityProfile(ctx15.grid, vals), 0))
+
+
+@pytest.mark.parametrize("E", [0.1, 0.5])
+def test_int_v_nu_F_is_E(ctx15p, E):
+    # v times E dF/dv = Q(F), integrated: the gain term is odd in v, so
+    # int v nu F dv = E (the high-field drift int v F is E only for nu = 1)
+    F = solve_F(E, ctx15p)
+    assert F.method == "linear"
+    flux = moment(VelocityProfile(ctx15p.grid, ctx15p.nu.values * F.profile.values), 1)
+    assert flux == pytest.approx(E, rel=2e-3)
 
 
 def test_explicit_requires_constant_sigma(ctx15p):

@@ -344,13 +344,16 @@ def test_cli_refuses_non_finite_field(tmp_path, argv, value):
     assert not out.exists()  # refused before any command writes
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # SciPy serves only criterion 10's cross-check and the tests
+def test_cli_import_does_no_unused_work():
+    # every command pays the import: SciPy serves only criterion 10's
+    # cross-check and the tests, the thread pool only --threads > 1, and the
+    # 128-point rule only the explicit solve_F
     src = os.path.dirname(os.path.dirname(fraclimit.__file__))
-    code = "import sys, fraclimit.cli; print('scipy' in sys.modules)"
+    code = ("import sys, fraclimit.cli; from fraclimit.equilibrium import _laguerre128; "
+            "print([m in sys.modules for m in ('scipy', 'concurrent.futures')], _laguerre128.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False] 0"
 
 
 def test_cli_threads_default_to_usable_cores():

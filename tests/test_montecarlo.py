@@ -10,6 +10,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from fraclimit import (
+    CollisionContext,
     CrossSection,
     ModelParams,
     ParticleEnsemble,
@@ -17,6 +18,7 @@ from fraclimit import (
     estimate_density,
     eval_M,
     init_ensemble,
+    limit_model,
     norm_Z,
     sample_M,
 )
@@ -287,6 +289,23 @@ def test_high_field_rate():
     assert out.collisions == pytest.approx(p.particles * T / eps, rel=0.03)
 
 
+def test_high_field_mean_velocity_is_limit_drift(grid128):
+    # nu0 = 2: the velocities relax in time eps/nu0 to F(., E), whose mean
+    # E/nu0 = 0.25 is the high-field drift, not E = 0.5.  v has infinite
+    # variance at alpha < 2, so the median of 40 group means is compared, in
+    # units of its standard error from their spread: over seeds 0-11 it lies
+    # within 2.2 of the drift and 9 or more from E.
+    p = _params(cross_section=CrossSection(2.0), field_spec=FieldSpec(0.5), particles=200_000)
+    out = advance(init_ensemble(p), 0.05, p, 0.5, scaling="high_field")
+    _, drift = limit_model(CollisionContext(grid128, p.cross_section, p.alpha), 0.5, "high_field")
+    assert drift == 0.25
+    means = out.v.reshape(40, -1).mean(axis=1)
+    q1, q3 = np.percentile(means, [25, 75])
+    se = 1.253 * (q3 - q1) / 1.349 / np.sqrt(len(means))  # of a median, at normal spread
+    median = np.median(means)
+    assert abs(median - drift) < 4.0 * se < abs(median - 0.5)
+
+
 def test_time_monotonicity_guard():
     p = _params()
     ens = init_ensemble(replace(p, particles=100))
@@ -326,11 +345,11 @@ def test_bin_index_matches_np_histogram(length, bins):
     edges = np.linspace(0.0, length, bins + 1)
     near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     near = near[(near >= 0) & (near <= length)]
-    for xj, ij in zip(near, _bin_index(near, bins, length)):  # each edge point alone
+    for xj, ij in zip(near, _bin_index(near, edges)):  # each edge point alone
         assert ij == np.histogram([xj], bins, range=(0.0, length))[0].argmax()
     x = np.concatenate([np.random.default_rng(bins).random(3 * BLOCK) * length, near])
     counts = np.histogram(x, bins, range=(0.0, length))[0]
-    assert np.array_equal(np.bincount(_bin_index(x, bins, length), minlength=bins), counts)
+    assert np.array_equal(np.bincount(_bin_index(x, edges), minlength=bins), counts)
     ens = ParticleEnsemble(x, x, length, 0.0)  # a partial last block
     assert np.array_equal(estimate_density(ens, bins).rho, counts / (len(x) * (length / bins)))
 
