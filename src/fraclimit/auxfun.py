@@ -9,7 +9,7 @@ import numpy as np
 from .collision import CollisionContext
 from .equilibrium import solve_F
 from .macro import MacroState
-from .params import require_order_schedule
+from .params import fit_order, require_order_schedule
 from .velocity import Tail, _LAG_W, _LAG_Z, _WG, _log_panels
 
 
@@ -41,10 +41,7 @@ def chi_decay_check(phi: MacroState, eps_list, ctx: CollisionContext) -> dict:
         # decay rate to reach alpha (pointwise |.| would cap the slope at 1)
         inner = np.fft.irfft(mult * phi.coeffs(), n=phi.n)
         errs.append(float(np.sqrt(np.sum(inner**2) * (phi.L / phi.n))))
-    errs = np.array(errs)
-    le, lv = np.log(np.asarray(eps_list, dtype=float)), np.log(np.maximum(errs, 1e-300))
-    slope = float(np.polyfit(le, lv, 1)[0]) if np.all(errs > 0) else np.inf
-    return {"eps": list(eps_list), "errors": errs.tolist(), "slope": slope}
+    return {"eps": list(eps_list), "errors": errs, "slope": fit_order(eps_list, errs)[0]}
 
 
 def _tail_panels(vmax: float):

@@ -14,7 +14,7 @@ from .coefficients import limit_model
 from .collision import CollisionContext
 from .errors import InvalidInput
 from .macro import advance_macro, gaussian_bump, limit_operator
-from .params import ModelParams, require_order_schedule
+from .params import ModelParams, fit_order, require_order_schedule
 from .velocity import VelocityGrid
 
 # width of the initial density bump of the kinetic and macro runs, and the
@@ -57,7 +57,7 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     """Kinetic MC vs limit-equation solve across the epsilon schedule.
 
     Per eps: L1 and sup errors of the binned Monte Carlo density
-    (`montecarlo.schedule_counts`, in O(BLOCK) memory) against the macro
+    (`montecarlo.block_counts`, in O(BLOCK) memory) against the macro
     solve, its even/odd split-half noise floor and collisions.  `threads`
     sets how many workers advance the particle blocks; it does not change
     the result.
@@ -71,19 +71,17 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
     dx = L / bins
-    counts, collisions = mc.schedule_counts(params, scaling, BUMP_WIDTH, threads)
+    counts, collisions = mc.block_counts(params, scaling, BUMP_WIDTH, params.epsilon_schedule, [T], threads)
     rows = []
-    for eps, (h1, h2), hits in zip(params.epsilon_schedule, counts, collisions):
+    for eps, ((h1, h2),), (hits,) in zip(params.epsilon_schedule, counts, collisions):
         rho = (h1 + h2) / (N * dx)
         l1 = float(np.sum(np.abs(rho - macro_binned)) * dx)
         linf = float(np.max(np.abs(rho - macro_binned)))
         # split-half noise floor
         noise = float(np.sum(np.abs(h1 / ((N + 1) // 2 * dx) - h2 / (N // 2 * dx))) * dx / 2.0)
         rows.append({"eps": eps, "l1": l1, "linf": linf, "noise_floor": noise, "collisions": hits})
-    errs = [r["l1"] for r in rows]
-    monotone = all(b < a for a, b in zip(errs, errs[1:]))
-    finest_ok = errs[-1] - rows[-1]["noise_floor"] < MARGIN
-    order = float(np.polyfit(np.log(params.epsilon_schedule), np.log(errs), 1)[0])
+    order, monotone = fit_order(params.epsilon_schedule, [r["l1"] for r in rows])
+    finest_ok = rows[-1]["l1"] - rows[-1]["noise_floor"] < MARGIN
     case = {
         "label": f"alpha={params.alpha} E={params.field_spec.e0} scaling={scaling}",
         "scaling": scaling,
@@ -118,15 +116,14 @@ def run_operator_study(params: ModelParams) -> dict:
                 "l2_error": float(np.sqrt(np.mean((le.rho - lim.rho) ** 2) * params.domain_length)),
             }
         )
-    sups = [r["sup_error"] for r in rows]
-    order = float(np.polyfit(np.log(eps_list), np.log(sups), 1)[0])
+    order, monotone = fit_order(eps_list, [r["sup_error"] for r in rows])
     return {
         "alpha": alpha,
         "E": E,
         "drift": drift_gen,
         "rows": rows,
         "fitted_order": order,
-        "monotone": all(b < a for a, b in zip(sups, sups[1:])),
+        "monotone": monotone,
     }
 
 

@@ -21,13 +21,14 @@ is a collision and there are none.  One fused pass then sums the flights per
 particle; a flight in the constant field composes exactly at a rejected time.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
-stream keyed by SeedSequence([seed, block]).  Results depend on the seed
-alone, not on how many threads advance the blocks (the thread pool is
-imported only for more than one).  A convergence study (`schedule_counts`)
-runs block-major: each block's initial data are drawn once, its stream
-state is saved and restored for every eps, and only its bin counts are
-kept, so the study holds O(BLOCK) particles and gives the numbers of a
-whole ensemble drawn and advanced per eps.
+stream keyed by SeedSequence([seed, block]).  Every Monte Carlo command runs
+through one block-major driver (`block_counts`): each block's initial data
+are drawn once, its stream state is saved and restored for every eps, the
+block is advanced through the requested times in order, and only its bin
+counts and collisions are kept.  So a run holds O(BLOCK) particles and gives
+the numbers of a whole ensemble drawn and advanced per eps.  The driver's
+thread pool is the package's only one (imported only for more than one
+thread); results depend on the seed alone, not on the number of threads.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ def _rng_for(seed: int, block: int) -> np.random.Generator:
 
 def _blocks(N: int) -> list[slice]:
     return [slice(a, min(a + BLOCK, N)) for a in range(0, N, BLOCK)]
-
-
-def _map_blocks(fn, n_blocks: int, threads: int) -> list:
-    """[fn(b) for b in range(n_blocks)], on a pool of `threads` workers."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-        with ThreadPoolExecutor(threads) as pool:
-            return list(pool.map(fn, range(n_blocks)))
-    return [fn(b) for b in range(n_blocks)]
 
 
 def _cauchy(rng: np.random.Generator, out: np.ndarray):
@@ -133,7 +125,7 @@ class ParticleEnsemble:
     v: np.ndarray
     L: float
     t: float
-    rngs: tuple = field(repr=False, default=())  # one stream per block
+    rngs: tuple = field(repr=False, default=())  # one stream per block; () once advance consumed it
     collisions: int = 0
 
 
@@ -227,26 +219,22 @@ def _clock_pass(x, v, rng, cs, alpha, rate, tau, E, xfac, eps, L) -> int:
     return int(accepted)
 
 
-def advance(
-    ens: ParticleEnsemble,
-    eps: float,
-    params: ModelParams,
-    until: float,
-    scaling: str = "diffusive",
-    threads: int = 1,
-) -> ParticleEnsemble:
-    """Advance the ensemble to t=until (macroscopic time) in the field
-    E = params.field_spec.e0.
+def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float,
+            scaling: str = "diffusive") -> ParticleEnsemble:
+    """Advance the ensemble block by block to t=until (macroscopic time) in
+    the field E = params.field_spec.e0.
 
-    Blocks are advanced by a pool of `threads` workers; the result does not
-    depend on their number.  Consumes `ens`: its arrays and streams are
-    advanced in place and shared with the returned ensemble, while `ens`
-    keeps its old t and collision count, so advancing it again moves the
-    same particles twice.  Use only the returned ensemble.
+    Consumes `ens`: its arrays are advanced in place and shared with the
+    returned ensemble, which takes its streams.  `ens` keeps its t and
+    collision count but is left without streams, so advancing it again is
+    refused.
     """
     if scaling not in SCALINGS or not 0 < eps <= 1 or not math.isfinite(until):
         raise InvalidInput(f"need scaling diffusive or high_field, eps in (0, 1] and a finite until; "
                            f"got {scaling!r}, {eps}, {until}")
+    if not ens.rngs:
+        raise InvalidInput("the ensemble has no streams: an earlier advance consumed it; "
+                           "advance the ensemble that call returned")
     if until < ens.t - 1e-15:
         raise InvalidInput(f"until={until} < current t={ens.t}")
     cs = params.cross_section
@@ -255,14 +243,11 @@ def advance(
     xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
     E = params.field_spec.e0
     tau = max(until - ens.t, 0.0)
-
-    blocks = _blocks(len(ens.x))
-
-    def run(b):
-        return _clock_pass(ens.x[blocks[b]], ens.v[blocks[b]], ens.rngs[b], cs, alpha, rate, tau, E, xfac, eps, ens.L)
-
-    counts = _map_blocks(run, len(blocks), threads)
-    return ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + sum(counts))
+    hits = sum(_clock_pass(ens.x[sl], ens.v[sl], rng, cs, alpha, rate, tau, E, xfac, eps, ens.L)
+               for sl, rng in zip(_blocks(len(ens.x)), ens.rngs))
+    out = ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + hits)
+    ens.rngs = ()
+    return out
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -288,17 +273,20 @@ def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
     return MacroState(counts / (len(ens.x) * (ens.L / x_bins)), ens.L, ens.t)
 
 
-def schedule_counts(params: ModelParams, scaling: str, width: float | None,
-                    threads: int) -> tuple[np.ndarray, list[int]]:
-    """Per eps of the params' schedule, the x_bins counts of the even- and
-    odd-index particles of `init_ensemble(params, width)` advanced to the
-    final time, shape (len(schedule), 2, x_bins), and its collisions: the
-    numbers of a whole ensemble per eps, computed block-major (each block's
-    data drawn once, its stream state restored per eps).  BLOCK is even, so
-    a block's index parity is the ensemble's.
+def block_counts(params: ModelParams, scaling: str, width: float | None, eps_list, times,
+                 threads: int) -> tuple[np.ndarray, list[list[int]]]:
+    """The x_bins counts of the even- and odd-index particles of
+    `init_ensemble(params, width)` advanced through the sorted `times` in
+    order, for each eps of `eps_list` and each time, shape
+    (len(eps_list), len(times), 2, x_bins), and the collisions up to each
+    time, nested in the same order.  These are the numbers of a whole
+    ensemble per eps, computed block-major: each block's data are drawn once
+    and its stream state is restored per eps, so only O(BLOCK) particles are
+    held.  BLOCK is even, so a block's index parity is the ensemble's.
+    Blocks run on a pool of `threads` workers; the result does not depend on
+    their number.
     """
     N, L, bins = params.particles, params.domain_length, params.x_bins
-    schedule = params.epsilon_schedule
     edges = np.linspace(0.0, L, bins + 1)
 
     def run(b):
@@ -306,17 +294,25 @@ def schedule_counts(params: ModelParams, scaling: str, width: float | None,
         x0, v0 = np.empty((2, min(BLOCK, N - b * BLOCK)))
         _draw_block(rng, x0, v0, L, params.alpha, width)
         start = rng.bit_generator.state
-        counts = np.empty((len(schedule), 2, bins), dtype=np.intp)
+        counts = np.empty((len(eps_list), len(times), 2, bins), dtype=np.intp)
         collisions = []
-        for j, eps in enumerate(schedule):
+        for j, eps in enumerate(eps_list):
             rng.bit_generator.state = start
-            ens = advance(ParticleEnsemble(x0.copy(), v0.copy(), L, 0.0, (rng,)), eps, params,
-                          params.final_time, scaling)
-            i = _bin_index(ens.x, edges)
-            counts[j, 0] = np.bincount(i[::2], minlength=bins)
-            counts[j, 1] = np.bincount(i[1::2], minlength=bins)
-            collisions.append(ens.collisions)
+            ens = ParticleEnsemble(x0.copy(), v0.copy(), L, 0.0, (rng,))
+            collisions.append([])
+            for k, t in enumerate(times):
+                ens = advance(ens, eps, params, t, scaling)
+                i = _bin_index(ens.x, edges)
+                counts[j, k, 0] = np.bincount(i[::2], minlength=bins)
+                counts[j, k, 1] = np.bincount(i[1::2], minlength=bins)
+                collisions[j].append(ens.collisions)
         return counts, collisions
 
-    counts, collisions = zip(*_map_blocks(run, len(_blocks(N)), threads))
-    return sum(counts), [sum(k) for k in zip(*collisions)]
+    blocks = range(len(_blocks(N)))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+        with ThreadPoolExecutor(threads) as pool:
+            counts, collisions = zip(*pool.map(run, blocks))
+    else:
+        counts, collisions = zip(*map(run, blocks))
+    return sum(counts), [[sum(k) for k in zip(*per_eps)] for per_eps in zip(*collisions)]

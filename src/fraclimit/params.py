@@ -114,6 +114,14 @@ def require_order_schedule(eps_list):
         raise InvalidInput(f"a fitted order needs at least two eps values; got {list(eps_list)}")
 
 
+def fit_order(eps_list, errors) -> tuple[float, bool]:
+    """The log-log slope of `errors` against `eps_list` (inf if an error is
+    not positive) and whether the errors strictly decrease along the list."""
+    errs = np.asarray(errors, dtype=float)
+    slope = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0]) if np.all(errs > 0) else math.inf
+    return slope, bool(np.all(errs[1:] < errs[:-1]))
+
+
 def _entry(cfg: dict, key: str, default=None):
     """The config entry at the dotted `key`, or `default` where it is absent;
     a section on the way that is not an object is refused by name."""

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import fraclimit
+from fraclimit import cli
 from fraclimit import (
     CrossSection,
     ModelParams,
     advance,
     chi_decay_check,
+    estimate_density,
     gaussian_bump,
     init_ensemble,
     run_convergence,
@@ -89,6 +91,15 @@ def test_run_convergence_refuses_x_bins(bins, match):
         run_convergence(_params(x_bins=bins))
 
 
+def _whole_ensemble(params, eps, times, scaling):
+    """The reference of the block-major driver: init_ensemble, then advance
+    through `times`, yielding the whole ensemble at each."""
+    ens = init_ensemble(params, width=BUMP_WIDTH)
+    for t in times:
+        ens = advance(ens, eps, params, t, scaling=scaling)
+        yield ens
+
+
 def _per_eps_reference(params, scaling):
     """run_convergence as one whole ensemble per eps: init_ensemble, advance,
     np.histogram of x, x[::2] and x[1::2]."""
@@ -99,7 +110,7 @@ def _per_eps_reference(params, scaling):
     dx = L / bins
     rows = []
     for eps in params.epsilon_schedule:
-        ens = advance(init_ensemble(params, width=BUMP_WIDTH), eps, params, T, scaling=scaling)
+        (ens,) = _whole_ensemble(params, eps, [T], scaling)
         rho = np.histogram(ens.x, bins=bins, range=(0.0, L))[0] / (len(ens.x) * (L / bins))
         h1 = np.histogram(ens.x[::2], bins=bins, range=(0.0, L))[0]
         h2 = np.histogram(ens.x[1::2], bins=bins, range=(0.0, L))[0]
@@ -146,6 +157,48 @@ def test_run_convergence_memory_does_not_grow_with_particles():
 
     peak(100)  # caches filled outside the comparison
     # one block at a time: a whole ensemble per eps grows the peak by ~3 MB here
+    assert abs(peak(32 * BLOCK) - peak(8 * BLOCK)) < 1e6
+
+
+@pytest.mark.parametrize("scaling", SCALINGS)
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+def test_cli_kinetic_run_equals_whole_ensemble(tmp_path, monkeypatch, amplitude, scaling):
+    # a partial last block, a snapshot at 0 and a repeated one; every density
+    # bit for bit (captured before CSV formatting), at any thread count
+    n, snaps, eps = 3 * BLOCK + 17, [0.0, 0.1, 0.1, 0.3], 0.1
+    cs = {"kind": "PerturbedConstant", "nu0": 1.0, "amplitude": amplitude}
+    cfg = _write_cfg(tmp_path, particles=n, cross_section=cs, field={"kind": "constant", "e0": 0.5})
+    p = _params(cross_section=CrossSection(1.0, amplitude), field_spec=FieldSpec(0.5), particles=n, x_bins=16)
+    ref = []
+    for t, ens in zip(snaps, _whole_ensemble(p, eps, snaps, scaling)):  # ens ends at the last snapshot
+        dens = estimate_density(ens, p.x_bins)
+        ref.extend((t, float(x), float(r)) for x, r in zip(dens.x + dens.dx / 2, dens.rho))
+    written = {}
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: written.update({header: list(rows)}))
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}"
+        argv = ["--config", cfg, "--out", str(out), "--threads", str(threads), "kinetic-run", "--eps", str(eps),
+                "--scaling", scaling] + [a for t in snaps for a in ("--snapshot", str(t))]
+        assert main(argv) == 0
+        assert written.pop("t,bin_center,rho") == ref
+        manifest = json.loads((out / "kinetic_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["collisions"] == ens.collisions and manifest["snapshots"] == snaps
+
+
+def test_cli_kinetic_run_memory_does_not_grow_with_particles(tmp_path):
+    cfg = _write_cfg(tmp_path, field={"kind": "constant", "e0": 0.5})
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            main(["--config", cfg, "--out", str(tmp_path), "kinetic-run", "--particles", str(n),
+                  "--snapshot", "0.1", "--snapshot", "0.2"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # caches filled outside the comparison
+    # one block at a time: the whole ensemble's x and v grow the peak by ~1.5 MB here
     assert abs(peak(32 * BLOCK) - peak(8 * BLOCK)) < 1e6
 
 

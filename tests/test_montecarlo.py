@@ -23,7 +23,7 @@ from fraclimit import (
     sample_M,
 )
 from fraclimit.cli import main
-from fraclimit.montecarlo import BLOCK, _CHUNK, _bin_index, _clock_pass, _rng_for
+from fraclimit.montecarlo import BLOCK, _CHUNK, _bin_index, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -472,22 +472,43 @@ def test_clock_pass_memory_is_per_block(cs):
 
 @pytest.mark.parametrize("cs", [CrossSection(1.0), CrossSection(1.0, 0.5)])
 def test_more_threads_than_cores_same_result(cs):
-    # blocks write disjoint slices of the shared arrays; frequent thread
-    # switches would expose any lost update
-    p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=30_000)
+    # the driver's pool is the only thread site: frequent thread switches
+    # would expose any block result lost or summed out of place
+    p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=30_000, x_bins=16)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 5):
-            ens = init_ensemble(p)
-            ens = advance(ens, 0.2, p, 0.3, threads=threads)
-            runs.append((ens.x, ens.v, ens.collisions))
+            runs.append(block_counts(p, "diffusive", 2.0, [0.2], [0.1, 0.3], threads))
     finally:
         sys.setswitchinterval(interval)
+    assert runs[0][0].shape == (1, 2, 2, 16)
     assert np.array_equal(runs[0][0], runs[1][0])
-    assert np.array_equal(runs[0][1], runs[1][1])
-    assert runs[0][2] == runs[1][2]
+    assert runs[0][1] == runs[1][1] and runs[0][1][0][0] < runs[0][1][0][1]
+
+
+def test_advance_refuses_a_spent_handle():
+    p = _params(particles=BLOCK + 17)
+    eps, alpha, cs = 0.2, p.alpha, p.cross_section
+    rate, xfac = cs.nu2 / eps**alpha, eps ** (1.0 - alpha)
+    accepted = [0, 0]  # each block's two clock passes replayed on its own stream
+    for blk, sl in enumerate(_blocks(p.particles)):
+        rng = _rng_for(p.seed, blk)
+        x, v = np.empty((2, sl.stop - sl.start))
+        _draw_block(rng, x, v, L, alpha, None)
+        for j, tau in enumerate((0.1, 0.3 - 0.1)):
+            accepted[j] += _clock_pass(x, v, rng, cs, alpha, rate, tau, 0.0, xfac, eps, L)
+    a = init_ensemble(p)
+    b = advance(a, eps, p, 0.1)
+    c = advance(b, eps, p, 0.3)
+    # a spent handle keeps its t and collisions, and hands its streams on
+    assert (a.t, a.collisions, b.t, b.collisions, c.t) == (0.0, 0, 0.1, accepted[0], 0.3)
+    assert c.collisions - b.collisions == accepted[1]
+    assert a.rngs == b.rngs == () and len(c.rngs) == 2
+    for spent in (a, b):
+        with pytest.raises(InvalidInput, match="earlier advance consumed it; advance the ensemble that call returned"):
+            advance(spent, eps, p, 0.5)
 
 
 def _cli_outputs(tmp_path, threads, cfg, argv):
