@@ -28,7 +28,7 @@ from .equilibrium import (
     solve_lambda,
 )
 from .auxfun import L_eps, chi_decay_check, chi_eps
-from .harness import ConvergenceReport, emit, run_convergence, run_operator_study
+from .harness import run_convergence, run_operator_study
 from .macro import (
     MacroState,
     advance_macro,

@@ -2,7 +2,7 @@
 
 Subcommands: equilibrium, coefficients, operator-check, kinetic-run,
 macro-run, converge, all.  Global flags: --config, --out, --seed, --threads.
-All outputs are UTF-8 CSV/JSON.
+This module writes every output file, all UTF-8 CSV/JSON in --out.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import montecarlo as mc
 from .coefficients import limit_coefficients
 from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
-from .harness import BUMP_WIDTH, MACRO_NODES, context, emit, macro_limit, run_convergence, run_operator_study
+from .harness import BUMP_WIDTH, MACRO_NODES, context, macro_limit, run_convergence, run_operator_study
 from .macro import advance_macro, gaussian_bump
 from .params import SCALINGS, ModelParams, load_config
 
@@ -29,11 +29,16 @@ def _load(args) -> ModelParams:
     return params if args.seed is None else replace(params, seed=args.seed)
 
 
-def _write_csv(path, header: str, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row) + "\n")
+def _open(args, name: str):
+    """The output file `name` in --out, opened for writing; creates --out."""
+    os.makedirs(args.out, exist_ok=True)
+    return open(os.path.join(args.out, name), "w", encoding="utf-8")
+
+
+def _write_csv(fh, header: str, rows):
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
 def _snapshots(args, final_time: float) -> list[float]:
@@ -61,17 +66,10 @@ def cmd_equilibrium(args) -> int:
     lam = solve_lambda(ctx).profile.values
     R = deviation_R(Eeff, ctx).values
     G = remainder_G(Eeff, ctx)[0].values
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "equilibrium.csv")
-    _write_csv(
-        path,
-        "v,M,F,lambda,G,R",
-        zip(
-            ctx.grid.nodes.tolist(), ctx.M.values.tolist(), F.profile.values.tolist(),
-            lam.tolist(), G.tolist(), R.tolist(),
-        ),
-    )
-    print(f"wrote {path} (E={Eeff}, method={F.method}, residual={F.residual:.3e})")
+    with _open(args, "equilibrium.csv") as fh:
+        _write_csv(fh, "v,M,F,lambda,G,R", zip(ctx.grid.nodes.tolist(), ctx.M.values.tolist(),
+                                               F.profile.values.tolist(), lam.tolist(), G.tolist(), R.tolist()))
+    print(f"wrote {fh.name} (E={Eeff}, method={F.method}, residual={F.residual:.3e})")
     return 0
 
 
@@ -80,51 +78,47 @@ def cmd_coefficients(args) -> int:
     co = limit_coefficients(context(params))
     payload = json.dumps(asdict(co), indent=2)
     print(payload)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "coefficients.json"), "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+    with _open(args, "coefficients.json") as fh:
+        fh.write(payload + "\n")
     return 0
 
 
 def cmd_operator_check(args) -> int:
     params = _load(args)
     rep = run_operator_study(params)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "operator_check.csv")
-    _write_csv(path, "epsilon,sup_error,l2_error",
-               [(r["eps"], r["sup_error"], r["l2_error"]) for r in rep["rows"]])
-    print(f"wrote {path}; fitted order {rep['fitted_order']:.3f} "
+    with _open(args, "operator_check.csv") as fh:
+        _write_csv(fh, "epsilon,sup_error,l2_error",
+                   [(r["eps"], r["sup_error"], r["l2_error"]) for r in rep["rows"]])
+    print(f"wrote {fh.name}; fitted order {rep['fitted_order']:.3f} "
           f"({'monotone' if rep['monotone'] else 'NOT monotone'})")
     return 0
 
 
 def cmd_kinetic_run(args) -> int:
     params = _load(args)
-    overrides = {"particles": args.particles, "final_time": args.final_time}
-    params = replace(params, **{k: v for k, v in overrides.items() if v is not None})
+    if args.particles is not None:
+        params = replace(params, particles=args.particles)
     eps = args.eps if args.eps is not None else min(params.epsilon_schedule)
     if not 0 < eps <= 1:
         raise InvalidInput(f"--eps {eps} outside (0, 1]")
     snaps = _snapshots(args, params.final_time)
     counts, collisions = mc.block_counts(params, args.scaling, BUMP_WIDTH, [eps], snaps, args.threads)
-    hits = collisions[0][-1]
+    hits = int(collisions[0, -1])
     dx = params.domain_length / params.x_bins
     rows = []
     for t, (h1, h2) in zip(snaps, counts[0]):
         rho = (h1 + h2) / (params.particles * dx)  # estimate_density's expression
         rows.extend((t, i * dx + dx / 2, float(r)) for i, r in enumerate(rho))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "kinetic_run.csv")
-    _write_csv(path, "t,bin_center,rho", rows)
+    with _open(args, "kinetic_run.csv") as fh:
+        _write_csv(fh, "t,bin_center,rho", rows)
     manifest = {
         "seed": params.seed, "eps": eps, "particles": params.particles,
         "threads": args.threads, "block": mc.BLOCK, "collisions": hits,
         "snapshots": snaps, "scaling": args.scaling,
     }
-    with open(os.path.join(args.out, "kinetic_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-    print(f"wrote {path} ({hits} collisions)")
+    with _open(args, "kinetic_manifest.json") as mf:
+        json.dump(manifest, mf, indent=2)
+    print(f"wrote {fh.name} ({hits} collisions)")
     return 0
 
 
@@ -137,23 +131,24 @@ def cmd_macro_run(args) -> int:
     for t in snaps:
         state = advance_macro(state, params.alpha, kap, drift, t)
         rows.extend((t, float(x), float(r)) for x, r in zip(state.x, state.rho))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "macro_run.csv")
-    _write_csv(path, "t,x,rho", rows)
-    print(f"wrote {path}")
+    with _open(args, "macro_run.csv") as fh:
+        _write_csv(fh, "t,x,rho", rows)
+    print(f"wrote {fh.name}")
     return 0
 
 
 def cmd_converge(args) -> int:
     params = _load(args)
-    report = run_convergence(params, scaling=args.scaling, threads=args.threads)
-    code = emit(report, args.out)
-    for case in report.cases:
-        finest = case["rows"][-1]
-        print(f"{case['label']}: order {case['fitted_order']:.2f}, "
-              f"finest L1 {finest['l1']:.4f} (noise {finest['noise_floor']:.4f}) "
-              f"-> {case['verdict']}")
-    return code
+    case = run_convergence(params, scaling=args.scaling, threads=args.threads)
+    with _open(args, "report.json") as fh:
+        json.dump({"seed": params.seed, "config": asdict(params), "cases": [case]}, fh, indent=2)
+    with _open(args, "case_0.csv") as fh:
+        fh.write("eps,l1,linf,noise_floor\n")
+        fh.writelines(f"{r['eps']},{r['l1']},{r['linf']},{r['noise_floor']}\n" for r in case["rows"])
+    finest = case["rows"][-1]
+    print(f"{case['label']}: order {case['fitted_order']:.2f}, "
+          f"finest L1 {finest['l1']:.4f} (noise {finest['noise_floor']:.4f}) -> {case['verdict']}")
+    return 0 if case["verdict"] == "PASS" else 1
 
 
 def cmd_all(args) -> int:

@@ -1,10 +1,6 @@
-"""Orchestration: convergence studies, operator studies, report persistence."""
+"""Orchestration: convergence studies and operator studies (`cli` writes their outputs)."""
 
 from __future__ import annotations
-
-import json
-import os
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,17 +25,6 @@ PHI_WIDTH = 0.8
 MARGIN = 0.05
 
 
-@dataclass
-class ConvergenceReport:
-    seed: int = 0
-    config: dict = field(default_factory=dict)
-    cases: list = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c["verdict"] == "PASS" for c in self.cases)
-
-
 def context(params: ModelParams, vmax: float | None = None) -> CollisionContext:
     """The collision context of the params' model on their velocity grid,
     reaching out to `vmax` (default: the params' vmax)."""
@@ -53,8 +38,9 @@ def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
     return limit_model(context(params, max(params.vmax, 1000.0)), params.field_spec.e0, scaling)
 
 
-def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: int = 1) -> ConvergenceReport:
-    """Kinetic MC vs limit-equation solve across the epsilon schedule.
+def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: int = 1) -> dict:
+    """Kinetic MC vs limit-equation solve across the epsilon schedule: the
+    study's one case, with its verdict.
 
     Per eps: L1 and sup errors of the binned Monte Carlo density
     (`montecarlo.block_counts`, in O(BLOCK) memory) against the macro
@@ -67,6 +53,8 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     bins = params.x_bins
     if MACRO_NODES % bins:
         raise InvalidInput(f"x_bins={bins} does not divide the {MACRO_NODES}-point macro grid")
+    if N < 2:
+        raise InvalidInput(f"particles={N} < 2: the split-half noise floor needs two halves")
     kap, drift = macro_limit(params, scaling)
     macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
@@ -79,10 +67,10 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
         linf = float(np.max(np.abs(rho - macro_binned)))
         # split-half noise floor
         noise = float(np.sum(np.abs(h1 / ((N + 1) // 2 * dx) - h2 / (N // 2 * dx))) * dx / 2.0)
-        rows.append({"eps": eps, "l1": l1, "linf": linf, "noise_floor": noise, "collisions": hits})
+        rows.append({"eps": eps, "l1": l1, "linf": linf, "noise_floor": noise, "collisions": int(hits)})
     order, monotone = fit_order(params.epsilon_schedule, [r["l1"] for r in rows])
     finest_ok = rows[-1]["l1"] - rows[-1]["noise_floor"] < MARGIN
-    case = {
+    return {
         "label": f"alpha={params.alpha} E={params.field_spec.e0} scaling={scaling}",
         "scaling": scaling,
         "kappa": kap,
@@ -92,7 +80,6 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
         "monotone": monotone,
         "verdict": "PASS" if (monotone and finest_ok) else "FAIL",
     }
-    return ConvergenceReport(params.seed, asdict(params), [case])
 
 
 def run_operator_study(params: ModelParams) -> dict:
@@ -125,17 +112,3 @@ def run_operator_study(params: ModelParams) -> dict:
         "fitted_order": order,
         "monotone": monotone,
     }
-
-
-def emit(report: ConvergenceReport, out_dir) -> int:
-    """Write report.json plus per-case CSVs; returns the process exit code."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2)
-    for i, case in enumerate(report.cases):
-        path = os.path.join(out_dir, f"case_{i}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("eps,l1,linf,noise_floor\n")
-            for r in case["rows"]:
-                fh.write(f"{r['eps']},{r['l1']},{r['linf']},{r['noise_floor']}\n")
-    return 0 if report.all_pass else 1

@@ -227,7 +227,7 @@ def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float
     Consumes `ens`: its arrays are advanced in place and shared with the
     returned ensemble, which takes its streams.  `ens` keeps its t and
     collision count but is left without streams, so advancing it again is
-    refused.
+    refused.  A zero-length advance draws nothing from the streams.
     """
     if scaling not in SCALINGS or not 0 < eps <= 1 or not math.isfinite(until):
         raise InvalidInput(f"need scaling diffusive or high_field, eps in (0, 1] and a finite until; "
@@ -244,7 +244,7 @@ def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float
     E = params.field_spec.e0
     tau = max(until - ens.t, 0.0)
     hits = sum(_clock_pass(ens.x[sl], ens.v[sl], rng, cs, alpha, rate, tau, E, xfac, eps, ens.L)
-               for sl, rng in zip(_blocks(len(ens.x)), ens.rngs))
+               for sl, rng in zip(_blocks(len(ens.x)), ens.rngs)) if tau > 0 else 0
     out = ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + hits)
     ens.rngs = ()
     return out
@@ -274,15 +274,15 @@ def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
 
 
 def block_counts(params: ModelParams, scaling: str, width: float | None, eps_list, times,
-                 threads: int) -> tuple[np.ndarray, list[list[int]]]:
+                 threads: int) -> tuple[np.ndarray, np.ndarray]:
     """The x_bins counts of the even- and odd-index particles of
     `init_ensemble(params, width)` advanced through the sorted `times` in
     order, for each eps of `eps_list` and each time, shape
     (len(eps_list), len(times), 2, x_bins), and the collisions up to each
-    time, nested in the same order.  These are the numbers of a whole
-    ensemble per eps, computed block-major: each block's data are drawn once
-    and its stream state is restored per eps, so only O(BLOCK) particles are
-    held.  BLOCK is even, so a block's index parity is the ensemble's.
+    time, int64 of shape (len(eps_list), len(times)), both summed over the
+    blocks.  These are the numbers of a whole ensemble per eps, computed
+    block-major: each block's data are drawn once and its stream state is
+    restored per eps, so only O(BLOCK) particles are held.  BLOCK is even, so a block's index parity is the ensemble's.
     Blocks run on a pool of `threads` workers; the result does not depend on
     their number.
     """
@@ -295,17 +295,16 @@ def block_counts(params: ModelParams, scaling: str, width: float | None, eps_lis
         _draw_block(rng, x0, v0, L, params.alpha, width)
         start = rng.bit_generator.state
         counts = np.empty((len(eps_list), len(times), 2, bins), dtype=np.intp)
-        collisions = []
+        collisions = np.empty((len(eps_list), len(times)), dtype=np.int64)
         for j, eps in enumerate(eps_list):
             rng.bit_generator.state = start
             ens = ParticleEnsemble(x0.copy(), v0.copy(), L, 0.0, (rng,))
-            collisions.append([])
             for k, t in enumerate(times):
                 ens = advance(ens, eps, params, t, scaling)
                 i = _bin_index(ens.x, edges)
                 counts[j, k, 0] = np.bincount(i[::2], minlength=bins)
                 counts[j, k, 1] = np.bincount(i[1::2], minlength=bins)
-                collisions[j].append(ens.collisions)
+                collisions[j, k] = ens.collisions
         return counts, collisions
 
     blocks = range(len(_blocks(N)))
@@ -315,4 +314,4 @@ def block_counts(params: ModelParams, scaling: str, width: float | None, eps_lis
             counts, collisions = zip(*pool.map(run, blocks))
     else:
         counts, collisions = zip(*map(run, blocks))
-    return sum(counts), [[sum(k) for k in zip(*per_eps)] for per_eps in zip(*collisions)]
+    return sum(counts), sum(collisions)

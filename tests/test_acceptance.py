@@ -37,7 +37,7 @@ from fraclimit import (
 )
 from fraclimit.equilibrium import eval_M_deriv
 from fraclimit.params import FieldSpec
-from fraclimit.velocity import Tail, VelocityProfile
+from fraclimit.velocity import VelocityProfile
 
 L = 4 * np.pi
 SEED = 11
@@ -183,20 +183,7 @@ def test_07_chi_decay(ctx15, ctx1):
     _report(7, "chi_eps decay rate", ok, f"alpha=1 slope {s1:.3f}, alpha=1.5 slope {s15:.3f}")
 
 
-def _F_cdf_factory(Fprof, grid):
-    vs = np.linspace(-400.0, 400.0, 20001)
-    dens = Fprof(vs)
-    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(vs))])
-    right, left = Tail(grid, Fprof.values).integral(0.0, 400.0)
-    total = left + cum[-1] + right
-
-    def cdf(v):
-        return (left + np.interp(v, vs, cum)) / total
-
-    return cdf
-
-
-def test_08_end_to_end_limit():
+def test_08_end_to_end_limit(F_cdf):
     cases = [
         ("a=1.5, E=0", _params(), "diffusive"),
         ("a=1.5, E=0.5", _params(field_spec=FieldSpec(0.5)), "diffusive"),
@@ -206,7 +193,7 @@ def test_08_end_to_end_limit():
     details = []
     for label, p, scaling in cases:
         rep = run_convergence(p, scaling=scaling, threads=THREADS)
-        rows = rep.cases[0]["rows"]
+        rows = rep["rows"]
         errs = [r["l1"] for r in rows]
         monotone = all(b < a for a, b in zip(errs, errs[1:]))
         ok &= monotone and errs[-1] < 0.05
@@ -217,7 +204,7 @@ def test_08_end_to_end_limit():
     ens = advance(ens, 0.05, p, p.final_time)
     ctx = CollisionContext(VelocityGrid(128, 200.0), CrossSection(1.0), 1.0)
     F = solve_F(0.5, ctx)  # alpha=1: effective field is E itself
-    ks = stats.kstest(ens.v, _F_cdf_factory(F.profile, ctx.grid)).statistic
+    ks = stats.kstest(ens.v, F_cdf(F.profile, ctx.grid)).statistic
     ok &= ks < 0.01
     details.append(f"KS(v | F) {ks:.4f}")
     _report(8, "kinetic -> fractional limit", ok, "; ".join(details))
@@ -226,7 +213,7 @@ def test_08_end_to_end_limit():
 def test_09_high_field_limit():
     p = _params(field_spec=FieldSpec(0.5), final_time=0.3)
     rep = run_convergence(p, scaling="high_field", threads=THREADS)
-    errs = [r["l1"] for r in rep.cases[0]["rows"]]
+    errs = [r["l1"] for r in rep["rows"]]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     ok = monotone and errs[-1] < 0.05
     _report(9, "high-field pure transport", ok,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fraclimit
-from fraclimit import cli
+from fraclimit import cli, harness
 from fraclimit import (
     CrossSection,
     ModelParams,
@@ -23,10 +23,10 @@ from fraclimit import (
     run_operator_study,
 )
 from fraclimit.cli import build_parser, main
-from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, ConvergenceReport, context, emit, macro_limit
+from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, context, macro_limit
 from fraclimit.macro import advance_macro
 from fraclimit.montecarlo import BLOCK
-from fraclimit.params import SCALINGS, FieldSpec
+from fraclimit.params import SCALINGS, FieldSpec, load_config
 from fraclimit.errors import InvalidInput
 
 L = 4 * np.pi
@@ -51,26 +51,23 @@ def _params(**kw):
 
 
 @pytest.fixture(scope="module")
-def small_report():
+def small_case():
     return run_convergence(_params())
 
 
-def test_run_convergence_report(small_report):
-    assert len(small_report.cases) == 1
-    case = small_report.cases[0]
+def test_run_convergence_report(small_case):
+    case = small_case
     assert len(case["rows"]) == 3
     for row in case["rows"]:
         assert row["l1"] >= 0 and row["linf"] >= 0 and row["noise_floor"] >= 0
+        assert type(row["collisions"]) is int
     assert case["verdict"] in ("PASS", "FAIL")
     assert case["monotone"]
-    # report embeds the reproduction data
-    assert small_report.seed == 11
-    assert small_report.config["particles"] == 30_000
 
 
-def test_verdict_pure_function(small_report):
+def test_verdict_pure_function(small_case):
     # re-evaluating the stored numbers reproduces the verdict
-    case = small_report.cases[0]
+    case = small_case
     errs = [r["l1"] for r in case["rows"]]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     finest_ok = errs[-1] - case["rows"][-1]["noise_floor"] < MARGIN
@@ -89,6 +86,13 @@ def test_run_convergence_rejects_bad_scaling():
 def test_run_convergence_refuses_x_bins(bins, match):
     with pytest.raises(InvalidInput, match=match):
         run_convergence(_params(x_bins=bins))
+
+
+def test_run_convergence_refuses_one_particle(monkeypatch):
+    # the split-half noise floor divides by the count of each half
+    monkeypatch.setattr(harness.mc, "block_counts", None)  # refused before any Monte Carlo
+    with pytest.raises(InvalidInput, match=r"particles=1 < 2: the split-half noise floor needs two halves"):
+        run_convergence(_params(particles=1))
 
 
 def _whole_ensemble(params, eps, times, scaling):
@@ -120,7 +124,7 @@ def _per_eps_reference(params, scaling):
                      "collisions": ens.collisions})
     errs = [r["l1"] for r in rows]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
-    case = {
+    return {
         "label": f"alpha={params.alpha} E={params.field_spec.e0} scaling={scaling}",
         "scaling": scaling,
         "kappa": kap,
@@ -130,7 +134,6 @@ def _per_eps_reference(params, scaling):
         "monotone": monotone,
         "verdict": "PASS" if monotone and errs[-1] - rows[-1]["noise_floor"] < MARGIN else "FAIL",
     }
-    return ConvergenceReport(params.seed, asdict(params), [case])
 
 
 @pytest.mark.parametrize("scaling", SCALINGS)
@@ -140,9 +143,9 @@ def test_run_convergence_equals_per_eps_reference(amplitude, e0, scaling):
     # odd N with a partial last block; every field bit for bit, at any thread count
     p = _params(cross_section=CrossSection(1.0, amplitude), field_spec=FieldSpec(e0),
                 particles=3 * BLOCK + 17, final_time=0.3, epsilon_schedule=(0.2, 0.1))
-    ref = asdict(_per_eps_reference(p, scaling))
+    ref = _per_eps_reference(p, scaling)
     for threads in (1, 3):
-        assert asdict(run_convergence(p, scaling, threads=threads)) == ref
+        assert run_convergence(p, scaling, threads=threads) == ref
 
 
 def test_run_convergence_memory_does_not_grow_with_particles():
@@ -214,31 +217,6 @@ def test_order_fits_refuse_one_eps(study):
         run()
 
 
-def test_emit_roundtrip(small_report, tmp_path):
-    code = emit(small_report, tmp_path)
-    data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert list(data) == ["seed", "config", "cases"]
-    assert data["seed"] == 11
-    assert isinstance(data["config"]["epsilon_schedule"], list)
-    assert len(data["cases"]) == 1
-    csv = (tmp_path / "case_0.csv").read_text(encoding="utf-8").splitlines()
-    assert csv[0] == "eps,l1,linf,noise_floor"
-    assert len(csv) == 4
-    assert code == (0 if small_report.all_pass else 1)
-
-
-def test_emit_empty_report(tmp_path):
-    rep = ConvergenceReport(seed=0, config={}, cases=[])
-    assert emit(rep, tmp_path) == 0
-    data = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert data["cases"] == []
-
-
-def test_emit_fail_exit_code(tmp_path):
-    rep = ConvergenceReport(seed=0, config={}, cases=[{"verdict": "FAIL", "rows": []}])
-    assert emit(rep, tmp_path) == 1
-
-
 def test_operator_study_zero_field():
     p = _params(epsilon_schedule=(0.1, 0.05, 0.025), vmax_over_inv_eps=10.0)
     rep = run_operator_study(p)
@@ -307,6 +285,31 @@ def test_cli_kinetic_run(tmp_path):
     assert len(lines) == 1 + 2 * 16
 
 
+def test_cli_converge_writes_report(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"  # created by the command
+    code = main(["--config", cfg, "--out", str(out), "converge"])
+    case = run_convergence(load_config(cfg))
+    data = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert list(data) == ["seed", "config", "cases"]
+    assert data["seed"] == 11
+    assert data["config"] == json.loads(json.dumps(asdict(load_config(cfg))))
+    assert isinstance(data["config"]["epsilon_schedule"], list)
+    assert data["cases"] == [json.loads(json.dumps(case))]
+    csv = (out / "case_0.csv").read_text(encoding="utf-8").splitlines()
+    assert csv[0] == "eps,l1,linf,noise_floor"
+    assert csv[1:] == [f"{r['eps']},{r['l1']},{r['linf']},{r['noise_floor']}" for r in case["rows"]]
+    assert code == (0 if case["verdict"] == "PASS" else 1)
+
+
+def test_cli_converge_fail_exit_code(tmp_path, monkeypatch, small_case, capsys):
+    monkeypatch.setattr(cli, "run_convergence", lambda *args, **kw: {**small_case, "verdict": "FAIL"})
+    cfg = _write_cfg(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "converge"]) == 1
+    assert capsys.readouterr().out.endswith("-> FAIL\n")
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["cases"][0]["verdict"] == "FAIL"
+
+
 def test_cli_one_eps_runs_without_an_order(tmp_path):
     cfg = _write_cfg(tmp_path, epsilon_schedule=[0.1])
     assert main(["--config", cfg, "--out", str(tmp_path), "kinetic-run", "--particles", "1000"]) == 0
@@ -334,6 +337,18 @@ def test_cli_macro_run_final_time_follows_snapshots(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["kinetic-run", "macro-run"])
+def test_cli_final_time_zero_is_one_snapshot(tmp_path, command):
+    # --final-time reaches both commands only through their snapshots
+    cfg = _write_cfg(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path), command, "--final-time", "0"]) == 0
+    rows = next(tmp_path.glob("*_run.csv")).read_text(encoding="utf-8").splitlines()[1:]
+    assert {r.split(",")[0] for r in rows} == {"0"}
+    if command == "kinetic-run":
+        manifest = json.loads((tmp_path / "kinetic_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["snapshots"] == [0.0] and manifest["collisions"] == 0
+
+
+@pytest.mark.parametrize("command", ["kinetic-run", "macro-run"])
 def test_cli_refuses_snapshot_past_final_time(tmp_path, command):
     cfg = _write_cfg(tmp_path)
     with pytest.raises(InvalidInput, match=r"snapshot 0.02 lies past --final-time 0.01"):
@@ -357,7 +372,7 @@ def test_cli_rejects_threads_below_one(tmp_path, threads):
     (["--eps", "2"], r"--eps 2.0 outside \(0, 1\]"),
     (["--eps", "nan"], r"--eps nan outside \(0, 1\]"),
     (["--particles", "0"], r"need particles >= 1 and x_bins >= 1; got 0, 16"),
-    (["--final-time", "nan"], r"must be positive and finite; got .*, nan"),
+    (["--final-time", "nan"], r"time nan must be finite and non-negative"),
     (["--snapshot", "nan"], r"time nan must be finite and non-negative"),
     (["--snapshot", "0.1", "--snapshot", "inf"], r"time inf must be finite and non-negative"),
     (["--snapshot", "-0.1"], r"time -0.1 must be finite and non-negative"),

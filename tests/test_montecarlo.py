@@ -21,6 +21,7 @@ from fraclimit import (
     limit_model,
     norm_Z,
     sample_M,
+    solve_F,
 )
 from fraclimit.cli import main
 from fraclimit.montecarlo import BLOCK, _CHUNK, _bin_index, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
@@ -454,6 +455,23 @@ def test_consecutive_advances_use_elapsed_time():
     assert stats.ks_2samp(ens.v, once.v).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("alpha, amplitude", [(1.5, 0.5), (1.5, -0.5), (1.0, 0.5)])
+def test_perturbed_velocity_law_is_solve_F(grid128, F_cdf, alpha, amplitude):
+    # two independent routes to the stationary law F(., E): the thinning
+    # Monte Carlo and the bordered linear solve.  The high-field scaling
+    # reaches F at full E; T = 1 at eps = 0.05 is about 20 collisions each
+    cs = CrossSection(1.0, amplitude)
+    p = _params(alpha=alpha, cross_section=cs, field_spec=FieldSpec(0.5), final_time=1.0, seed=5,
+                particles=200_000)
+    v = advance(init_ensemble(p), 0.05, p, p.final_time, scaling="high_field").v
+    bound = 1.36 / np.sqrt(p.particles)  # the KS test at level 5%
+    F = solve_F(0.5, CollisionContext(grid128, cs, alpha)).profile
+    assert stats.kstest(v, F_cdf(F, grid128)).statistic < bound
+    # power: the constant-sigma F is rejected on the same sample
+    F_constant = solve_F(0.5, CollisionContext(grid128, CrossSection(1.0), alpha)).profile
+    assert stats.kstest(v, F_cdf(F_constant, grid128)).statistic > 3 * bound
+
+
 @pytest.mark.parametrize("cs", [CrossSection(1.0), CrossSection(1.0, 0.5)])
 def test_clock_pass_memory_is_per_block(cs):
     p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=250_000)
@@ -483,9 +501,24 @@ def test_more_threads_than_cores_same_result(cs):
             runs.append(block_counts(p, "diffusive", 2.0, [0.2], [0.1, 0.3], threads))
     finally:
         sys.setswitchinterval(interval)
-    assert runs[0][0].shape == (1, 2, 2, 16)
-    assert np.array_equal(runs[0][0], runs[1][0])
-    assert runs[0][1] == runs[1][1] and runs[0][1][0][0] < runs[0][1][0][1]
+    (counts, collisions), (counts5, collisions5) = runs
+    assert counts.shape == (1, 2, 2, 16) and collisions.shape == (1, 2) and collisions.dtype == np.int64
+    assert np.array_equal(counts, counts5) and np.array_equal(collisions, collisions5)
+    assert collisions[0, 0] < collisions[0, 1]
+
+
+@pytest.mark.parametrize("times, plain", [([0.0, 0.3], [0.3]), ([0.1, 0.1, 0.3], [0.1, 0.3])])
+def test_zero_length_advance_draws_nothing(times, plain):
+    # a snapshot at 0 or a repeated one leaves every later snapshot bit for bit
+    p = ModelParams(particles=20_017, seed=7)
+    counts, collisions = block_counts(p, "diffusive", 1.8, [0.1], times, 1)
+    ref_counts, ref_collisions = block_counts(p, "diffusive", 1.8, [0.1], plain, 1)
+    assert np.array_equal(counts[:, -1], ref_counts[:, -1])
+    assert np.array_equal(collisions[:, -1], ref_collisions[:, -1])
+    ens = init_ensemble(p)
+    state = ens.rngs[0].bit_generator.state
+    out = advance(ens, 0.1, p, 0.0)
+    assert out.rngs[0].bit_generator.state == state and out.collisions == 0 and ens.rngs == ()
 
 
 def test_advance_refuses_a_spent_handle():
