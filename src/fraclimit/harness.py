@@ -42,11 +42,11 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     """Kinetic MC vs limit-equation solve across the epsilon schedule: the
     study's one case, with its verdict.
 
-    Per eps: L1 and sup errors of the binned Monte Carlo density
-    (`montecarlo.block_counts`, in O(BLOCK) memory) against the macro
-    solve, its even/odd split-half noise floor and collisions.  `threads`
-    sets how many workers advance the particle blocks; it does not change
-    the result.
+    Per eps: L1 and sup errors of the binned Monte Carlo density against
+    the macro solve, its even/odd split-half noise floor and collisions.
+    The counts come from `montecarlo.block_counts`: O(BLOCK) particles per
+    eps, all eps advanced on one shared clock per block.  `threads` sets how
+    many workers advance the particle blocks; it does not change the result.
     """
     require_order_schedule(params.epsilon_schedule)
     L, T, N = params.domain_length, params.final_time, params.particles

@@ -19,16 +19,18 @@ rejection test that drew its w.  Only the accept tests run in rounds, one
 candidate per particle each; at amplitude 0 (constant sigma) every candidate
 is a collision and there are none.  One fused pass then sums the flights per
 particle; a flight in the constant field composes exactly at a rejected time.
+Several eps advance on one clock: Poisson counts add, so each eps takes a
+prefix of the candidates drawn for the finest and keeps its own exact law.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Every Monte Carlo command runs
 through one block-major driver (`block_counts`): each block's initial data
-are drawn once, its stream state is saved and restored for every eps, the
-block is advanced through the requested times in order, and only its bin
-counts and collisions are kept.  So a run holds O(BLOCK) particles and gives
-the numbers of a whole ensemble drawn and advanced per eps.  The driver's
-thread pool is the package's only one (imported only for more than one
-thread); results depend on the seed alone, not on the number of threads.
+are drawn once and copied to one row per eps, all rows are advanced through
+the requested times in order, one shared clock pass per step, and only the
+bin counts and collisions are kept.  So a run holds O(BLOCK) particles per
+eps.  The driver's thread pool is the package's only one (imported only for
+more than one thread); results depend on the seed alone, not on the number
+of threads.
 """
 
 from __future__ import annotations
@@ -163,66 +165,93 @@ def _flight(x, v, dt, E, xfac, eps, L):
     np.mod(x, L, out=x)
 
 
-def _clock_pass(x, v, rng, cs, alpha, rate, tau, E, xfac, eps, L) -> int:
-    """Draw each particle's whole clock, thin it and sum its flights in one
-    fused pass.  Returns the number of collisions.
+def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float) -> np.ndarray:
+    """Advance the rows of x and v (shape (m, n), one per eps of the strictly
+    decreasing `eps`, so of rising majorant rates r_j) by tau over one shared
+    clock per particle in one fused pass.  Returns each row's collisions.
 
-    Draws k ~ Poisson(rate*tau), the first flights e0, then the K = sum(k)
-    proposals w ~ M with their flights e (`sample_M`'s excesses), each
-    particle's at its exclusive start, plus a zero sentinel slot for the
-    trailing k = 0 ones; at a nonzero amplitude also K uniforms U.  Round j
-    tests candidate j of the particles with k > j, a prefix once they are
-    sorted by k, and overwrites a rejected w with v-.  The Dirichlet scale
-    tau/(e0 + sum e) is applied after the per-particle sums; without a
-    candidate the flight is exactly tau.
+    Draws each row's new candidates, Poisson((r_j - r_(j-1)) tau) per
+    particle, the first flights e0, then the proposals w ~ M with their
+    flights e (`sample_M`'s excesses) row by row, so row j's are the first
+    K_j, plus a zero sentinel slot; at a nonzero amplitude also uniforms U.
+    Row j takes the pieces of rows <= j, k_j ~ Poisson(r_j tau) candidates
+    per particle: it has the law of its own clock.  Round c of a piece tests
+    its candidate c of the particles with more than c there, and overwrites a
+    rejected w (in a copy of the first K_j but for the last row) with v-.
+    The Dirichlet scale tau/(e0 + sum e) is applied after the sums.
     """
-    k = rng.poisson(rate * tau, len(x))
-    e0 = rng.standard_exponential(len(x))
-    starts = np.zeros(len(x), dtype=np.int64)
-    np.cumsum(k[:-1], out=starts[1:])
-    K = int(starts[-1] + k[-1])
+    m, n = x.shape
+    cs, alpha, E, L = params.cross_section, params.alpha, params.field_spec.e0, params.domain_length
+    rates = [cs.nu2 / (a**alpha if scaling == "diffusive" else a) for a in eps]
+    k = np.array([rng.poisson((r - r0) * tau, n) for r0, r in zip((0.0, *rates), rates)], dtype=np.int32)
+    e0 = rng.standard_exponential(n)
+    bounds = np.zeros((m, n), dtype=np.int64)  # the first candidate of each piece
+    np.cumsum(k.ravel()[:-1], out=bounds.ravel()[1:])
+    K = int(bounds[-1, -1] + k[-1, -1])
     e, w = np.empty(K + 1), np.empty(K + 1)
     e[K] = w[K] = 0.0
     sample_M(rng, alpha, out=w[:K], excess=e[:K])
-    empty = k == 0
 
-    def sums(a):  # per particle; reduceat gives an empty segment the next entry
-        out = np.add.reduceat(a, starts)
-        out[empty] = 0.0
-        return out
+    def sums(a, rows):  # (rows, n): per particle, the sums over its candidates of the first rows
+        out = np.add.reduceat(a, bounds[:rows].ravel()).reshape(rows, n)  # an empty piece gets the next entry
+        out[k[:rows] == 0] = 0.0
+        return np.cumsum(out, axis=0, out=out)
 
-    scale = tau / (e0 + sums(e))
-    drift = (E / eps) * scale
-    accepted = K
-    if cs.amplitude != 0.0:
-        u = rng.random(K) * cs.nu2
-        order = np.argsort(-k)
-        first, before, flight, dv = starts[order], v[order], e0[order], drift[order]
-        for j, n in enumerate(len(x) - np.cumsum(np.bincount(k))[:-1]):  # n: particles with k > j
-            i = first[:n] + j
-            v_minus = before[:n] + dv[:n] * flight[:n]
-            wi = w[i]
-            keep = u[i] < cs.sigma(wi, v_minus)
-            accepted -= n - np.count_nonzero(keep)
-            before[:n] = w[i] = np.where(keep, wi, v_minus)
-            flight[:n] = e[i]
-    last = starts + k - 1
-    v_end = np.where(empty, v + (E / eps) * tau, w[last] + drift * e[last])
-    w *= e
-    dx = (v * e0 + sums(w)) * scale
+    scale = tau / (sums(e, m) + e0)
+    accepted = np.cumsum(k.sum(axis=1))
+
+    def finish(wj, rows):  # the rows' v at tau and dx less the field's term; wj: each candidate's v after it
+        last, v_end = np.full(n, -1), []  # each particle's last candidate so far
+        for j in range(rows[-1] + 1):
+            last = np.where(k[j] > 0, bounds[j] + k[j] - 1, last)
+            if j in rows:
+                v_end.append(np.where(last < 0, v[j] + (E / eps[j]) * tau, wj[last] + (E / eps[j]) * scale[j] * e[last]))
+        wj *= e[:len(wj)]
+        dx = sums(wj, rows[-1] + 1)
+        for j, vj in zip(rows, v_end):
+            dx[j] += v[j] * e0
+            dx[j] *= scale[j]
+            v[j] = vj
+        return dx
+
+    def thin(wj, j):  # row j's accept tests in rounds, piece by piece; a rejected candidate's w in wj becomes v-
+        now, flights, drift = v[j].copy(), e0.copy(), (E / eps[j]) * scale[j]  # as of the latest candidate
+        for p in range(j + 1):
+            order = np.argsort(-k[p])
+            first, before, flight, dv = bounds[p, order], now[order], flights[order], drift[order]
+            for c, nc in enumerate(n - np.cumsum(np.bincount(k[p]))[:-1]):  # nc: particles with more than c
+                i = first[:nc] + c
+                v_minus = before[:nc] + dv[:nc] * flight[:nc]
+                wi = wj[i]
+                keep = u[i] < cs.sigma(wi, v_minus)
+                accepted[j] -= nc - np.count_nonzero(keep)
+                before[:nc] = wj[i] = np.where(keep, wi, v_minus)
+                flight[:nc] = e[i]
+            now[order], flights[order] = before, flight
+        return wj
+
+    if cs.amplitude == 0.0:
+        dx = finish(w, range(m))
+    else:
+        u, dx = rng.random(K) * cs.nu2, np.empty((m, n))
+        for j in range(m):  # every row but the last thins a copy of its own first K_j, with a zero sentinel
+            dx[j] = finish(thin(w if j == m - 1 else np.append(w[:bounds[j + 1, 0]], 0.0), j), [j])[j]
     if E != 0.0:
         e *= e
-        dx += (E / (2.0 * eps)) * scale * scale * (e0 * e0 + sums(e))
-    x += xfac * dx
+        s = sums(e, m)
+        for j in range(m):  # row by row: (m, n) temporaries would raise the peak memory
+            s[j] += e0 * e0
+            dx[j] += (E / (2.0 * eps[j])) * scale[j] * scale[j] * s[j]
+    for j in range(m):
+        x[j] += (eps[j] ** (1.0 - alpha) if scaling == "diffusive" else 1.0) * dx[j]
     np.mod(x, L, out=x)
-    v[:] = v_end
-    return int(accepted)
+    return accepted
 
 
 def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float,
             scaling: str = "diffusive") -> ParticleEnsemble:
     """Advance the ensemble block by block to t=until (macroscopic time) in
-    the field E = params.field_spec.e0.
+    the params' field E = e0 and domain, by the one-eps `_clock_pass`.
 
     Consumes `ens`: its arrays are advanced in place and shared with the
     returned ensemble, which takes its streams.  `ens` keeps its t and
@@ -237,13 +266,8 @@ def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float
                            "advance the ensemble that call returned")
     if until < ens.t - 1e-15:
         raise InvalidInput(f"until={until} < current t={ens.t}")
-    cs = params.cross_section
-    alpha = params.alpha
-    rate = cs.nu2 / eps**alpha if scaling == "diffusive" else cs.nu2 / eps
-    xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
-    E = params.field_spec.e0
     tau = max(until - ens.t, 0.0)
-    hits = sum(_clock_pass(ens.x[sl], ens.v[sl], rng, cs, alpha, rate, tau, E, xfac, eps, ens.L)
+    hits = sum(int(_clock_pass(ens.x[None, sl], ens.v[None, sl], rng, params, scaling, [eps], tau)[0])
                for sl, rng in zip(_blocks(len(ens.x)), ens.rngs)) if tau > 0 else 0
     out = ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + hits)
     ens.rngs = ()
@@ -276,36 +300,37 @@ def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
 def block_counts(params: ModelParams, scaling: str, width: float | None, eps_list, times,
                  threads: int) -> tuple[np.ndarray, np.ndarray]:
     """The x_bins counts of the even- and odd-index particles of
-    `init_ensemble(params, width)` advanced through the sorted `times` in
-    order, for each eps of `eps_list` and each time, shape
+    `init_ensemble(params, width)` advanced through the sorted `times`, for
+    each eps of the strictly decreasing `eps_list` and each time, shape
     (len(eps_list), len(times), 2, x_bins), and the collisions up to each
     time, int64 of shape (len(eps_list), len(times)), both summed over the
-    blocks.  These are the numbers of a whole ensemble per eps, computed
-    block-major: each block's data are drawn once and its stream state is
-    restored per eps, so only O(BLOCK) particles are held.  BLOCK is even, so a block's index parity is the ensemble's.
-    Blocks run on a pool of `threads` workers; the result does not depend on
-    their number.
+    blocks.  Each block's data are drawn once, copied to one row per eps and
+    advanced by one `_clock_pass` per time step, so only O(BLOCK) particles
+    are held, and each eps has the law of a whole ensemble advanced alone.
+    BLOCK is even, so a block's index parity is the ensemble's.  Blocks run on
+    a pool of `threads` workers; the result does not depend on their number.
     """
-    N, L, bins = params.particles, params.domain_length, params.x_bins
+    m, N, L, bins = len(eps_list), params.particles, params.domain_length, params.x_bins
+    if (scaling not in SCALINGS or not len(eps_list) or not all(0 < e <= 1 for e in eps_list)
+            or np.any(np.diff(eps_list) >= 0) or not np.all(np.diff(times, prepend=0.0) >= 0) or np.inf in times):
+        raise InvalidInput(f"need scaling diffusive or high_field, strictly decreasing eps in (0, 1] and sorted "
+                           f"finite times >= 0; got {scaling!r}, {list(eps_list)}, {list(times)}")
     edges = np.linspace(0.0, L, bins + 1)
 
     def run(b):
         rng = _rng_for(params.seed, b)
-        x0, v0 = np.empty((2, min(BLOCK, N - b * BLOCK)))
-        _draw_block(rng, x0, v0, L, params.alpha, width)
-        start = rng.bit_generator.state
-        counts = np.empty((len(eps_list), len(times), 2, bins), dtype=np.intp)
-        collisions = np.empty((len(eps_list), len(times)), dtype=np.int64)
-        for j, eps in enumerate(eps_list):
-            rng.bit_generator.state = start
-            ens = ParticleEnsemble(x0.copy(), v0.copy(), L, 0.0, (rng,))
-            for k, t in enumerate(times):
-                ens = advance(ens, eps, params, t, scaling)
-                i = _bin_index(ens.x, edges)
-                counts[j, k, 0] = np.bincount(i[::2], minlength=bins)
-                counts[j, k, 1] = np.bincount(i[1::2], minlength=bins)
-                collisions[j, k] = ens.collisions
-        return counts, collisions
+        x, v = np.empty((2, m, min(BLOCK, N - b * BLOCK)))
+        _draw_block(rng, x[0], v[0], L, params.alpha, width)
+        x[1:], v[1:] = x[0], v[0]
+        counts = np.empty((m, len(times), 2, bins), dtype=np.intp)
+        collisions = np.zeros((m, len(times)), dtype=np.int64)  # per step, then summed
+        for k, (t0, t) in enumerate(zip((0.0, *times), times)):
+            if t > t0:
+                collisions[:, k] = _clock_pass(x, v, rng, params, scaling, eps_list, t - t0)
+            i = _bin_index(x, edges)
+            for j in range(m):
+                counts[j, k] = [np.bincount(i[j, h::2], minlength=bins) for h in (0, 1)]
+        return counts, collisions.cumsum(axis=1)
 
     blocks = range(len(_blocks(N)))
     if threads > 1:

@@ -200,76 +200,119 @@ def test_ballistic_characteristics_exact():
     assert np.max(np.abs(out.x[free] - expect_x[free])) < 1e-10
 
 
-def _clock_pass_reference(x, v, rng, cs, alpha, rate, tau, E, xfac, eps, L):
-    # _clock_pass's draws in the same order, the later flights being the
-    # sampler's excesses, each particle's candidates thinned and its flights
-    # summed in a plain loop; also returns the size of the summed
-    # displacement terms and the accepted count
-    n = len(x)
-    k = rng.poisson(rate * tau, n)
+def _clock_pass_reference(x, v, rng, cs, alpha, rates, tau, E, xfacs, eps_list, L):
+    # _clock_pass's draws in the same order: each row's new candidates per
+    # particle (coarsest eps first), the first flights, then the proposals
+    # with their flights (the sampler's excesses) laid out row by row and
+    # within a row particle by particle.  Each row takes each particle's
+    # candidates of the rows up to its own, thinned and summed in a plain
+    # loop; also returns the size of the summed displacement terms, the
+    # counts k_j and the accepted counts.  x and v have one row per rate
+    m, n = x.shape
+    new = [rng.poisson((r - r0) * tau, n) for r0, r in zip((0.0, *rates), rates)]
     e0 = rng.standard_exponential(n)
-    w, e = _sample_M_reference(rng, alpha, k.sum())
-    u = rng.random(k.sum()) * cs.nu2 if cs.amplitude else np.zeros(k.sum())
-    x_out, v_out, size = np.empty(n), np.empty(n), np.empty(n)
-    j, accepted = 0, 0
-    for i in range(n):
-        flights, starts_v = [e0[i], *e[j:j + k[i]]], [v[i], *w[j:j + k[i]]]
-        total, dx, mag = sum(flights), 0.0, 0.0
-        for c in range(1, k[i] + 1):  # candidate c ends flight c - 1; a rejected one keeps v-
-            v_minus = starts_v[c - 1] + E / eps * (tau * flights[c - 1] / total)
-            if u[j + c - 1] < cs.sigma(starts_v[c], v_minus):
-                accepted += 1
-            else:
-                starts_v[c] = v_minus
-        j += k[i]
-        for u0, f in zip(starts_v, flights):
-            d = tau * f / total
-            term = u0 * d + E / (2.0 * eps) * d * d
-            dx, mag = dx + term, mag + abs(term)
-        x_out[i] = (x[i] + xfac * dx) % L
-        v_out[i] = starts_v[-1] + E / eps * (tau * flights[-1] / total)
-        size[i] = xfac * mag
-    return x_out, v_out, size, k, accepted
+    K = int(np.sum(new))
+    w, e = _sample_M_reference(rng, alpha, K)
+    u = rng.random(K) * cs.nu2 if cs.amplitude else np.zeros(K)
+    slots, j = [[] for _ in range(n)], 0  # each particle's candidate indices, in order
+    for counts in new:
+        for i in range(n):
+            slots[i].append(list(range(j, j + counts[i])))
+            j += counts[i]
+    x_out, v_out, size = np.empty((3, m, n))
+    accepted = np.zeros(m, dtype=np.int64)
+    for row, (xfac, eps) in enumerate(zip(xfacs, eps_list)):
+        for i in range(n):
+            idx = [c for piece in slots[i][:row + 1] for c in piece]
+            flights, starts_v = [e0[i], *e[idx]], [v[row, i], *w[idx]]
+            total, dx, mag = sum(flights), 0.0, 0.0
+            for c in range(1, len(idx) + 1):  # candidate c ends flight c - 1; a rejected one keeps v-
+                v_minus = starts_v[c - 1] + E / eps * (tau * flights[c - 1] / total)
+                if u[idx[c - 1]] < cs.sigma(starts_v[c], v_minus):
+                    accepted[row] += 1
+                else:
+                    starts_v[c] = v_minus
+            for u0, f in zip(starts_v, flights):
+                d = tau * f / total
+                term = u0 * d + E / (2.0 * eps) * d * d
+                dx, mag = dx + term, mag + abs(term)
+            x_out[row, i] = (x[row, i] + xfac * dx) % L
+            v_out[row, i] = starts_v[-1] + E / eps * (tau * flights[-1] / total)
+            size[row, i] = xfac * mag
+    return x_out, v_out, size, np.cumsum(new, axis=0), accepted
+
+
+def _pass_args(scaling, eps_list, nu2=1.0, alpha=1.5):
+    # the majorant rates and x factors of the pass, computed as it does
+    rates = [nu2 / (eps**alpha if scaling == "diffusive" else eps) for eps in eps_list]
+    return rates, [eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0 for eps in eps_list]
+
+
+def _rows(ens, m):
+    return np.tile(ens.x, (m, 1)), np.tile(ens.v, (m, 1))
 
 
 @pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
 @pytest.mark.parametrize("E", [0.0, 0.5])
 @pytest.mark.parametrize("mean_k", [0.5, 8.0])
 def test_clock_pass_matches_reference(scaling, E, mean_k):
-    eps, alpha = 0.1, 1.5
-    rate = eps**-alpha if scaling == "diffusive" else 1.0 / eps
-    xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
-    tau = mean_k / rate
-    ens = init_ensemble(_params(alpha=alpha, particles=BLOCK, seed=9))
-    args = (alpha, rate, tau, E, xfac, eps, L)
-    xr, vr, size, k, _ = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 5), CrossSection(1.0), *args)
-    x, v = ens.x.copy(), ens.v.copy()
-    assert _clock_pass(x, v, _rng_for(9, 5), CrossSection(1.0), *args) == k.sum()
-    if mean_k < 1:  # empty segments at both ends of the block (the sentinel) and inside
-        assert k[0] == 0 and np.any(k[1:-1] == 0) and k[-1] == 0
-    gap = np.mod(x - xr + L / 2, L) - L / 2
-    assert np.all(np.abs(gap) <= 1e-12 * (L + size))
-    np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
+    # one eps, then three: the finest draws mean_k candidates per particle,
+    # the coarser rows take prefixes of them
+    for eps_list in [(0.1,), (0.4, 0.2, 0.1)]:
+        alpha, eps = 1.5, eps_list[-1]
+        rates, xfacs = _pass_args(scaling, eps_list)
+        tau = mean_k / rates[-1]
+        p = _params(alpha=alpha, field_spec=FieldSpec(E), particles=BLOCK, seed=9)
+        x, v = _rows(init_ensemble(p), len(eps_list))
+        args = (alpha, rates, tau, E, xfacs, eps_list, L)
+        xr, vr, size, k, _ = _clock_pass_reference(x, v, _rng_for(9, 5), CrossSection(1.0), *args)
+        assert np.array_equal(_clock_pass(x, v, _rng_for(9, 5), p, scaling, eps_list, tau), k.sum(axis=1))
+        if mean_k < 1:  # empty segments at both ends of the block (the sentinel) and inside
+            assert k[0, 0] == 0 and np.any(k[-1, 1:-1] == 0) and k[-1, -1] == 0
+        gap = np.mod(x - xr + L / 2, L) - L / 2
+        assert np.all(np.abs(gap) <= 1e-12 * (L + size))
+        np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
 
 
 @pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
 @pytest.mark.parametrize("amplitude", [0.5, -0.5])
 def test_thinning_matches_reference(scaling, amplitude):
     # perturbed sigma: the rounds' accept tests against a plain loop's, on
-    # the same draws; a rejection keeps v- and the flight goes on
-    eps, alpha, E = 0.1, 1.5, 0.5
-    cs = CrossSection(1.0, amplitude)
-    rate = cs.nu2 * (eps**-alpha if scaling == "diffusive" else 1.0 / eps)
-    xfac = eps ** (1.0 - alpha) if scaling == "diffusive" else 1.0
-    tau = 8.0 / rate
-    ens = init_ensemble(_params(alpha=alpha, particles=BLOCK, seed=9))
-    args = (cs, alpha, rate, tau, E, xfac, eps, L)
-    xr, vr, size, k, accepted = _clock_pass_reference(ens.x, ens.v, _rng_for(9, 6), *args)
-    x, v = ens.x.copy(), ens.v.copy()
-    assert _clock_pass(x, v, _rng_for(9, 6), *args) == accepted < k.sum()
-    gap = np.mod(x - xr + L / 2, L) - L / 2
-    assert np.all(np.abs(gap) <= 1e-12 * (L + size))
-    np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
+    # the same draws; a rejection keeps v- and the flight goes on.  One eps,
+    # then three, where every row but the last thins a copy of the proposals
+    for eps_list in [(0.1,), (0.4, 0.2, 0.1)]:
+        alpha, E, eps = 1.5, 0.5, eps_list[-1]
+        cs = CrossSection(1.0, amplitude)
+        rates, xfacs = _pass_args(scaling, eps_list, cs.nu2)
+        tau = 8.0 / rates[-1]
+        p = _params(alpha=alpha, cross_section=cs, field_spec=FieldSpec(E), particles=BLOCK, seed=9)
+        x, v = _rows(init_ensemble(p), len(eps_list))
+        args = (cs, alpha, rates, tau, E, xfacs, eps_list, L)
+        xr, vr, size, k, accepted = _clock_pass_reference(x, v, _rng_for(9, 6), *args)
+        assert np.array_equal(_clock_pass(x, v, _rng_for(9, 6), p, scaling, eps_list, tau), accepted)
+        assert np.all(accepted < k.sum(axis=1))
+        gap = np.mod(x - xr + L / 2, L) - L / 2
+        assert np.all(np.abs(gap) <= 1e-12 * (L + size))
+        np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+def test_shared_clock_rows_have_the_one_eps_law(amplitude):
+    # each row of a 3-eps pass against an independent one-eps pass at its eps
+    n, T, eps_list = 50_000, 0.3, (0.2, 0.1, 0.05)
+    p = _params(cross_section=CrossSection(1.0, amplitude), field_spec=FieldSpec(0.5), particles=n)
+    x, v = _rows(init_ensemble(replace(p, seed=1), width=2.0), 3)
+    hits = _clock_pass(x, v, _rng_for(1, 100), p, "diffusive", eps_list, T)
+    one = init_ensemble(replace(p, seed=2), width=2.0)
+    x1, v1 = one.x[None], one.v[None]
+    (hits1,) = _clock_pass(x1, v1, _rng_for(2, 100), p, "diffusive", eps_list[:1], T)
+    rates, _ = _pass_args("diffusive", eps_list, p.cross_section.nu2)
+    for hits_j, rate in zip(hits, rates):
+        mean = n * rate * T  # the candidates' mean, at least the collisions'
+        assert abs(hits_j - mean) <= 5 * np.sqrt(mean) if amplitude == 0.0 else hits_j < mean
+    assert abs(hits[0] - hits1) <= 6 * np.sqrt(2 * n * rates[0] * T)
+    assert stats.ks_2samp(x[0], x1[0]).pvalue > 1e-3
+    assert stats.ks_2samp(v[0], v1[0]).pvalue > 1e-3
 
 
 def test_collision_count_rate():
@@ -498,13 +541,27 @@ def test_more_threads_than_cores_same_result(cs):
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 5):
-            runs.append(block_counts(p, "diffusive", 2.0, [0.2], [0.1, 0.3], threads))
+            runs.append(block_counts(p, "diffusive", 2.0, [0.2, 0.1, 0.05], [0.1, 0.3], threads))
     finally:
         sys.setswitchinterval(interval)
     (counts, collisions), (counts5, collisions5) = runs
-    assert counts.shape == (1, 2, 2, 16) and collisions.shape == (1, 2) and collisions.dtype == np.int64
+    assert counts.shape == (3, 2, 2, 16) and collisions.shape == (3, 2) and collisions.dtype == np.int64
     assert np.array_equal(counts, counts5) and np.array_equal(collisions, collisions5)
-    assert collisions[0, 0] < collisions[0, 1]
+    assert np.all(collisions[:, 0] < collisions[:, 1]) and np.all(collisions[:-1] < collisions[1:])
+
+
+@pytest.mark.parametrize(
+    "scaling, eps_list, times",
+    [("diffusive", [0.1, 0.2], [0.3]), ("high_field", [0.1, 0.1], [0.3]), ("diffusive", [], [0.3]),
+     ("diffusive", [0.2, 0.0], [0.3]), ("diffusive", [1.5], [0.3]), ("diffusive", [float("nan")], [0.3]),
+     ("diffusive", [0.1], [0.3, 0.1]), ("diffusive", [0.1], [-0.1]), ("diffusive", [0.1], [float("inf")]),
+     ("hyperbolic", [0.1], [0.3])],
+)
+def test_block_counts_refusals(scaling, eps_list, times):
+    # the shared clock's nested counts need rising rates, so a strictly
+    # decreasing eps list; the checks advance makes of one eps and time
+    with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, strictly decreasing eps"):
+        block_counts(_params(particles=100), scaling, None, eps_list, times, 1)
 
 
 @pytest.mark.parametrize("times, plain", [([0.0, 0.3], [0.3]), ([0.1, 0.1, 0.3], [0.1, 0.3])])
@@ -523,15 +580,14 @@ def test_zero_length_advance_draws_nothing(times, plain):
 
 def test_advance_refuses_a_spent_handle():
     p = _params(particles=BLOCK + 17)
-    eps, alpha, cs = 0.2, p.alpha, p.cross_section
-    rate, xfac = cs.nu2 / eps**alpha, eps ** (1.0 - alpha)
+    eps, alpha = 0.2, p.alpha
     accepted = [0, 0]  # each block's two clock passes replayed on its own stream
     for blk, sl in enumerate(_blocks(p.particles)):
         rng = _rng_for(p.seed, blk)
         x, v = np.empty((2, sl.stop - sl.start))
         _draw_block(rng, x, v, L, alpha, None)
         for j, tau in enumerate((0.1, 0.3 - 0.1)):
-            accepted[j] += _clock_pass(x, v, rng, cs, alpha, rate, tau, 0.0, xfac, eps, L)
+            accepted[j] += int(_clock_pass(x[None], v[None], rng, p, "diffusive", [eps], tau)[0])
     a = init_ensemble(p)
     b = advance(a, eps, p, 0.1)
     c = advance(b, eps, p, 0.3)
