@@ -96,8 +96,9 @@ class ModelParams:
         if not 0 < self.vmax_over_inv_eps < math.inf:
             raise InvalidInput(f"vmax_over_inv_eps={self.vmax_over_inv_eps} must be positive and finite")
         for name in ("seed", "particles", "x_bins", "velocity_nodes"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InvalidInput(f"{name}={getattr(self, name)!r} is not an integer")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # a bool is an int
+                raise InvalidInput(f"{name}={value!r} is not an integer")
         if self.particles < 1 or self.x_bins < 1:
             raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {self.particles}, {self.x_bins}")
         if self.seed < 0:
@@ -135,10 +136,12 @@ def _entry(cfg: dict, key: str, default=None):
 
 def _number(cfg: dict, key: str, default=None, cast=float):
     """The config entry at the dotted `key`, converted by `cast`; refused by
-    name if it is missing (and has no default), not numeric, or, for
-    cast=int, a float that is not integral."""
+    name if it is missing (and has no default), not numeric (a JSON boolean
+    is not), or, for cast=int, a float that is not integral."""
     value = _entry(cfg, key, default)
     try:
+        if any(isinstance(s, bool) for s in (value if isinstance(value, list) else [value])):
+            raise TypeError  # float(True) and int(True) would read 1
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         what = "is missing" if value is None else f"is not numeric: {value!r}"

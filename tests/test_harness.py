@@ -25,7 +25,7 @@ from fraclimit import (
 from fraclimit.cli import build_parser, main
 from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, context, macro_limit
 from fraclimit.macro import advance_macro
-from fraclimit.montecarlo import BLOCK, _blocks, _clock_pass, _draw_block, _rng_for
+from fraclimit.montecarlo import BLOCK, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
 from fraclimit.params import SCALINGS, FieldSpec, load_config
 from fraclimit.errors import InvalidInput
 
@@ -104,26 +104,38 @@ def _whole_ensemble(params, eps, times, scaling):
         yield ens
 
 
-def _shared_clock_reference(params, scaling):
-    """run_convergence composed by hand: per block, _draw_block, one
-    _clock_pass over a row per eps, np.histogram of each row's x[::2] and
-    x[1::2], summed over the blocks."""
-    L, T, bins, N = params.domain_length, params.final_time, params.x_bins, params.particles
-    kap, drift = macro_limit(params, scaling)
-    macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
-    macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
-    dx = L / bins
-    m = len(params.epsilon_schedule)
-    halves, hits = np.zeros((m, 2, bins), dtype=np.int64), np.zeros(m, dtype=np.int64)
+def _shared_clock_counts(params, scaling, times):
+    """block_counts composed by hand: per block, _draw_block, then one
+    _clock_pass over a row per eps for each step of the sorted `times` (none
+    for a step of length 0), and np.histogram of each row's x[::2] and x[1::2]
+    at each time, summed over the blocks; with the collisions up to each time."""
+    L, bins, N, m = params.domain_length, params.x_bins, params.particles, len(params.epsilon_schedule)
+    halves, hits = np.zeros((m, len(times), 2, bins), dtype=np.int64), np.zeros((m, len(times)), dtype=np.int64)
     for b, sl in enumerate(_blocks(N)):
         rng = _rng_for(params.seed, b)
         x, v = np.empty((2, sl.stop - sl.start))
         _draw_block(rng, x, v, L, params.alpha, BUMP_WIDTH)
         x, v = np.tile(x, (m, 1)), np.tile(v, (m, 1))
-        hits += _clock_pass(x, v, rng, params, scaling, params.epsilon_schedule, T)
-        for j in range(m):
-            for h in (0, 1):
-                halves[j, h] += np.histogram(x[j, h::2], bins=bins, range=(0.0, L))[0]
+        block_hits = np.zeros(m, dtype=np.int64)
+        for k, (t0, t) in enumerate(zip((0.0, *times), times)):
+            if t > t0:
+                block_hits += _clock_pass(x, v, rng, params, scaling, params.epsilon_schedule, t - t0)
+            hits[:, k] += block_hits
+            for j in range(m):
+                for h in (0, 1):
+                    halves[j, k, h] += np.histogram(x[j, h::2], bins=bins, range=(0.0, L))[0]
+    return halves, hits
+
+
+def _shared_clock_reference(params, scaling):
+    """run_convergence composed by hand from `_shared_clock_counts` at the
+    final time."""
+    L, T, bins, N = params.domain_length, params.final_time, params.x_bins, params.particles
+    kap, drift = macro_limit(params, scaling)
+    macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
+    macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
+    dx = L / bins
+    halves, hits = (a[:, 0] for a in _shared_clock_counts(params, scaling, [T]))
     rows = []
     for eps, (h1, h2), hits_j in zip(params.epsilon_schedule, halves, hits):
         rho = (h1 + h2) / (N * (L / bins))
@@ -158,6 +170,22 @@ def test_run_convergence_equals_per_eps_reference(amplitude, e0, scaling):
     ref = _shared_clock_reference(p, scaling)
     for threads in (1, 3):
         assert run_convergence(p, scaling, threads=threads) == ref
+
+
+@pytest.mark.parametrize("scaling", SCALINGS)
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+def test_block_counts_equals_shared_clock_reference(amplitude, scaling):
+    # three eps on one clock and snapshots with a repeat: block_counts' one
+    # bincount per step over every row and parity against np.histogram of
+    # each row's halves, bit for bit at any thread count
+    p = _params(cross_section=CrossSection(1.0, amplitude), field_spec=FieldSpec(0.5),
+                particles=3 * BLOCK + 17, final_time=0.3)
+    times = [0.1, 0.1, 0.3]
+    halves, hits = _shared_clock_counts(p, scaling, times)
+    assert np.all(hits[:, 0] == hits[:, 1]) and np.all(hits[:, 1] < hits[:, 2])
+    for threads in (1, 3):
+        counts, collisions = block_counts(p, scaling, BUMP_WIDTH, p.epsilon_schedule, times, threads)
+        assert np.array_equal(counts, halves) and np.array_equal(collisions, hits)
 
 
 def test_run_convergence_memory_does_not_grow_with_particles():

@@ -200,14 +200,15 @@ def test_ballistic_characteristics_exact():
     assert np.max(np.abs(out.x[free] - expect_x[free])) < 1e-10
 
 
-def _clock_pass_reference(x, v, rng, cs, alpha, rates, tau, E, xfacs, eps_list, L):
+def _clock_pass_reference(x, v, rng, cs, alpha, rates, tau, E, xfacs, eps_list):
     # _clock_pass's draws in the same order: each row's new candidates per
     # particle (coarsest eps first), the first flights, then the proposals
     # with their flights (the sampler's excesses) laid out row by row and
     # within a row particle by particle.  Each row takes each particle's
     # candidates of the rows up to its own, thinned and summed in a plain
-    # loop; also returns the size of the summed displacement terms, the
-    # counts k_j and the accepted counts.  x and v have one row per rate
+    # loop; returns x unwrapped, and also the size of the summed displacement
+    # terms, the counts k_j and the accepted counts.  x and v have one row per
+    # rate
     m, n = x.shape
     new = [rng.poisson((r - r0) * tau, n) for r0, r in zip((0.0, *rates), rates)]
     e0 = rng.standard_exponential(n)
@@ -236,7 +237,7 @@ def _clock_pass_reference(x, v, rng, cs, alpha, rates, tau, E, xfacs, eps_list, 
                 d = tau * f / total
                 term = u0 * d + E / (2.0 * eps) * d * d
                 dx, mag = dx + term, mag + abs(term)
-            x_out[row, i] = (x[row, i] + xfac * dx) % L
+            x_out[row, i] = x[row, i] + xfac * dx
             v_out[row, i] = starts_v[-1] + E / eps * (tau * flights[-1] / total)
             size[row, i] = xfac * mag
     return x_out, v_out, size, np.cumsum(new, axis=0), accepted
@@ -264,13 +265,15 @@ def test_clock_pass_matches_reference(scaling, E, mean_k):
         tau = mean_k / rates[-1]
         p = _params(alpha=alpha, field_spec=FieldSpec(E), particles=BLOCK, seed=9)
         x, v = _rows(init_ensemble(p), len(eps_list))
-        args = (alpha, rates, tau, E, xfacs, eps_list, L)
+        args = (alpha, rates, tau, E, xfacs, eps_list)
         xr, vr, size, k, _ = _clock_pass_reference(x, v, _rng_for(9, 5), CrossSection(1.0), *args)
         assert np.array_equal(_clock_pass(x, v, _rng_for(9, 5), p, scaling, eps_list, tau), k.sum(axis=1))
         if mean_k < 1:  # empty segments at both ends of the block (the sentinel) and inside
             assert k[0, 0] == 0 and np.any(k[-1, 1:-1] == 0) and k[-1, -1] == 0
         gap = np.mod(x - xr + L / 2, L) - L / 2
         assert np.all(np.abs(gap) <= 1e-12 * (L + size))
+        assert np.any(xr < 0) and np.any(xr >= L)  # particles left [0, L) on both sides
+        assert np.all((x >= 0) & (x <= L))  # and the pass wrapped every one back
         np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
 
 
@@ -287,12 +290,14 @@ def test_thinning_matches_reference(scaling, amplitude):
         tau = 8.0 / rates[-1]
         p = _params(alpha=alpha, cross_section=cs, field_spec=FieldSpec(E), particles=BLOCK, seed=9)
         x, v = _rows(init_ensemble(p), len(eps_list))
-        args = (cs, alpha, rates, tau, E, xfacs, eps_list, L)
+        args = (cs, alpha, rates, tau, E, xfacs, eps_list)
         xr, vr, size, k, accepted = _clock_pass_reference(x, v, _rng_for(9, 6), *args)
         assert np.array_equal(_clock_pass(x, v, _rng_for(9, 6), p, scaling, eps_list, tau), accepted)
         assert np.all(accepted < k.sum(axis=1))
         gap = np.mod(x - xr + L / 2, L) - L / 2
         assert np.all(np.abs(gap) <= 1e-12 * (L + size))
+        assert np.any(xr < 0) and np.any(xr >= L)  # particles left [0, L) on both sides
+        assert np.all((x >= 0) & (x <= L))  # and the pass wrapped every one back
         np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
 
 

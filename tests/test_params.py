@@ -80,8 +80,9 @@ def test_model_types_refuse_bad_values_when_built(build):
 
 @pytest.mark.parametrize(
     "kw",
-    [dict(seed=1.5, particles=10), dict(particles=10.5), dict(x_bins=2.5), dict(velocity_nodes=128.0)],
-    ids=["seed", "particles", "x_bins", "velocity_nodes"],
+    [dict(seed=1.5, particles=10), dict(particles=10.5), dict(x_bins=2.5), dict(velocity_nodes=128.0),
+     dict(particles=True)],
+    ids=["seed", "particles", "x_bins", "velocity_nodes", "bool"],
 )
 def test_model_params_refuse_non_integer_counts(kw):
     # the direct API gets the config route's integer rule, named by field
@@ -143,6 +144,12 @@ def test_field_spec():
         ({"alpha": 1.5, "seed": 1.5}, r"config entry 'seed' is not an integer: 1.5"),
         ({"alpha": 1.5, "x_bins": 16.5}, r"config entry 'x_bins' is not an integer: 16.5"),
         ({"alpha": 1.5, "velocity_grid": {"nodes": 96.5}}, r"config entry 'velocity_grid.nodes' is not an integer: 96.5"),
+        # a JSON boolean is not a number, though Python's float and int read it as 1 or 0
+        ({"alpha": True}, r"config entry 'alpha' is not numeric: True"),
+        ({"alpha": 1.5, "particles": True, "x_bins": True}, r"config entry 'particles' is not numeric: True"),
+        ({"alpha": 1.5, "x_bins": False}, r"config entry 'x_bins' is not numeric: False"),
+        ({"alpha": 1.5, "epsilon_schedule": [0.2, True]}, r"config entry 'epsilon_schedule' is not numeric: \[0.2, True\]"),
+        ({"alpha": 1.5, "field": {"kind": "constant", "e0": True}}, r"config entry 'field.e0' is not numeric: True"),
     ],
 )
 def test_from_config_refusals(cfg, match):
