@@ -19,8 +19,7 @@ from . import montecarlo as mc
 from .coefficients import limit_coefficients
 from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
-from .harness import BUMP_WIDTH, MACRO_NODES, context, macro_limit, run_convergence, run_operator_study
-from .macro import advance_macro, gaussian_bump
+from .harness import BUMP_WIDTH, context, macro_run, run_convergence, run_operator_study
 from .params import SCALINGS, ModelParams, load_config
 
 
@@ -42,19 +41,13 @@ def _write_csv(fh, header: str, rows):
 
 
 def _snapshots(args, final_time: float) -> list[float]:
-    """Sorted snapshot times (default: the final time), then an explicit
-    --final-time as the last one; a negative or non-finite time, or a
-    snapshot past --final-time, is refused."""
-    T = args.final_time if args.final_time is not None else final_time
-    snaps = sorted(args.snapshot or [])
-    for t in [T, *snaps]:
+    """The sorted --snapshot times (default: the final time); a negative or
+    non-finite time is refused."""
+    snaps = sorted(args.snapshot or [final_time])
+    for t in snaps:
         if not 0.0 <= t < math.inf:
             raise InvalidInput(f"time {t} must be finite and non-negative")
-    if args.final_time is None:
-        return snaps or [T]
-    if snaps and snaps[-1] > T:
-        raise InvalidInput(f"snapshot {snaps[-1]} lies past --final-time {T}")
-    return [t for t in snaps if t < T] + [T]
+    return snaps
 
 
 def cmd_equilibrium(args) -> int:
@@ -125,12 +118,8 @@ def cmd_kinetic_run(args) -> int:
 def cmd_macro_run(args) -> int:
     params = _load(args)
     snaps = _snapshots(args, params.final_time)
-    kap, drift = macro_limit(params, args.scaling)
-    state = gaussian_bump(params.domain_length, BUMP_WIDTH, MACRO_NODES)
-    rows = []
-    for t in snaps:
-        state = advance_macro(state, params.alpha, kap, drift, t)
-        rows.extend((t, float(x), float(r)) for x, r in zip(state.x, state.rho))
+    _, _, states = macro_run(params, args.scaling, snaps)
+    rows = [(t, float(x), float(r)) for t, s in zip(snaps, states) for x, r in zip(s.x, s.rho)]
     with _open(args, "macro_run.csv") as fh:
         _write_csv(fh, "t,x,rho", rows)
     print(f"wrote {fh.name}")
@@ -183,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     field.add_argument("--raw-field", action="store_true",
                        help="use E as the effective field without the eps^(alpha-1) scaling")
     times = argparse.ArgumentParser(add_help=False)
-    times.add_argument("--final-time", type=float, default=None)
     times.add_argument("--snapshot", type=float, action="append", default=None,
-                       help="snapshot time (repeatable; default: final time; an explicit --final-time comes last)")
+                       help="report time (repeatable, any order; default: the config's final_time)")
     scaling = argparse.ArgumentParser(add_help=False)
     scaling.add_argument("--scaling", choices=SCALINGS, default=SCALINGS[0])
 

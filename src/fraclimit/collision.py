@@ -112,11 +112,14 @@ def _flight_points(E: float, ctx: CollisionContext):
     return tuple(np.concatenate(parts) for parts in zip(lag, leg))
 
 
-def _flight_terms(E: float, ctx: CollisionContext, A: float, B: float):
-    """The points of `_flight_points` as (row, q, w): point k adds w_k h(q_k)
-    to row `row`, with q = v - E s and w = c exp(z - damp)."""
+def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
+    g = ctx.grid
+    n, n2 = g.n, g.n // 2
+    A, B = ctx.nu_coefficients
+    # the points of `_flight_points`: point k adds w_k h(q_k) to row `row`,
+    # with q = v - E s and w = c exp(z - damp)
     row, s, c, z = _flight_points(E, ctx)
-    v = ctx.grid.nodes[row]
+    v = g.nodes[row]
     q = v - E * s
     # the damping int_0^s nu(v - E t) dt of nu = A + B/(1+|w|) in closed form,
     # A s plus B/E times the log of (1 + max(|v|,|q|))/(1 + min(|v|,|q|)) while
@@ -124,14 +127,8 @@ def _flight_terms(E: float, ctx: CollisionContext, A: float, B: float):
     av, aq = np.abs(v), np.abs(q)
     logs = np.where((q >= 0) == (v >= 0), np.log1p(E * s / (1.0 + np.minimum(av, aq))),
                     np.log1p(av) + np.log1p(aq))
-    return row, q, c * np.exp(z - A * s - B / E * logs)
-
-
-def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
-    g = ctx.grid
-    n, n2 = g.n, g.n // 2
-    A, B = ctx.nu_coefficients
-    row, q, w = _flight_terms(E, ctx, A, B)
+    w = c * np.exp(z - A * s - B / E * logs)
+    del v, s, c, z, av, aq, logs  # free the point temporaries before P's blocks allocate
     P = np.zeros(n * n)
     outside = np.abs(q) > g.vmax
     for lo in range(0, len(q), _PLAN_BLOCK):
@@ -165,7 +162,7 @@ def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> Velo
     """Inverse of A = nu + E d/dv along accelerated flights.
 
     (A^-1 h)(v) = int_0^inf exp(-int_0^s nu(v - E tau) dtau) h(v - E s) ds,
-    with the damping integral in closed form (`_flight_terms`), free of
+    with the damping integral in closed form (`_build_flight_plan`), free of
     cancellation at any E.  nu and h may have a |v|-type kink at v = 0, so
     the s-integral is split at the crossing s = v/E: composite Gauss-Legendre
     before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.  Beyond

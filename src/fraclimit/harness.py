@@ -9,7 +9,7 @@ from .auxfun import L_eps
 from .coefficients import limit_model
 from .collision import CollisionContext
 from .errors import InvalidInput
-from .macro import advance_macro, gaussian_bump, limit_operator
+from .macro import MacroState, advance_macro, gaussian_bump, limit_operator
 from .params import ModelParams, fit_order, require_order_schedule
 from .velocity import VelocityGrid
 
@@ -32,10 +32,13 @@ def context(params: ModelParams, vmax: float | None = None) -> CollisionContext:
     return CollisionContext(grid, params.cross_section, params.alpha)
 
 
-def macro_limit(params: ModelParams, scaling: str) -> tuple[float, float]:
-    """(kappa, drift) of the macro run, from `limit_model` on a grid reaching
-    at least |v| = 1000, far enough for D and mu(E) whatever the epsilon schedule."""
-    return limit_model(context(params, max(params.vmax, 1000.0)), params.field_spec.e0, scaling)
+def macro_run(params: ModelParams, scaling: str, times) -> tuple[float, float, list[MacroState]]:
+    """(kappa, drift) from `limit_model` on a grid reaching |v| >= 1000, far
+    enough for D and mu(E) whatever the epsilon schedule, and the bump
+    advanced from t = 0 to each of `times` in one exact step."""
+    kap, drift = limit_model(context(params, max(params.vmax, 1000.0)), params.field_spec.e0, scaling)
+    bump = gaussian_bump(params.domain_length, BUMP_WIDTH, MACRO_NODES)
+    return kap, drift, [advance_macro(bump, params.alpha, kap, drift, t) for t in times]
 
 
 def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: int = 1) -> dict:
@@ -55,8 +58,7 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
         raise InvalidInput(f"x_bins={bins} does not divide the {MACRO_NODES}-point macro grid")
     if N < 2:
         raise InvalidInput(f"particles={N} < 2: the split-half noise floor needs two halves")
-    kap, drift = macro_limit(params, scaling)
-    macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
+    kap, drift, (macro,) = macro_run(params, scaling, [T])
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
     dx = L / bins
     counts, collisions = mc.block_counts(params, scaling, BUMP_WIDTH, params.epsilon_schedule, [T], threads)

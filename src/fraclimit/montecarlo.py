@@ -323,9 +323,10 @@ def block_counts(params: ModelParams, scaling: str, width: float | None, eps_lis
                            f"finite times >= 0; got {scaling!r}, {list(eps_list)}, {list(times)}")
     edges = np.linspace(0.0, L, bins + 1)
 
-    def run(b):
+    def run(block):
+        b, sl = block
         rng = _rng_for(params.seed, b)
-        x, v = np.empty((2, m, min(BLOCK, N - b * BLOCK)))
+        x, v = np.empty((2, m, sl.stop - sl.start))
         _draw_block(rng, x[0], v[0], L, params.alpha, width)
         x[1:], v[1:] = x[0], v[0]
         offset = (2 * np.arange(m)[:, None] + np.arange(x.shape[-1]) % 2) * bins  # row j, parity h: (2j + h) bins
@@ -339,7 +340,7 @@ def block_counts(params: ModelParams, scaling: str, width: float | None, eps_lis
             counts[:, k] = np.bincount(i.ravel(), minlength=m * 2 * bins).reshape(m, 2, bins)
         return counts, collisions.cumsum(axis=1)
 
-    blocks = range(len(_blocks(N)))
+    blocks = enumerate(_blocks(N))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(threads) as pool:

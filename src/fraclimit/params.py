@@ -15,6 +15,14 @@ from .errors import InvalidInput
 SCALINGS = ("diffusive", "high_field")
 
 
+def _refuse_bools(obj, *names):
+    """Refuse a bool in the float fields `names`, as the config route does: 0 < True holds."""
+    for name in names:
+        value = getattr(obj, name)
+        if any(isinstance(x, (bool, np.bool_)) for x in (value if isinstance(value, (tuple, list)) else [value])):
+            raise InvalidInput(f"{name}={value!r} is not a number")
+
+
 @dataclass(frozen=True)
 class CrossSection:
     """Collision cross section sigma = nu0 + a/((1+|v|)(1+|v'|)), a = amplitude.
@@ -29,6 +37,7 @@ class CrossSection:
     amplitude: float = 0.0
 
     def __post_init__(self):
+        _refuse_bools(self, "nu0", "amplitude")
         if not (self.nu1 > 0 and math.isfinite(self.nu2)):
             raise InvalidInput(
                 f"need 0 < nu0 - |amplitude| and a finite nu0 + |amplitude|; "
@@ -56,6 +65,7 @@ class FieldSpec:
     e0: float = 0.0
 
     def __post_init__(self):
+        _refuse_bools(self, "e0")
         if not math.isfinite(self.e0):
             raise InvalidInput(f"field e0={self.e0} is not finite")
 
@@ -79,6 +89,7 @@ class ModelParams:
     x_bins: int = 64
 
     def __post_init__(self):
+        _refuse_bools(self, "alpha", "domain_length", "final_time", "epsilon_schedule", "vmax_over_inv_eps")
         if not 1.0 <= self.alpha < 2.0:
             raise InvalidInput(f"alpha={self.alpha} outside [1,2)")
         if not (0 < self.domain_length < math.inf and 0 < self.final_time < math.inf):

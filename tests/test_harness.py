@@ -23,7 +23,8 @@ from fraclimit import (
     run_operator_study,
 )
 from fraclimit.cli import build_parser, main
-from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, context, macro_limit
+from fraclimit.coefficients import limit_model
+from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, context, macro_run
 from fraclimit.macro import advance_macro
 from fraclimit.montecarlo import BLOCK, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
 from fraclimit.params import SCALINGS, FieldSpec, load_config
@@ -131,8 +132,7 @@ def _shared_clock_reference(params, scaling):
     """run_convergence composed by hand from `_shared_clock_counts` at the
     final time."""
     L, T, bins, N = params.domain_length, params.final_time, params.x_bins, params.particles
-    kap, drift = macro_limit(params, scaling)
-    macro = advance_macro(gaussian_bump(L, BUMP_WIDTH, MACRO_NODES), params.alpha, kap, drift, T)
+    kap, drift, (macro,) = macro_run(params, scaling, [T])
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
     dx = L / bins
     halves, hits = (a[:, 0] for a in _shared_clock_counts(params, scaling, [T]))
@@ -359,9 +359,10 @@ def test_cli_one_eps_runs_without_an_order(tmp_path):
 
 
 def test_cli_kinetic_run_final_time_follows_snapshots(tmp_path):
+    # the last report time is the largest snapshot, in whatever order given
     cfg = _write_cfg(tmp_path)
     assert main(["--config", cfg, "--out", str(tmp_path), "kinetic-run", "--particles", "1000",
-                 "--final-time", "0.01", "--snapshot", "0.005"]) == 0
+                 "--snapshot", "0.01", "--snapshot", "0.005"]) == 0
     manifest = json.loads((tmp_path / "kinetic_manifest.json").read_text(encoding="utf-8"))
     assert manifest["snapshots"] == [0.005, 0.01]
     rows = (tmp_path / "kinetic_run.csv").read_text(encoding="utf-8").splitlines()[1:]
@@ -371,30 +372,41 @@ def test_cli_kinetic_run_final_time_follows_snapshots(tmp_path):
 def test_cli_macro_run_final_time_follows_snapshots(tmp_path):
     cfg = _write_cfg(tmp_path)
     assert main(["--config", cfg, "--out", str(tmp_path), "macro-run",
-                 "--final-time", "0.01", "--snapshot", "0.005"]) == 0
+                 "--snapshot", "0.01", "--snapshot", "0.005"]) == 0
     rows = (tmp_path / "macro_run.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == [0.005] * 512 + [0.01] * 512
 
 
+@pytest.mark.parametrize("scaling", SCALINGS)
+def test_cli_macro_run_advances_each_snapshot_from_zero(tmp_path, monkeypatch, scaling):
+    # converge's rule: every snapshot is the bump advanced from t = 0 in one
+    # step, bit for bit (captured before CSV formatting), a snapshot at 0, a
+    # repeated one and the final time included
+    cfg = _write_cfg(tmp_path, field={"kind": "constant", "e0": 0.5})
+    p, snaps = load_config(cfg), [0.1, 0.2, 0.0, 0.1]
+    kap, drift = limit_model(context(p, max(p.vmax, 1000.0)), p.field_spec.e0, scaling)
+    bump = gaussian_bump(p.domain_length, BUMP_WIDTH, MACRO_NODES)
+    ref = []
+    for t in sorted(snaps):
+        state = advance_macro(bump, p.alpha, kap, drift, t)
+        ref.extend((t, float(x), float(r)) for x, r in zip(state.x, state.rho))
+    assert p.final_time == max(snaps)
+    written = {}
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: written.update({header: list(rows)}))
+    assert main(["--config", cfg, "--out", str(tmp_path), "macro-run", "--scaling", scaling]
+                + [a for t in snaps for a in ("--snapshot", str(t))]) == 0
+    assert written["t,x,rho"] == ref
+
+
 @pytest.mark.parametrize("command", ["kinetic-run", "macro-run"])
 def test_cli_final_time_zero_is_one_snapshot(tmp_path, command):
-    # --final-time reaches both commands only through their snapshots
     cfg = _write_cfg(tmp_path)
-    assert main(["--config", cfg, "--out", str(tmp_path), command, "--final-time", "0"]) == 0
+    assert main(["--config", cfg, "--out", str(tmp_path), command, "--snapshot", "0"]) == 0
     rows = next(tmp_path.glob("*_run.csv")).read_text(encoding="utf-8").splitlines()[1:]
     assert {r.split(",")[0] for r in rows} == {"0"}
     if command == "kinetic-run":
         manifest = json.loads((tmp_path / "kinetic_manifest.json").read_text(encoding="utf-8"))
         assert manifest["snapshots"] == [0.0] and manifest["collisions"] == 0
-
-
-@pytest.mark.parametrize("command", ["kinetic-run", "macro-run"])
-def test_cli_refuses_snapshot_past_final_time(tmp_path, command):
-    cfg = _write_cfg(tmp_path)
-    with pytest.raises(InvalidInput, match=r"snapshot 0.02 lies past --final-time 0.01"):
-        main(["--config", cfg, "--out", str(tmp_path), command,
-              "--final-time", "0.01", "--snapshot", "0.005", "--snapshot", "0.02"])
-    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -412,7 +424,7 @@ def test_cli_rejects_threads_below_one(tmp_path, threads):
     (["--eps", "2"], r"--eps 2.0 outside \(0, 1\]"),
     (["--eps", "nan"], r"--eps nan outside \(0, 1\]"),
     (["--particles", "0"], r"need particles >= 1 and x_bins >= 1; got 0, 16"),
-    (["--final-time", "nan"], r"time nan must be finite and non-negative"),
+    (["--snapshot", "0.1", "--snapshot", "nan"], r"time nan must be finite and non-negative"),
     (["--snapshot", "nan"], r"time nan must be finite and non-negative"),
     (["--snapshot", "0.1", "--snapshot", "inf"], r"time inf must be finite and non-negative"),
     (["--snapshot", "-0.1"], r"time -0.1 must be finite and non-negative"),
@@ -425,10 +437,10 @@ def test_cli_kinetic_run_refuses_bad_overrides(tmp_path, override, match):
 
 
 @pytest.mark.parametrize("override, time", [
-    (["--final-time", "nan"], "nan"),
-    (["--final-time", "inf"], "inf"),
-    (["--final-time", "-1"], "-1.0"),
     (["--snapshot", "nan"], "nan"),
+    (["--snapshot", "inf"], "inf"),
+    (["--snapshot", "-1"], "-1.0"),
+    (["--snapshot", "0.1", "--snapshot", "nan"], "nan"),
     (["--snapshot", "0.1", "--snapshot", "-0.1"], "-0.1"),
 ])
 def test_cli_macro_run_refuses_bad_times(tmp_path, override, time):
@@ -470,7 +482,7 @@ def test_cli_threads_default_to_usable_cores():
 
 _GLOBAL_FLAGS = {"config": None, "out": "out", "seed": None}
 _FIELD_FLAGS = {"field": None, "raw_field": False}
-_TIME_FLAGS = {"final_time": None, "snapshot": None}
+_TIME_FLAGS = {"snapshot": None}
 # every subcommand's parsed keys and defaults beyond the global flags
 _CLI_SURFACE = {
     "equilibrium": _FIELD_FLAGS,

@@ -61,20 +61,32 @@ def test_cross_section_bounds():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, match",
     [
-        lambda: CrossSection(1.0, -1.5),
-        lambda: FieldSpec(float("nan")),
-        lambda: ModelParams(alpha=2.5),
-        lambda: ModelParams(domain_length=float("nan")),
-        lambda: replace(ModelParams(), seed=-1),
+        (lambda: CrossSection(1.0, -1.5), "nu0=1.0, amplitude=-1.5"),
+        (lambda: FieldSpec(float("nan")), "e0=nan"),
+        (lambda: ModelParams(alpha=2.5), "alpha=2.5"),
+        (lambda: ModelParams(domain_length=float("nan")), "domain_length"),
+        (lambda: replace(ModelParams(), seed=-1), "seed=-1"),
+        # a bool in a float field, which 1.0 would pass: refused by name
+        (lambda: ModelParams(alpha=True), "alpha=True is not a number"),
+        (lambda: ModelParams(domain_length=True), "domain_length=True is not a number"),
+        (lambda: ModelParams(final_time=True), "final_time=True is not a number"),
+        (lambda: ModelParams(epsilon_schedule=(True,)), r"epsilon_schedule=\(True,\) is not a number"),
+        (lambda: ModelParams(epsilon_schedule=(0.5, np.True_)), "epsilon_schedule=.* is not a number"),
+        (lambda: ModelParams(vmax_over_inv_eps=True), "vmax_over_inv_eps=True is not a number"),
+        (lambda: CrossSection(nu0=True), "nu0=True is not a number"),
+        (lambda: CrossSection(amplitude=False), "amplitude=False is not a number"),
+        (lambda: FieldSpec(e0=True), "e0=True is not a number"),
     ],
-    ids=["cross_section", "field", "alpha", "domain_length", "replace_seed"],
+    ids=["cross_section", "field", "alpha", "domain_length", "replace_seed", "bool_alpha", "bool_domain_length",
+         "bool_final_time", "bool_epsilon_schedule", "numpy_bool_epsilon_schedule", "bool_vmax_over_inv_eps",
+         "bool_nu0", "bool_amplitude", "bool_e0"],
 )
-def test_model_types_refuse_bad_values_when_built(build):
+def test_model_types_refuse_bad_values_when_built(build, match):
     # refused where the value is made, before a CollisionContext, advance or
     # init_ensemble can use it
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=match):
         build()
 
 
