@@ -21,6 +21,9 @@ is a collision and there are none.  One fused pass then sums the flights per
 particle; a flight in the constant field composes exactly at a rejected time.
 Several eps advance on one clock: Poisson counts add, so each eps takes a
 prefix of the candidates drawn for the finest and keeps its own exact law.
+Every row of a pass has one mean, so its counts invert one table of that
+Poisson law (Devroye 1986, III.2), one uniform per particle; every Exp(1)
+(first flights, the sampler's test variables) is -log1p(-U), by inversion.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Every Monte Carlo command runs
@@ -28,14 +31,17 @@ through one block-major driver (`block_counts`): each block's initial data
 are drawn once and copied to one row per eps, all rows are advanced through
 the requested times in order, one shared clock pass per step, and only the
 bin counts and collisions are kept.  So a run holds O(BLOCK) particles per
-eps.  The driver's thread pool is the package's only one (imported only for
-more than one thread); results depend on the seed alone, not on the number
-of threads.
+eps, and each worker thread draws every pass into one `_Workspace` of
+buffers for the whole study, which changes no draw.  The driver's thread
+pool is the package's only one (imported only for more than one thread);
+results depend on the seed alone, not on the number of threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +52,7 @@ from .params import SCALINGS, ModelParams
 from .velocity import norm_Z
 
 BLOCK = 4096  # particles per random stream
-_CHUNK = 1 << 13  # sample_M proposals per round: bounds its scratch to ~200 kB
+_CHUNK = 1 << 15  # sample_M proposals per round: few rounds, and a reused scratch of 2.5 _CHUNK doubles (655 kB)
 
 
 def _rng_for(seed: int, block: int) -> np.random.Generator:
@@ -58,28 +64,92 @@ def _blocks(N: int) -> list[slice]:
     return [slice(a, min(a + BLOCK, N)) for a in range(0, N, BLOCK)]
 
 
-def _cauchy(rng: np.random.Generator, out: np.ndarray):
-    """Fill `out` with standard Cauchy draws tan(pi (U - 1/2))."""
-    rng.random(out=out)
-    out -= 0.5
-    out *= np.pi
-    np.tan(out, out=out)
+def _to_cauchy(u: np.ndarray):
+    """Uniforms U to standard Cauchy draws tan(pi (U - 1/2)), in place."""
+    u -= 0.5
+    u *= np.pi
+    np.tan(u, out=u)
 
 
-def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess=None):
+def _to_exp1(u: np.ndarray):
+    """Uniforms U to Exp(1) draws -log1p(-U), in place, by inversion.  U lies on
+    the 2^-53 grid, so the largest draw is 53 ln 2 ~ 36.7 and the tail mass
+    2^-53 beyond it is lost."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+
+
+def _poisson_pmf(lam: float) -> tuple[int, np.ndarray]:
+    """(lo, p): the Poisson(lam) pmf exp(k log lam - lam - lgamma(k+1)) at
+    k = lo, lo + 1, ..., for any lam > 0.  Each entry is taken in log space,
+    so none underflows for want of e^-lam; the table runs from the mode
+    outward and stops on each side at the first entry below 2^-64, which
+    leaves out less than 1e-15 of the mass for lam up to 1e8."""
+    mode, log_lam = math.floor(lam), math.log(lam)
+
+    def run(ks):
+        out = []
+        for k in ks:
+            out.append(math.exp(k * log_lam - lam - math.lgamma(k + 1)))
+            if out[-1] < 2.0**-64:
+                break
+        return out
+
+    below, above = run(range(mode - 1, -1, -1)), run(itertools.count(mode))
+    return mode - len(below), np.array(below[::-1] + above)
+
+
+def _poisson_table(lam: float) -> tuple[int, np.ndarray]:
+    """(lo, F) for Poisson counts by inversion, k = lo + F.searchsorted(U, "right")
+    (Devroye 1986, III.2): F(k) = 1 - the pmf's mass above k, from the
+    complement, so F never passes 1 and ends at exactly 1, above every U."""
+    lo, p = _poisson_pmf(lam)
+    above = np.cumsum(p[:0:-1])[::-1]
+    return lo, np.append(1.0 - above, 1.0)
+
+
+class _Workspace(threading.local):
+    """Scratch that a thread reuses from clock pass to clock pass: arrays by
+    name, each grown to its need plus 1/16 when a larger one is asked for, and
+    the Poisson tables by mean.  A `threading.local`, so each worker of a pool
+    holds its own; all of it is freed with the object."""
+
+    def __init__(self):
+        self.arrays, self.tables = {}, {}
+
+    def array(self, name: str, size: int) -> np.ndarray:
+        a = self.arrays.get(name)
+        if a is None or len(a) < size:
+            a = self.arrays[name] = np.empty(size + size // 16)
+        return a[:size]
+
+    def poisson(self, lam: float) -> tuple[int, np.ndarray]:
+        if lam not in self.tables:
+            self.tables[lam] = _poisson_table(lam)
+        return self.tables[lam]
+
+
+def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess=None, work=None):
     """Exact draws from M(v) = (1 + v^2)^(-(1+alpha)/2) / Z_M(alpha), alpha >= 1.
 
     Rejection from a Cauchy proposal (Devroye 1986, II.3): c = tan(pi (U - 1/2))
-    is accepted iff an Exp(1) variate E exceeds t(c) = (alpha-1)/2 log(1 + c^2),
-    i.e. U' < (1 + c^2)^((1-alpha)/2) = (pi/Z_M) M(c) / Cauchy(c) <= 1, with
-    probability p = Z_M(alpha)/pi (0.76 at alpha = 1.5).  For the m draws still
-    missing a round makes min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) proposals and
-    keeps the first m accepted.  At alpha = 1, M is the Cauchy law: no test.
-    `excess` is filled with E - t(c) of each accepted c, i.i.d. Exp(1) and
-    independent of the draws, since the exponential is memoryless (at
-    alpha = 1, fresh Exp(1) draws).  `size=None` returns a scalar; `out` is
-    filled and returned in place of a new array.  `out` and `excess` must be
-    writeable C-contiguous float64 arrays of the result's shape.
+    is accepted iff an Exp(1) variate E = -log1p(-U') exceeds
+    t(c) = (alpha-1)/2 log(1 + c^2), i.e. 1 - U' < (1 + c^2)^((1-alpha)/2) =
+    (pi/Z_M) M(c) / Cauchy(c) <= 1, with probability p = Z_M(alpha)/pi (0.76 at
+    alpha = 1.5).  For the m draws still missing a round makes
+    r = min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) proposals from one call of 2r
+    uniforms, the first r for the c and the rest for the E, and keeps the first
+    m accepted.  E is at most 53 ln 2 ~ 36.7, and t(c) < 35.3 at alpha < 2 but
+    for the proposal at U = 0 (c = -1.6e16, t up to 37.4), which can no longer
+    be accepted at alpha > 1.984: a loss of 2^-53 of the proposals.  At
+    alpha = 1, M is the Cauchy law: no test.  `excess` is filled with E - t(c)
+    of each accepted c, i.i.d. Exp(1) and independent of the draws, since the
+    exponential is memoryless (at alpha = 1, fresh Exp(1) draws by inversion).
+    `size=None` returns a scalar; `out` is filled and returned in place of a
+    new array.  `out` and `excess` must be writeable C-contiguous float64
+    arrays of the result's shape.  `work`, a `_Workspace`, lends the rounds'
+    scratch; it changes no draw.
     """
     if alpha < 1.0:
         raise InvalidInput(f"alpha={alpha} < 1: M is not dominated by the Cauchy law")
@@ -91,33 +161,37 @@ def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess
             raise InvalidInput(f"{name} must be a writeable C-contiguous float64 array of shape {shape}")
     flat, xs = out.reshape(-1), None if excess is None else excess.reshape(-1)
     if alpha == 1.0:
-        _cauchy(rng, flat)
+        rng.random(out=flat)
+        _to_cauchy(flat)
         if xs is not None:
-            rng.standard_exponential(out=xs)
+            rng.random(out=xs)
+            _to_exp1(xs)
     else:
         p, h = norm_Z(alpha) / math.pi, 0.5 * (alpha - 1.0)
 
         def proposals(m):  # about 4 sigma more accepted than the m missing, at p >= 2/pi
             return min(math.ceil(m / p + 3.0 * math.sqrt(m / p)) + 8, _CHUNK)
 
-        c, t, e = np.empty((3, proposals(flat.size)))
-        keep, filled = np.empty(len(c), dtype=bool), 0
+        work = _Workspace() if work is None else work
+        r0, filled = proposals(flat.size), 0
+        scratch = work.array("sampler", 2 * r0 + (r0 + 1) // 2)  # a round's uniforms, then half a round's t(c)
         while filled < flat.size:
-            m = flat.size - filled
-            r = proposals(m)
-            cm, tm, em, km = c[:r], t[:r], e[:r], keep[:r]
-            _cauchy(rng, cm)
-            np.multiply(cm, cm, out=tm)
-            np.log1p(tm, out=tm)
-            tm *= h
-            rng.standard_exponential(out=em)
-            np.greater(em, tm, out=km)
-            i = km.nonzero()[0][:m]  # the first m accepted
-            cm.take(i, out=flat[filled:filled + len(i)], mode="clip")  # i is in range; "raise" buffers
-            if xs is not None:
-                em -= tm
-                em.take(i, out=xs[filled:filled + len(i)], mode="clip")
-            filled += len(i)
+            r = proposals(flat.size - filled)
+            u, half = scratch[:2 * r], (r + 1) // 2
+            rng.random(out=u)
+            _to_cauchy(u[:r])
+            _to_exp1(u[r:])
+            for c, em in ((u[:half], u[r:r + half]), (u[half:r], u[r + half:])):  # by halves: less scratch
+                t = scratch[2 * r0:2 * r0 + len(c)]
+                np.multiply(c, c, out=t)
+                np.log1p(t, out=t)
+                t *= h
+                em -= t  # E - t(c) > 0 iff E > t(c)
+                i = (em > 0).nonzero()[0][:flat.size - filled]  # the first accepted, no more than are missing
+                c.take(i, out=flat[filled:filled + len(i)], mode="clip")  # i is in range; "raise" buffers
+                if xs is not None:
+                    em.take(i, out=xs[filled:filled + len(i)], mode="clip")
+                filled += len(i)
     return out[()]
 
 
@@ -132,11 +206,11 @@ class ParticleEnsemble:
 
 
 def _draw_block(rng: np.random.Generator, x: np.ndarray, v: np.ndarray, L: float, alpha: float,
-                width: float | None):
+                width: float | None, work: _Workspace | None = None):
     """Fill one block's x and v with its initial data, drawn from `rng`."""
     x[:] = rng.random(len(x)) * L if width is None else L / 2 + width * rng.standard_normal(len(x))
     np.mod(x, L, out=x, where=(x < 0) | (x >= L))  # as in _clock_pass, only the x outside [0, L)
-    sample_M(rng, alpha, out=v)
+    sample_M(rng, alpha, out=v, work=work)
 
 
 def init_ensemble(params: ModelParams, width: float | None = None) -> ParticleEnsemble:
@@ -166,33 +240,44 @@ def _flight(x, v, dt, E, xfac, eps, L):
     np.mod(x, L, out=x)
 
 
-def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float) -> np.ndarray:
+def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
+                work: _Workspace | None = None) -> np.ndarray:
     """Advance the rows of x and v (shape (m, n), one per eps of the strictly
     decreasing `eps`, so of rising majorant rates r_j) by tau over one shared
     clock per particle in one fused pass.  Returns each row's collisions.
 
     Draws each row's new candidates, Poisson((r_j - r_(j-1)) tau) per
-    particle, the first flights e0, then the proposals w ~ M with their
-    flights e (`sample_M`'s excesses) row by row, so row j's are the first
-    K_j, plus a zero sentinel slot; at a nonzero amplitude also uniforms U.
-    Row j takes the pieces of rows <= j, k_j ~ Poisson(r_j tau) candidates
-    per particle: it has the law of its own clock.  Round c of a piece tests
-    its candidate c of the particles with more than c there, and overwrites a
-    rejected w (in a copy of the first K_j but for the last row) with v-.
+    particle by inverting one table per mean (one uniform each, row by row),
+    the first flights e0 (Exp(1) by inversion), then the proposals w ~ M with
+    their flights e (`sample_M`'s excesses) row by row, so row j's are the
+    first K_j, plus a zero sentinel slot; at a nonzero amplitude also
+    uniforms U.  Row j takes the pieces of rows <= j, k_j ~ Poisson(r_j tau)
+    candidates per particle: it has the law of its own clock.  Round c of a
+    piece tests its candidate c of the particles with more than c there, and
+    overwrites a rejected w (in a copy of the first K_j but for the last row)
+    with v-.
     Per-particle sums: one np.add.reduceat over the pieces, added row to row,
     then the Dirichlet scale tau/(e0 + sum e).  Only x outside [0, L) wrap.
+    The K-sized arrays and the sampler's scratch are `work`'s (fresh ones
+    without it); the returned counts never alias them.
     """
     m, n = x.shape
     cs, alpha, E, L = params.cross_section, params.alpha, params.field_spec.e0, params.domain_length
     rates = [cs.nu2 / (a**alpha if scaling == "diffusive" else a) for a in eps]
-    k = np.array([rng.poisson((r - r0) * tau, n) for r0, r in zip((0.0, *rates), rates)], dtype=np.int32)
-    e0 = rng.standard_exponential(n)
+    work = _Workspace() if work is None else work
+    k = np.empty((m, n), dtype=np.int32)
+    for j, (r0, r) in enumerate(zip((0.0, *rates), rates)):
+        lo, cdf = work.poisson((r - r0) * tau)
+        k[j] = cdf.searchsorted(rng.random(n), side="right")
+        k[j] += lo
+    e0 = rng.random(n)
+    _to_exp1(e0)
     bounds = np.zeros((m, n), dtype=np.int64)  # the first candidate of each piece
     np.cumsum(k.ravel()[:-1], out=bounds.ravel()[1:])
     K = int(bounds[-1, -1] + k[-1, -1])
-    e, w = np.empty(K + 1), np.empty(K + 1)
+    e, w = work.array("e", K + 1), work.array("w", K + 1)
     e[K] = w[K] = 0.0
-    sample_M(rng, alpha, out=w[:K], excess=e[:K])
+    sample_M(rng, alpha, out=w[:K], excess=e[:K], work=work)
     empty = k == 0
 
     def sums(a, rows):  # (rows, n): per particle, the sums over its candidates of the first rows
@@ -238,9 +323,16 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float) -
     if cs.amplitude == 0.0:
         dx = finish(w, range(m))
     else:
-        u, dx = rng.random(K) * cs.nu2, np.empty((m, n))
+        u, dx = work.array("u", K), np.empty((m, n))
+        rng.random(out=u)
+        u *= cs.nu2
         for j in range(m):  # every row but the last thins a copy of its own first K_j, with a zero sentinel
-            dx[j] = finish(thin(w if j == m - 1 else np.append(w[:bounds[j + 1, 0]], 0.0), j), [j])[j]
+            wj = w
+            if j < m - 1:
+                Kj = bounds[j + 1, 0]
+                wj = work.array("prefix", Kj + 1)
+                wj[:Kj], wj[Kj] = w[:Kj], 0.0
+            dx[j] = finish(thin(wj, j), [j])[j]
     if E != 0.0:
         e *= e
         s = sums(e, m)
@@ -271,8 +363,8 @@ def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float
                            "advance the ensemble that call returned")
     if until < ens.t - 1e-15:
         raise InvalidInput(f"until={until} < current t={ens.t}")
-    tau = max(until - ens.t, 0.0)
-    hits = sum(int(_clock_pass(ens.x[None, sl], ens.v[None, sl], rng, params, scaling, [eps], tau)[0])
+    tau, work = max(until - ens.t, 0.0), _Workspace()  # one set of buffers for every block
+    hits = sum(int(_clock_pass(ens.x[None, sl], ens.v[None, sl], rng, params, scaling, [eps], tau, work)[0])
                for sl, rng in zip(_blocks(len(ens.x)), ens.rngs)) if tau > 0 else 0
     out = ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + hits)
     ens.rngs = ()
@@ -321,20 +413,20 @@ def block_counts(params: ModelParams, scaling: str, width: float | None, eps_lis
             or np.any(np.diff(eps_list) >= 0) or not np.all(np.diff(times, prepend=0.0) >= 0) or np.inf in times):
         raise InvalidInput(f"need scaling diffusive or high_field, strictly decreasing eps in (0, 1] and sorted "
                            f"finite times >= 0; got {scaling!r}, {list(eps_list)}, {list(times)}")
-    edges = np.linspace(0.0, L, bins + 1)
+    edges, work = np.linspace(0.0, L, bins + 1), _Workspace()  # per worker thread, for this study
 
     def run(block):
         b, sl = block
         rng = _rng_for(params.seed, b)
         x, v = np.empty((2, m, sl.stop - sl.start))
-        _draw_block(rng, x[0], v[0], L, params.alpha, width)
+        _draw_block(rng, x[0], v[0], L, params.alpha, width, work)
         x[1:], v[1:] = x[0], v[0]
         offset = (2 * np.arange(m)[:, None] + np.arange(x.shape[-1]) % 2) * bins  # row j, parity h: (2j + h) bins
         counts = np.empty((m, len(times), 2, bins), dtype=np.intp)
         collisions = np.zeros((m, len(times)), dtype=np.int64)  # per step, then summed
         for k, (t0, t) in enumerate(zip((0.0, *times), times)):
             if t > t0:
-                collisions[:, k] = _clock_pass(x, v, rng, params, scaling, eps_list, t - t0)
+                collisions[:, k] = _clock_pass(x, v, rng, params, scaling, eps_list, t - t0, work)
             i = _bin_index(x, edges)
             i += offset  # one bincount over every row and parity
             counts[:, k] = np.bincount(i.ravel(), minlength=m * 2 * bins).reshape(m, 2, bins)

@@ -26,7 +26,7 @@ from fraclimit.cli import build_parser, main
 from fraclimit.coefficients import limit_model
 from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, context, macro_run
 from fraclimit.macro import advance_macro
-from fraclimit.montecarlo import BLOCK, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
+from fraclimit.montecarlo import BLOCK, _Workspace, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
 from fraclimit.params import SCALINGS, FieldSpec, load_config
 from fraclimit.errors import InvalidInput
 
@@ -186,6 +186,34 @@ def test_block_counts_equals_shared_clock_reference(amplitude, scaling):
     for threads in (1, 3):
         counts, collisions = block_counts(p, scaling, BUMP_WIDTH, p.epsilon_schedule, times, threads)
         assert np.array_equal(counts, halves) and np.array_equal(collisions, hits)
+
+
+def test_reused_buffers_change_no_result():
+    # a study reuses one set of buffers per worker thread across its blocks
+    # and steps, and advance one across its blocks: two studies back to back
+    # in one thread (the second needs smaller buffers and other Poisson
+    # tables), and threads 1 and 5 with an advance between them, each equal
+    # the reference, whose passes allocate afresh
+    times = [0.1, 0.3]
+    big = _params(field_spec=FieldSpec(0.5), particles=3 * BLOCK + 17)
+    small = _params(alpha=1.0, cross_section=CrossSection(1.0, 0.5), particles=BLOCK + 5,
+                    epsilon_schedule=(0.2, 0.1))
+    refs = [_shared_clock_counts(p, "diffusive", times) for p in (big, small)]
+    for p, (halves, hits) in zip((big, small), refs):
+        counts, collisions = block_counts(p, "diffusive", BUMP_WIDTH, p.epsilon_schedule, times, 1)
+        assert np.array_equal(counts, halves) and np.array_equal(collisions, hits)
+    for threads in (1, 5):
+        counts, collisions = block_counts(big, "diffusive", BUMP_WIDTH, big.epsilon_schedule, times, threads)
+        assert np.array_equal(counts, refs[0][0]) and np.array_equal(collisions, refs[0][1])
+        advance(init_ensemble(small), 0.05, small, 0.2)
+    # what a pass returns is its own: a second pass on the same buffers leaves it
+    work, (x, v) = _Workspace(), np.empty((2, 3, BLOCK))
+    _draw_block(_rng_for(1, 0), x[0], v[0], L, big.alpha, None, work)
+    x[1:], v[1:] = x[0], v[0]
+    first = _clock_pass(x, v, _rng_for(1, 0), big, "diffusive", big.epsilon_schedule, 0.3, work)
+    kept = first.copy()
+    _clock_pass(x, v, _rng_for(1, 1), big, "diffusive", big.epsilon_schedule, 0.3, work)
+    assert np.array_equal(first, kept)
 
 
 def test_run_convergence_memory_does_not_grow_with_particles():

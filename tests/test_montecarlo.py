@@ -24,7 +24,18 @@ from fraclimit import (
     solve_F,
 )
 from fraclimit.cli import main
-from fraclimit.montecarlo import BLOCK, _CHUNK, _bin_index, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
+from fraclimit.montecarlo import (
+    BLOCK,
+    _CHUNK,
+    _bin_index,
+    _blocks,
+    _clock_pass,
+    _draw_block,
+    _poisson_pmf,
+    _poisson_table,
+    _rng_for,
+    block_counts,
+)
 from fraclimit.params import FieldSpec
 from fraclimit.errors import InvalidInput
 
@@ -92,19 +103,22 @@ def test_sample_M_same_key_same_draws():
 
 def _sample_M_reference(rng, alpha, n):
     # sample_M's rounds written out plainly: for the m draws still missing,
-    # min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) Cauchy proposals c, accepted iff
-    # Exp(1) > t(c) = (alpha-1)/2 log(1+c^2); the first m accepted are kept,
-    # with their excesses Exp(1) - t(c).  At alpha = 1: n proposals, n Exp(1).
+    # r = min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) proposals from 2r uniforms
+    # U: Cauchy c = tan(pi (U - 1/2)) from the first r, accepted iff
+    # Exp(1) = -log1p(-U) from the last r exceeds t(c) = (alpha-1)/2 log(1+c^2);
+    # the first m accepted are kept, with their excesses Exp(1) - t(c).
+    # At alpha = 1: n Cauchy draws, then n Exp(1).
     if alpha == 1.0:
-        return np.tan((rng.random(n) - 0.5) * np.pi), rng.standard_exponential(n)
+        return np.tan((rng.random(n) - 0.5) * np.pi), -np.log1p(-rng.random(n))
     p = norm_Z(alpha) / math.pi
     v, excess = [], []
     while len(v) < n:
         m = n - len(v)
         r = min(math.ceil(m / p + 3.0 * math.sqrt(m / p)) + 8, _CHUNK)
-        c = np.tan((rng.random(r) - 0.5) * np.pi)
+        u = rng.random(2 * r)
+        c = np.tan((u[:r] - 0.5) * np.pi)
         t = 0.5 * (alpha - 1.0) * np.log1p(c * c)
-        e = rng.standard_exponential(r)
+        e = -np.log1p(-u[r:])
         v.extend(c[e > t][:m])
         excess.extend((e - t)[e > t][:m])
     return np.array(v), np.array(excess)
@@ -134,13 +148,42 @@ def test_sample_M_excess_is_exp1_independent_of_v(alpha):
     assert stats.ks_2samp(excess[slow], excess[~slow]).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 5.6, 44.7, 800.0, 1e4])
+def test_poisson_table_law(lam):
+    # the clock's counts invert one table per mean: its entries are the pmf
+    # in log space (at 800, e^-lam alone underflows), it leaves out less than
+    # 1e-15 of the mass, draws by inversion pass a chi-square test, and the
+    # largest uniform below 1 falls inside it
+    lo, pmf = _poisson_pmf(lam)
+    k = lo + np.arange(len(pmf))
+    ref = np.exp(k * math.log(lam) - lam - np.array([math.lgamma(i + 1) for i in k]))
+    big = ref > 1e-300
+    assert np.all(np.abs(pmf[big] - ref[big]) <= 1e-12 * ref[big])
+    assert stats.poisson.cdf(lo - 1, lam) + stats.poisson.sf(k[-1], lam) < 1e-15
+    lo_cdf, cdf = _poisson_table(lam)
+    assert lo_cdf == lo and len(cdf) == len(pmf) and np.all(np.diff(cdf) >= 0) and cdf[-1] == 1.0
+    assert cdf.searchsorted(1.0 - 2.0**-53, side="right") < len(cdf)
+    n = 200_000
+    observed = np.bincount(cdf.searchsorted(_rng_for(10, 0).random(n), side="right"), minlength=len(cdf))
+    expected = n * stats.poisson.pmf(k, lam)
+    edges, acc = [0], 0.0  # merge neighbouring counts until each bin expects 5 draws
+    for i, x in enumerate(expected):
+        acc += x
+        if acc >= 5.0:
+            edges.append(i + 1)
+            acc = 0.0
+    edges[-1] = len(cdf)  # the last bin takes the rest
+    obs, exp = np.add.reduceat(observed, edges[:-1]), np.add.reduceat(expected, edges[:-1])
+    assert len(obs) >= 2 and stats.chisquare(obs, exp * (n / exp.sum())).pvalue > 1e-3
+
+
 class _CountingRng:
-    # one standard_exponential call per rejection round
+    # one call for the uniforms of each rejection round
     def __init__(self, rng):
         self.rng, self.rounds = rng, 0
 
     def __getattr__(self, name):
-        self.rounds += name == "standard_exponential"
+        self.rounds += name == "random"
         return getattr(self.rng, name)
 
 
@@ -200,18 +243,25 @@ def test_ballistic_characteristics_exact():
     assert np.max(np.abs(out.x[free] - expect_x[free])) < 1e-10
 
 
+def _poisson_by_inversion(u, lam):
+    # k = min{k : u < F(k)} for SciPy's Poisson CDF F, not the pass's table:
+    # the two agree to ~1e-14, so a uniform falls between them with
+    # negligible probability
+    return np.searchsorted(stats.poisson.cdf(np.arange(int(lam + 40 * math.sqrt(lam)) + 40), lam), u, side="right")
+
+
 def _clock_pass_reference(x, v, rng, cs, alpha, rates, tau, E, xfacs, eps_list):
     # _clock_pass's draws in the same order: each row's new candidates per
-    # particle (coarsest eps first), the first flights, then the proposals
-    # with their flights (the sampler's excesses) laid out row by row and
-    # within a row particle by particle.  Each row takes each particle's
-    # candidates of the rows up to its own, thinned and summed in a plain
-    # loop; returns x unwrapped, and also the size of the summed displacement
-    # terms, the counts k_j and the accepted counts.  x and v have one row per
-    # rate
+    # particle (coarsest eps first) by inversion of one uniform each, the
+    # first flights -log1p(-U), then the proposals with their flights (the
+    # sampler's excesses) laid out row by row and within a row particle by
+    # particle.  Each row takes each particle's candidates of the rows up to
+    # its own, thinned and summed in a plain loop; returns x unwrapped, and
+    # also the size of the summed displacement terms, the counts k_j and the
+    # accepted counts.  x and v have one row per rate
     m, n = x.shape
-    new = [rng.poisson((r - r0) * tau, n) for r0, r in zip((0.0, *rates), rates)]
-    e0 = rng.standard_exponential(n)
+    new = [_poisson_by_inversion(rng.random(n), (r - r0) * tau) for r0, r in zip((0.0, *rates), rates)]
+    e0 = -np.log1p(-rng.random(n))
     K = int(np.sum(new))
     w, e = _sample_M_reference(rng, alpha, K)
     u = rng.random(K) * cs.nu2 if cs.amplitude else np.zeros(K)
@@ -530,9 +580,10 @@ def test_clock_pass_memory_is_per_block(cs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block of flights, proposals and thinning uniforms at a time: 3.4 MB
-    # here at constant sigma, 7.2 MB perturbed; the whole ensemble's flights
-    # and proposals alone would take ~180 MB
+    # one block's flights, proposals and thinning uniforms, in buffers reused
+    # from block to block, and the sampler's scratch: 4.1 MB here at constant
+    # sigma, 8.4 MB perturbed; the whole ensemble's flights and proposals
+    # alone would take ~180 MB
     assert peak < 16e6
 
 
