@@ -19,7 +19,7 @@ from . import montecarlo as mc
 from .coefficients import limit_coefficients
 from .equilibrium import deviation_R, remainder_G, solve_F, solve_lambda
 from .errors import InvalidInput
-from .harness import BUMP_WIDTH, context, macro_run, run_convergence, run_operator_study
+from .harness import context, macro_run, run_convergence, run_operator_study
 from .params import SCALINGS, ModelParams, load_config
 
 
@@ -95,7 +95,7 @@ def cmd_kinetic_run(args) -> int:
     if not 0 < eps <= 1:
         raise InvalidInput(f"--eps {eps} outside (0, 1]")
     snaps = _snapshots(args, params.final_time)
-    counts, collisions = mc.block_counts(params, args.scaling, BUMP_WIDTH, [eps], snaps, args.threads)
+    counts, collisions = mc.block_counts(params, args.scaling, [eps], snaps, args.threads)
     hits = int(collisions[0, -1])
     dx = params.domain_length / params.x_bins
     rows = []

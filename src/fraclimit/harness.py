@@ -13,10 +13,7 @@ from .macro import MacroState, advance_macro, gaussian_bump, limit_operator
 from .params import ModelParams, fit_order, require_order_schedule
 from .velocity import VelocityGrid
 
-# width of the initial density bump of the kinetic and macro runs, and the
-# nodes of the macro grid
-BUMP_WIDTH = 1.8
-MACRO_NODES = 512
+MACRO_NODES = 512  # nodes of the macro grid
 # band and width of the operator study's test function
 PHI_BANDWIDTH = 4
 PHI_WIDTH = 0.8
@@ -37,7 +34,7 @@ def macro_run(params: ModelParams, scaling: str, times) -> tuple[float, float, l
     enough for D and mu(E) whatever the epsilon schedule, and the bump
     advanced from t = 0 to each of `times` in one exact step."""
     kap, drift = limit_model(context(params, max(params.vmax, 1000.0)), params.field_spec.e0, scaling)
-    bump = gaussian_bump(params.domain_length, BUMP_WIDTH, MACRO_NODES)
+    bump = gaussian_bump(params.domain_length, mc.BUMP_WIDTH, MACRO_NODES)
     return kap, drift, [advance_macro(bump, params.alpha, kap, drift, t) for t in times]
 
 
@@ -61,7 +58,7 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     kap, drift, (macro,) = macro_run(params, scaling, [T])
     macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
     dx = L / bins
-    counts, collisions = mc.block_counts(params, scaling, BUMP_WIDTH, params.epsilon_schedule, [T], threads)
+    counts, collisions = mc.block_counts(params, scaling, params.epsilon_schedule, [T], threads)
     rows = []
     for eps, ((h1, h2),), (hits,) in zip(params.epsilon_schedule, counts, collisions):
         rho = (h1 + h2) / (N * dx)

@@ -27,18 +27,19 @@ Poisson law (Devroye 1986, III.2), one uniform per particle; every Exp(1)
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Every Monte Carlo command runs
-through one block-major driver (`block_counts`): each block's initial data
-are drawn once and copied to one row per eps, all rows are advanced through
+through one block-major driver (`block_counts`): each block's initial bump
+is drawn once and copied to one row per eps, all rows are advanced through
 the requested times in order, one shared clock pass per step, and only the
 bin counts and collisions are kept.  So a run holds O(BLOCK) particles per
-eps, and each worker thread draws every pass into one `_Workspace` of
-buffers for the whole study, which changes no draw.  The driver's thread
-pool is the package's only one (imported only for more than one thread);
-results depend on the seed alone, not on the number of threads.
+eps, and each worker thread draws every pass into the arrays of one
+`_Workspace` for the whole study, which changes no draw.  The driver's pool
+is the package's only one (imported only for more than one thread); results
+depend on the seed alone, not on the number of threads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -52,6 +53,7 @@ from .params import SCALINGS, ModelParams
 from .velocity import norm_Z
 
 BLOCK = 4096  # particles per random stream
+BUMP_WIDTH = 1.8  # width of the initial density bump of the kinetic and macro runs
 _CHUNK = 1 << 15  # sample_M proposals per round: few rounds, and a reused scratch of 2.5 _CHUNK doubles (655 kB)
 
 
@@ -100,34 +102,29 @@ def _poisson_pmf(lam: float) -> tuple[int, np.ndarray]:
     return mode - len(below), np.array(below[::-1] + above)
 
 
+@functools.lru_cache(maxsize=256)  # a run needs one table per eps row and time step
 def _poisson_table(lam: float) -> tuple[int, np.ndarray]:
     """(lo, F) for Poisson counts by inversion, k = lo + F.searchsorted(U, "right")
-    (Devroye 1986, III.2): F(k) = 1 - the pmf's mass above k, from the
-    complement, so F never passes 1 and ends at exactly 1, above every U."""
+    (Devroye 1986, III.2): the pmf's running sum over its own total, so each
+    entry keeps its mass and F ends at exactly 1, above every U.  Cached, read-only."""
     lo, p = _poisson_pmf(lam)
-    above = np.cumsum(p[:0:-1])[::-1]
-    return lo, np.append(1.0 - above, 1.0)
+    F = np.cumsum(p)
+    F /= F[-1]
+    F.flags.writeable = False
+    return lo, F
 
 
 class _Workspace(threading.local):
-    """Scratch that a thread reuses from clock pass to clock pass: arrays by
-    name, each grown to its need plus 1/16 when a larger one is asked for, and
-    the Poisson tables by mean.  A `threading.local`, so each worker of a pool
-    holds its own; all of it is freed with the object."""
-
-    def __init__(self):
-        self.arrays, self.tables = {}, {}
+    """Arrays that a thread reuses from clock pass to clock pass, its
+    attributes by name, each grown to its need plus 1/16 when a larger one is
+    asked for.  A `threading.local`, so each worker of a pool holds its own;
+    all of it is freed with the object.  It lends arrays only."""
 
     def array(self, name: str, size: int) -> np.ndarray:
-        a = self.arrays.get(name)
+        a = vars(self).get(name)
         if a is None or len(a) < size:
-            a = self.arrays[name] = np.empty(size + size // 16)
+            a = vars(self)[name] = np.empty(size + size // 16)
         return a[:size]
-
-    def poisson(self, lam: float) -> tuple[int, np.ndarray]:
-        if lam not in self.tables:
-            self.tables[lam] = _poisson_table(lam)
-        return self.tables[lam]
 
 
 def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess=None, work=None):
@@ -151,8 +148,8 @@ def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess
     arrays of the result's shape.  `work`, a `_Workspace`, lends the rounds'
     scratch; it changes no draw.
     """
-    if alpha < 1.0:
-        raise InvalidInput(f"alpha={alpha} < 1: M is not dominated by the Cauchy law")
+    if not 1.0 <= alpha < math.inf:
+        raise InvalidInput(f"alpha={alpha} < 1 or not finite: need a finite alpha >= 1, where Cauchy dominates M")
     shape = np.shape(out) if size is None else (size,) if np.ndim(size) == 0 else tuple(size)
     out = np.empty(shape) if out is None else out
     for name, a in (("out", out), ("excess", excess)):
@@ -267,7 +264,7 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
     work = _Workspace() if work is None else work
     k = np.empty((m, n), dtype=np.int32)
     for j, (r0, r) in enumerate(zip((0.0, *rates), rates)):
-        lo, cdf = work.poisson((r - r0) * tau)
+        lo, cdf = _poisson_table((r - r0) * tau)
         k[j] = cdf.searchsorted(rng.random(n), side="right")
         k[j] += lo
     e0 = rng.random(n)
@@ -345,6 +342,14 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
     return accepted
 
 
+def _refuse_run(scaling: str, eps_list, times):
+    """The one refusal of the runs of `advance` and `block_counts`."""
+    if (scaling not in SCALINGS or not len(eps_list) or not all(0 < e <= 1 for e in eps_list)
+            or np.any(np.diff(eps_list) >= 0) or not np.all(np.diff(times, prepend=0.0) >= 0) or np.inf in times):
+        raise InvalidInput(f"need scaling diffusive or high_field, strictly decreasing eps in (0, 1] and sorted "
+                           f"finite times >= 0; got {scaling!r}, {list(eps_list)}, {list(times)}")
+
+
 def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float,
             scaling: str = "diffusive") -> ParticleEnsemble:
     """Advance the ensemble block by block to t=until (macroscopic time) in
@@ -355,9 +360,7 @@ def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float
     collision count but is left without streams, so advancing it again is
     refused.  A zero-length advance draws nothing from the streams.
     """
-    if scaling not in SCALINGS or not 0 < eps <= 1 or not math.isfinite(until):
-        raise InvalidInput(f"need scaling diffusive or high_field, eps in (0, 1] and a finite until; "
-                           f"got {scaling!r}, {eps}, {until}")
+    _refuse_run(scaling, [eps], [until])
     if not ens.rngs:
         raise InvalidInput("the ensemble has no streams: an earlier advance consumed it; "
                            "advance the ensemble that call returned")
@@ -394,11 +397,10 @@ def estimate_density(ens: ParticleEnsemble, x_bins: int) -> MacroState:
     return MacroState(counts / (len(ens.x) * (ens.L / x_bins)), ens.L, ens.t)
 
 
-def block_counts(params: ModelParams, scaling: str, width: float | None, eps_list, times,
-                 threads: int) -> tuple[np.ndarray, np.ndarray]:
+def block_counts(params: ModelParams, scaling: str, eps_list, times, threads: int) -> tuple[np.ndarray, np.ndarray]:
     """The x_bins counts of the even- and odd-index particles of
-    `init_ensemble(params, width)` advanced through the sorted `times`, for
-    each eps of the strictly decreasing `eps_list` and each time, shape
+    `init_ensemble(params, BUMP_WIDTH)` advanced through the sorted `times`,
+    for each eps of the strictly decreasing `eps_list` and each time, shape
     (len(eps_list), len(times), 2, x_bins), and the collisions up to each
     time, int64 of shape (len(eps_list), len(times)), both summed over the
     blocks.  Each block's data are drawn once, copied to one row per eps,
@@ -406,20 +408,19 @@ def block_counts(params: ModelParams, scaling: str, width: float | None, eps_lis
     row and parity per time step: O(BLOCK) particles are held, and each eps
     has the law of a whole ensemble advanced alone.  BLOCK is even, so a
     block's index parity is the ensemble's.  Blocks run on a pool of
-    `threads` workers; the result does not depend on their number.
+    `threads` >= 1 workers; the result does not depend on their number.
     """
+    _refuse_run(scaling, eps_list, times)
+    if threads < 1:
+        raise InvalidInput(f"threads={threads} < 1")
     m, N, L, bins = len(eps_list), params.particles, params.domain_length, params.x_bins
-    if (scaling not in SCALINGS or not len(eps_list) or not all(0 < e <= 1 for e in eps_list)
-            or np.any(np.diff(eps_list) >= 0) or not np.all(np.diff(times, prepend=0.0) >= 0) or np.inf in times):
-        raise InvalidInput(f"need scaling diffusive or high_field, strictly decreasing eps in (0, 1] and sorted "
-                           f"finite times >= 0; got {scaling!r}, {list(eps_list)}, {list(times)}")
     edges, work = np.linspace(0.0, L, bins + 1), _Workspace()  # per worker thread, for this study
 
     def run(block):
         b, sl = block
         rng = _rng_for(params.seed, b)
         x, v = np.empty((2, m, sl.stop - sl.start))
-        _draw_block(rng, x[0], v[0], L, params.alpha, width, work)
+        _draw_block(rng, x[0], v[0], L, params.alpha, BUMP_WIDTH, work)
         x[1:], v[1:] = x[0], v[0]
         offset = (2 * np.arange(m)[:, None] + np.arange(x.shape[-1]) % 2) * bins  # row j, parity h: (2j + h) bins
         counts = np.empty((m, len(times), 2, bins), dtype=np.intp)

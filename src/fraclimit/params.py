@@ -147,13 +147,15 @@ def _entry(cfg: dict, key: str, default=None):
 
 def _number(cfg: dict, key: str, default=None, cast=float):
     """The config entry at the dotted `key`, converted by `cast`; refused by
-    name if it is missing (and has no default), not numeric (a JSON boolean
-    is not), or, for cast=int, a float that is not integral."""
+    name if missing (with no default), not a JSON number (an int or float, never
+    a bool or string; an array of them for cast=tuple) or, for cast=int, not integral."""
     value = _entry(cfg, key, default)
+    items = value if cast is tuple else [value]
     try:
-        if any(isinstance(s, bool) for s in (value if isinstance(value, list) else [value])):
-            raise TypeError  # float(True) and int(True) would read 1
-        out = cast(value)
+        if not isinstance(items, (list, tuple)) or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                                                       for x in items):
+            raise TypeError  # float("1.5") and float(True) would read numbers
+        out = tuple(map(float, items)) if cast is tuple else cast(value)
     except (TypeError, ValueError, OverflowError):
         what = "is missing" if value is None else f"is not numeric: {value!r}"
         raise InvalidInput(f"config entry {key!r} {what}") from None
@@ -199,7 +201,7 @@ def from_config(cfg: dict) -> ModelParams:
         field_spec=FieldSpec(_kind_number(cfg, "field.e0", {"zero": False, "constant": True})),
         domain_length=_number(cfg, "domain_length", 2.0 * np.pi),
         final_time=_number(cfg, "final_time", 1.0),
-        epsilon_schedule=_number(cfg, "epsilon_schedule", (0.2, 0.1, 0.05), lambda s: tuple(map(float, s))),
+        epsilon_schedule=_number(cfg, "epsilon_schedule", (0.2, 0.1, 0.05), tuple),
         seed=_number(cfg, "seed", 0, int),
         particles=_number(cfg, "particles", 100_000, int),
         velocity_nodes=_number(cfg, "velocity_grid.nodes", 128, int),

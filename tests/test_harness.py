@@ -24,9 +24,9 @@ from fraclimit import (
 )
 from fraclimit.cli import build_parser, main
 from fraclimit.coefficients import limit_model
-from fraclimit.harness import BUMP_WIDTH, MACRO_NODES, MARGIN, context, macro_run
+from fraclimit.harness import MACRO_NODES, MARGIN, context, macro_run
 from fraclimit.macro import advance_macro
-from fraclimit.montecarlo import BLOCK, _Workspace, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
+from fraclimit.montecarlo import BLOCK, BUMP_WIDTH, _Workspace, _blocks, _clock_pass, _draw_block, _rng_for, block_counts
 from fraclimit.params import SCALINGS, FieldSpec, load_config
 from fraclimit.errors import InvalidInput
 
@@ -184,7 +184,7 @@ def test_block_counts_equals_shared_clock_reference(amplitude, scaling):
     halves, hits = _shared_clock_counts(p, scaling, times)
     assert np.all(hits[:, 0] == hits[:, 1]) and np.all(hits[:, 1] < hits[:, 2])
     for threads in (1, 3):
-        counts, collisions = block_counts(p, scaling, BUMP_WIDTH, p.epsilon_schedule, times, threads)
+        counts, collisions = block_counts(p, scaling, p.epsilon_schedule, times, threads)
         assert np.array_equal(counts, halves) and np.array_equal(collisions, hits)
 
 
@@ -200,10 +200,10 @@ def test_reused_buffers_change_no_result():
                     epsilon_schedule=(0.2, 0.1))
     refs = [_shared_clock_counts(p, "diffusive", times) for p in (big, small)]
     for p, (halves, hits) in zip((big, small), refs):
-        counts, collisions = block_counts(p, "diffusive", BUMP_WIDTH, p.epsilon_schedule, times, 1)
+        counts, collisions = block_counts(p, "diffusive", p.epsilon_schedule, times, 1)
         assert np.array_equal(counts, halves) and np.array_equal(collisions, hits)
     for threads in (1, 5):
-        counts, collisions = block_counts(big, "diffusive", BUMP_WIDTH, big.epsilon_schedule, times, threads)
+        counts, collisions = block_counts(big, "diffusive", big.epsilon_schedule, times, threads)
         assert np.array_equal(counts, refs[0][0]) and np.array_equal(collisions, refs[0][1])
         advance(init_ensemble(small), 0.05, small, 0.2)
     # what a pass returns is its own: a second pass on the same buffers leaves it

@@ -90,8 +90,9 @@ def test_sample_M_edge_cases():
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
         one = sample_M(rng, alpha)
         assert np.ndim(one) == 0 and np.isfinite(one)
-    with pytest.raises(InvalidInput, match="alpha=0.5 < 1"):
-        sample_M(rng, 0.5, 10)
+    for alpha in (0.5, float("nan"), float("inf")):  # NaN and inf would end in a NaN proposal count
+        with pytest.raises(InvalidInput, match=f"alpha={alpha} < 1 or not finite"):
+            sample_M(rng, alpha, 10)
 
 
 def test_sample_M_same_key_same_draws():
@@ -162,6 +163,10 @@ def test_poisson_table_law(lam):
     assert stats.poisson.cdf(lo - 1, lam) + stats.poisson.sf(k[-1], lam) < 1e-15
     lo_cdf, cdf = _poisson_table(lam)
     assert lo_cdf == lo and len(cdf) == len(pmf) and np.all(np.diff(cdf) >= 0) and cdf[-1] == 1.0
+    # the running sum over its own total: the lowest count keeps its mass
+    assert abs(cdf[0] - pmf[0] / math.fsum(pmf)) <= 1e-12 * pmf[0] / math.fsum(pmf)
+    # built once per mean and read-only, so no caller can spoil another's table
+    assert _poisson_table(lam)[1] is cdf and not cdf.flags.writeable
     assert cdf.searchsorted(1.0 - 2.0**-53, side="right") < len(cdf)
     n = 200_000
     observed = np.bincount(cdf.searchsorted(_rng_for(10, 0).random(n), side="right"), minlength=len(cdf))
@@ -428,7 +433,7 @@ def test_time_monotonicity_guard():
 def test_advance_refusals(eps, until, scaling):
     p = _params()
     ens = init_ensemble(replace(p, particles=100))
-    with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, eps in"):
+    with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, strictly decreasing eps"):
         advance(ens, eps, p, until, scaling=scaling)
 
 
@@ -597,7 +602,7 @@ def test_more_threads_than_cores_same_result(cs):
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 5):
-            runs.append(block_counts(p, "diffusive", 2.0, [0.2, 0.1, 0.05], [0.1, 0.3], threads))
+            runs.append(block_counts(p, "diffusive", [0.2, 0.1, 0.05], [0.1, 0.3], threads))
     finally:
         sys.setswitchinterval(interval)
     (counts, collisions), (counts5, collisions5) = runs
@@ -617,15 +622,22 @@ def test_block_counts_refusals(scaling, eps_list, times):
     # the shared clock's nested counts need rising rates, so a strictly
     # decreasing eps list; the checks advance makes of one eps and time
     with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, strictly decreasing eps"):
-        block_counts(_params(particles=100), scaling, None, eps_list, times, 1)
+        block_counts(_params(particles=100), scaling, eps_list, times, 1)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_block_counts_refuses_fewer_than_one_thread(threads):
+    # as the CLI's --threads: no run quietly takes one thread in their place
+    with pytest.raises(InvalidInput, match=f"threads={threads} < 1"):
+        block_counts(_params(particles=100), "diffusive", [0.1], [0.3], threads)
 
 
 @pytest.mark.parametrize("times, plain", [([0.0, 0.3], [0.3]), ([0.1, 0.1, 0.3], [0.1, 0.3])])
 def test_zero_length_advance_draws_nothing(times, plain):
     # a snapshot at 0 or a repeated one leaves every later snapshot bit for bit
     p = ModelParams(particles=20_017, seed=7)
-    counts, collisions = block_counts(p, "diffusive", 1.8, [0.1], times, 1)
-    ref_counts, ref_collisions = block_counts(p, "diffusive", 1.8, [0.1], plain, 1)
+    counts, collisions = block_counts(p, "diffusive", [0.1], times, 1)
+    ref_counts, ref_collisions = block_counts(p, "diffusive", [0.1], plain, 1)
     assert np.array_equal(counts[:, -1], ref_counts[:, -1])
     assert np.array_equal(collisions[:, -1], ref_collisions[:, -1])
     ens = init_ensemble(p)

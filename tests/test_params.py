@@ -162,6 +162,15 @@ def test_field_spec():
         ({"alpha": 1.5, "x_bins": False}, r"config entry 'x_bins' is not numeric: False"),
         ({"alpha": 1.5, "epsilon_schedule": [0.2, True]}, r"config entry 'epsilon_schedule' is not numeric: \[0.2, True\]"),
         ({"alpha": 1.5, "field": {"kind": "constant", "e0": True}}, r"config entry 'field.e0' is not numeric: True"),
+        # nor is a JSON string, though Python's float and int parse "1.5" and " 7 "
+        ({"alpha": "1.5"}, r"config entry 'alpha' is not numeric: '1.5'"),
+        ({"alpha": 1.5, "x_bins": "16"}, r"config entry 'x_bins' is not numeric: '16'"),
+        ({"alpha": 1.5, "seed": " 7 "}, r"config entry 'seed' is not numeric: ' 7 '"),
+        ({"alpha": 1.5, "field": {"kind": "constant", "e0": "0.5"}}, r"config entry 'field.e0' is not numeric: '0.5'"),
+        # epsilon_schedule is an array of numbers: a string's characters are not
+        ({"alpha": 1.5, "epsilon_schedule": "1"}, r"config entry 'epsilon_schedule' is not numeric: '1'"),
+        ({"alpha": 1.5, "epsilon_schedule": [0.2, "0.1"]},
+         r"config entry 'epsilon_schedule' is not numeric: \[0.2, '0.1'\]"),
     ],
 )
 def test_from_config_refusals(cfg, match):
