@@ -40,16 +40,6 @@ def _write_csv(fh, header: str, rows):
         fh.write(",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
-def _snapshots(args, final_time: float) -> list[float]:
-    """The sorted --snapshot times (default: the final time); a negative or
-    non-finite time is refused."""
-    snaps = sorted(args.snapshot or [final_time])
-    for t in snaps:
-        if not 0.0 <= t < math.inf:
-            raise InvalidInput(f"time {t} must be finite and non-negative")
-    return snaps
-
-
 def cmd_equilibrium(args) -> int:
     params = _load(args)
     ctx = context(params)
@@ -92,9 +82,7 @@ def cmd_kinetic_run(args) -> int:
     if args.particles is not None:
         params = replace(params, particles=args.particles)
     eps = args.eps if args.eps is not None else min(params.epsilon_schedule)
-    if not 0 < eps <= 1:
-        raise InvalidInput(f"--eps {eps} outside (0, 1]")
-    snaps = _snapshots(args, params.final_time)
+    snaps = sorted(args.snapshot or [params.final_time])  # block_counts refuses a bad eps or time
     counts, collisions = mc.block_counts(params, args.scaling, [eps], snaps, args.threads)
     hits = int(collisions[0, -1])
     dx = params.domain_length / params.x_bins
@@ -117,7 +105,7 @@ def cmd_kinetic_run(args) -> int:
 
 def cmd_macro_run(args) -> int:
     params = _load(args)
-    snaps = _snapshots(args, params.final_time)
+    snaps = sorted(args.snapshot or [params.final_time])  # advance_macro refuses a bad time
     _, _, states = macro_run(params, args.scaling, snaps)
     rows = [(t, float(x), float(r)) for t, s in zip(snaps, states) for x, r in zip(s.x, s.rho)]
     with _open(args, "macro_run.csv") as fh:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .collision import CollisionContext
 from .equilibrium import LambdaField, drift_mu, solve_lambda
 from .errors import InvalidInput, TailDivergence
-from .params import SCALINGS
+from .params import require_scaling
 from .velocity import moment, norm_Z
 
 
@@ -73,23 +73,17 @@ def limit_coefficients(ctx: CollisionContext) -> LimitCoefficients:
 
 
 def limit_model(ctx: CollisionContext, E: float, scaling: str) -> tuple[float, float]:
-    """(kappa, drift) of the limit equation in the constant field E.
-
-    Diffusive scaling: kappa in closed form; the drift is D E for alpha > 1
-    and mu(E) at alpha = 1, both solved on ctx's grid.  High-field scaling:
-    pure transport, kappa = 0 and drift int v F(v, E) dv: E/nu0 for the
-    constant cross section (int v nu F dv = E), else mu(E) solved on ctx's
-    grid; the paper's drift E is the case nu = 1.  A zero field has drift 0
-    with no solve.  Unknown scalings are refused.
+    """(kappa, drift) of the limit equation in the constant field E: kappa in
+    closed form (diffusive scaling) or 0 (high-field, pure transport).  At
+    constant sigma lambda = -M'/nu0, so the drift D E = mu(E) = int v F dv is
+    E/nu0 in both (the paper's E at nu0 = 1).  Else it is solved on ctx's grid:
+    D E (diffusive, alpha > 1, E != 0) or mu(E) = int v (F - M) dv.
     """
-    if scaling not in SCALINGS:
-        raise InvalidInput(f"unknown scaling {scaling!r}")
-    if scaling == "high_field":
-        cs = ctx.cross_section
-        return 0.0, E / cs.nu0 if cs.amplitude == 0.0 else drift_mu(E, ctx)
-    kap = kappa(ctx.alpha, ctx.cross_section.nu0, gamma_of_M(ctx.alpha))
-    if E == 0.0:
-        return kap, 0.0
-    if ctx.alpha > 1.0:
+    require_scaling(scaling)
+    cs = ctx.cross_section
+    kap = kappa(ctx.alpha, cs.nu0, gamma_of_M(ctx.alpha)) if scaling == "diffusive" else 0.0
+    if cs.amplitude == 0.0:
+        return kap, E / cs.nu0
+    if scaling == "diffusive" and ctx.alpha > 1.0 and E != 0.0:
         return kap, matrix_D(solve_lambda(ctx), ctx) * E
     return kap, drift_mu(E, ctx)

@@ -42,21 +42,18 @@ def run_convergence(params: ModelParams, scaling: str = "diffusive", threads: in
     """Kinetic MC vs limit-equation solve across the epsilon schedule: the
     study's one case, with its verdict.
 
-    Per eps: L1 and sup errors of the binned Monte Carlo density against
-    the macro solve, its even/odd split-half noise floor and collisions.
-    The counts come from `montecarlo.block_counts`: O(BLOCK) particles per
+    Per eps: L1 and sup errors of the binned Monte Carlo density against the
+    macro solve's exact bin means, its even/odd split-half noise floor and
+    collisions.  The counts come from `montecarlo.block_counts`: O(BLOCK) particles per
     eps, all eps advanced on one shared clock per block.  `threads` sets how
     many workers advance the particle blocks; it does not change the result.
     """
     require_order_schedule(params.epsilon_schedule)
-    L, T, N = params.domain_length, params.final_time, params.particles
-    bins = params.x_bins
-    if MACRO_NODES % bins:
-        raise InvalidInput(f"x_bins={bins} does not divide the {MACRO_NODES}-point macro grid")
+    L, T, N, bins = params.domain_length, params.final_time, params.particles, params.x_bins
     if N < 2:
         raise InvalidInput(f"particles={N} < 2: the split-half noise floor needs two halves")
     kap, drift, (macro,) = macro_run(params, scaling, [T])
-    macro_binned = macro.rho.reshape(bins, -1).mean(axis=1)
+    macro_binned = macro.bin_means(bins)
     dx = L / bins
     counts, collisions = mc.block_counts(params, scaling, params.epsilon_schedule, [T], threads)
     rows = []

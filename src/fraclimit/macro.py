@@ -11,6 +11,7 @@ import numpy as np
 
 from .coefficients import c_d_alpha
 from .errors import InvalidInput
+from .params import require_times
 
 
 class MacroState:
@@ -50,13 +51,22 @@ class MacroState:
         c = np.abs(self.coeffs())
         return 1 + np.nonzero(c[1:] > 1e-14 * c.max())[0]
 
-    def __call__(self, x):
-        """The trigonometric interpolant at any x: the mean plus the `band` modes."""
-        c, k = self.coeffs() / self.n, self.band()
+    def __call__(self, x, mult=1.0):
+        """The trigonometric interpolant at any x, the mean plus the `band`
+        modes, with each rfft mode first multiplied by `mult`."""
+        c, k = self.coeffs() * mult / self.n, self.band()
         # a real series: every mode but the Nyquist one stands for two
         ck = c[k] * np.where(2 * k == self.n, 1.0, 2.0)
         kx = np.multiply.outer(np.asarray(x, dtype=float), self.wavenumbers()[k])
         return np.real(c[0] + np.exp(1j * kx) @ ck)
+
+    def bin_means(self, bins: int) -> np.ndarray:
+        """The interpolant's exact means over the bins [jH, (j+1)H), H = L/bins:
+        each mode's mean over [x, x + H] is its value at x times
+        sinc(kH/2pi) e^(ikH/2), taken at the bin starts."""
+        H = self.L / bins
+        kH = self.wavenumbers() * H
+        return self(np.arange(bins) * H, np.sinc(kH / (2.0 * np.pi)) * np.exp(0.5j * kH))
 
 
 def _symbol(rho: MacroState, alpha: float, kappa: float, drift: float) -> np.ndarray:
@@ -118,8 +128,7 @@ def advance_macro(rho: MacroState, alpha: float, kappa: float, drift: float, unt
 
     Exact: each mode is multiplied once by exp(-(kappa |k|^alpha + i k drift)(until - t)).
     """
-    if until < rho.t:
-        raise InvalidInput(f"until={until} < current t={rho.t}")
+    require_times([rho.t, until])
     return _apply(rho, np.exp(-_symbol(rho, alpha, kappa, drift) * (until - rho.t)), until)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .macro import MacroState
-from .params import SCALINGS, ModelParams
+from .params import ModelParams, require_eps, require_scaling, require_times
 from .velocity import norm_Z
 
 BLOCK = 4096  # particles per random stream
@@ -342,14 +342,6 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
     return accepted
 
 
-def _refuse_run(scaling: str, eps_list, times):
-    """The one refusal of the runs of `advance` and `block_counts`."""
-    if (scaling not in SCALINGS or not len(eps_list) or not all(0 < e <= 1 for e in eps_list)
-            or np.any(np.diff(eps_list) >= 0) or not np.all(np.diff(times, prepend=0.0) >= 0) or np.inf in times):
-        raise InvalidInput(f"need scaling diffusive or high_field, strictly decreasing eps in (0, 1] and sorted "
-                           f"finite times >= 0; got {scaling!r}, {list(eps_list)}, {list(times)}")
-
-
 def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float,
             scaling: str = "diffusive") -> ParticleEnsemble:
     """Advance the ensemble block by block to t=until (macroscopic time) in
@@ -360,13 +352,13 @@ def advance(ens: ParticleEnsemble, eps: float, params: ModelParams, until: float
     collision count but is left without streams, so advancing it again is
     refused.  A zero-length advance draws nothing from the streams.
     """
-    _refuse_run(scaling, [eps], [until])
+    require_scaling(scaling)
+    require_eps([eps])
+    require_times([ens.t, until])
     if not ens.rngs:
         raise InvalidInput("the ensemble has no streams: an earlier advance consumed it; "
                            "advance the ensemble that call returned")
-    if until < ens.t - 1e-15:
-        raise InvalidInput(f"until={until} < current t={ens.t}")
-    tau, work = max(until - ens.t, 0.0), _Workspace()  # one set of buffers for every block
+    tau, work = until - ens.t, _Workspace()  # one set of buffers for every block
     hits = sum(int(_clock_pass(ens.x[None, sl], ens.v[None, sl], rng, params, scaling, [eps], tau, work)[0])
                for sl, rng in zip(_blocks(len(ens.x)), ens.rngs)) if tau > 0 else 0
     out = ParticleEnsemble(ens.x, ens.v, ens.L, until, ens.rngs, ens.collisions + hits)
@@ -410,7 +402,9 @@ def block_counts(params: ModelParams, scaling: str, eps_list, times, threads: in
     block's index parity is the ensemble's.  Blocks run on a pool of
     `threads` >= 1 workers; the result does not depend on their number.
     """
-    _refuse_run(scaling, eps_list, times)
+    require_scaling(scaling)
+    require_eps(eps_list)
+    require_times(times)
     if threads < 1:
         raise InvalidInput(f"threads={threads} < 1")
     m, N, L, bins = len(eps_list), params.particles, params.domain_length, params.x_bins

@@ -15,12 +15,39 @@ from .errors import InvalidInput
 SCALINGS = ("diffusive", "high_field")
 
 
-def _refuse_bools(obj, *names):
-    """Refuse a bool in the float fields `names`, as the config route does: 0 < True holds."""
+def is_number(x, integral: bool = False) -> bool:
+    """Whether x is a Python or NumPy int or float (an int for `integral`),
+    never a bool: 0 < True holds, and "1.5" or None compare with nothing."""
+    kinds = (int, np.integer) if integral else (int, float, np.integer, np.floating)
+    return isinstance(x, kinds) and not isinstance(x, (bool, np.bool_))
+
+
+def _require_numbers(obj, names, integral: bool = False):
+    """Refuse by name each field of `names` that is not a number (`is_number`)."""
     for name in names:
         value = getattr(obj, name)
-        if any(isinstance(x, (bool, np.bool_)) for x in (value if isinstance(value, (tuple, list)) else [value])):
-            raise InvalidInput(f"{name}={value!r} is not a number")
+        if not is_number(value, integral):
+            raise InvalidInput(f"{name}={value!r} is not {'an integer' if integral else 'a number'}")
+
+
+def require_scaling(scaling):
+    """Refuse a scaling not in SCALINGS."""
+    if scaling not in SCALINGS:
+        raise InvalidInput(f"unknown scaling {scaling!r}")
+
+
+def require_eps(eps):
+    """Refuse an eps list unless it is a non-empty sequence of numbers in (0, 1], strictly decreasing."""
+    if not (isinstance(eps, (tuple, list, np.ndarray)) and len(eps) and all(is_number(e) and 0 < e <= 1 for e in eps)
+            and all(b < a for a, b in zip(eps, eps[1:]))):
+        raise InvalidInput(f"epsilon values must lie in (0,1], at least one and strictly decreasing; got {eps!r}")
+
+
+def require_times(times):
+    """Refuse report times unless each is a finite number >= 0, in order."""
+    for before, t in zip((0.0, *times), times):
+        if not (is_number(t) and before <= t < math.inf):
+            raise InvalidInput(f"time {t} must be finite and non-negative, and not before {before}")
 
 
 @dataclass(frozen=True)
@@ -37,12 +64,10 @@ class CrossSection:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        _refuse_bools(self, "nu0", "amplitude")
+        _require_numbers(self, ("nu0", "amplitude"))
         if not (self.nu1 > 0 and math.isfinite(self.nu2)):
-            raise InvalidInput(
-                f"need 0 < nu0 - |amplitude| and a finite nu0 + |amplitude|; "
-                f"got nu0={self.nu0}, amplitude={self.amplitude}"
-            )
+            raise InvalidInput(f"need 0 < nu0 - |amplitude| and a finite nu0 + |amplitude|; "
+                               f"got nu0={self.nu0}, amplitude={self.amplitude}")
 
     @property
     def nu1(self) -> float:
@@ -65,7 +90,7 @@ class FieldSpec:
     e0: float = 0.0
 
     def __post_init__(self):
-        _refuse_bools(self, "e0")
+        _require_numbers(self, ("e0",))
         if not math.isfinite(self.e0):
             raise InvalidInput(f"field e0={self.e0} is not finite")
 
@@ -89,27 +114,16 @@ class ModelParams:
     x_bins: int = 64
 
     def __post_init__(self):
-        _refuse_bools(self, "alpha", "domain_length", "final_time", "epsilon_schedule", "vmax_over_inv_eps")
+        _require_numbers(self, ("alpha", "domain_length", "final_time", "vmax_over_inv_eps"))
+        _require_numbers(self, ("seed", "particles", "x_bins", "velocity_nodes"), integral=True)
+        require_eps(self.epsilon_schedule)
         if not 1.0 <= self.alpha < 2.0:
             raise InvalidInput(f"alpha={self.alpha} outside [1,2)")
         if not (0 < self.domain_length < math.inf and 0 < self.final_time < math.inf):
-            raise InvalidInput(
-                f"domain_length and final_time must be positive and finite; "
-                f"got {self.domain_length}, {self.final_time}"
-            )
-        eps = self.epsilon_schedule
-        if len(eps) == 0:
-            raise InvalidInput("epsilon_schedule is empty")
-        if not all(0 < e <= 1 for e in eps):
-            raise InvalidInput("epsilon values must lie in (0,1]")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise InvalidInput("epsilon_schedule must be strictly decreasing")
+            raise InvalidInput(f"domain_length and final_time must be positive and finite; "
+                               f"got {self.domain_length}, {self.final_time}")
         if not 0 < self.vmax_over_inv_eps < math.inf:
             raise InvalidInput(f"vmax_over_inv_eps={self.vmax_over_inv_eps} must be positive and finite")
-        for name in ("seed", "particles", "x_bins", "velocity_nodes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # a bool is an int
-                raise InvalidInput(f"{name}={value!r} is not an integer")
         if self.particles < 1 or self.x_bins < 1:
             raise InvalidInput(f"need particles >= 1 and x_bins >= 1; got {self.particles}, {self.x_bins}")
         if self.seed < 0:
@@ -147,13 +161,12 @@ def _entry(cfg: dict, key: str, default=None):
 
 def _number(cfg: dict, key: str, default=None, cast=float):
     """The config entry at the dotted `key`, converted by `cast`; refused by
-    name if missing (with no default), not a JSON number (an int or float, never
-    a bool or string; an array of them for cast=tuple) or, for cast=int, not integral."""
+    name if missing (with no default), not a number (`is_number`; an array of
+    them for cast=tuple) or, for cast=int, not integral."""
     value = _entry(cfg, key, default)
     items = value if cast is tuple else [value]
     try:
-        if not isinstance(items, (list, tuple)) or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                                                       for x in items):
+        if not isinstance(items, (list, tuple)) or not all(map(is_number, items)):
             raise TypeError  # float("1.5") and float(True) would read numbers
         out = tuple(map(float, items)) if cast is tuple else cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -212,4 +225,8 @@ def from_config(cfg: dict) -> ModelParams:
 
 def load_config(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_config(json.load(fh))
+        try:
+            cfg = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise InvalidInput(f"config file {path} is not UTF-8 JSON: {err}") from None
+    return from_config(cfg)

@@ -100,17 +100,33 @@ def test_limit_coefficients_critical(ctx1):
     assert co.kappa == pytest.approx(1.0, rel=1e-12)
 
 
-def test_limit_model_regimes(ctx15, ctx1):
+def test_limit_model_regimes(grid128, ctx15, ctx1, ctx15p):
     kap15 = kappa(1.5, 1.0, gamma_of_M(1.5))
     assert limit_model(ctx15, 0.0, "diffusive") == (kap15, 0.0)
     assert limit_model(ctx15, 0.5, "high_field") == (0.0, 0.5)
     assert limit_model(ctx15, 0.0, "high_field") == (0.0, 0.0)
-    D = matrix_D(solve_lambda(ctx15), ctx15)
-    assert limit_model(ctx15, 0.5, "diffusive") == (kap15, D * 0.5)
+    # constant sigma: D E = mu(E) = E/nu0, with no solve
+    assert limit_model(ctx15, 0.5, "diffusive") == (kap15, 0.5)
     kap1 = kappa(1.0, 1.0, gamma_of_M(1.0))
-    assert limit_model(ctx1, 0.5, "diffusive") == (kap1, drift_mu(0.5, ctx1))
+    assert limit_model(ctx1, 0.5, "diffusive") == (kap1, 0.5)
+    # perturbed sigma: D E for alpha > 1 and mu(E) at alpha = 1, solved on the grid
+    D = matrix_D(solve_lambda(ctx15p), ctx15p)
+    assert limit_model(ctx15p, 0.5, "diffusive") == (kap15, D * 0.5)
+    assert limit_model(ctx15p, 0.0, "diffusive") == (kap15, 0.0)
+    ctx1p = CollisionContext(grid128, CrossSection(1.0, 0.5), 1.0)
+    assert limit_model(ctx1p, 0.5, "diffusive") == (kap1, drift_mu(0.5, ctx1p))
     with pytest.raises(InvalidInput, match="unknown scaling 'ballistic'"):
         limit_model(ctx15, 0.0, "ballistic")
+
+
+@pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_constant_sigma_drift_is_exactly_E_over_nu0(alpha, scaling):
+    # lambda = -M'/nu0, so D E = mu(E) = int v F dv = E/nu0; the numeric D E
+    # on a grid to |v| = 1000 misses it by up to 3.2e-4 (alpha = 1)
+    ctx = CollisionContext(VelocityGrid(128, 1000.0), CrossSection(2.0), alpha)
+    for E in (0.5, -0.3, 0.0):
+        assert limit_model(ctx, E, scaling)[1] == E / 2.0
 
 
 def test_high_field_drift_is_mean_velocity_of_F(grid128, ctx15p):

@@ -66,8 +66,42 @@ def test_two_legs_equal_one():
 def test_refuses_going_back_in_time():
     s, _ = _single_mode()
     later = advance_macro(s, 1.5, 0.7, 0.0, 0.5)
-    with pytest.raises(InvalidInput, match=r"until=0.2 < current t=0.5"):
+    with pytest.raises(InvalidInput, match=r"time 0.2 must be finite and non-negative, and not before 0.5"):
         advance_macro(later, 1.5, 0.7, 0.0, 0.2)
+
+
+@pytest.mark.parametrize("until", [float("inf"), float("nan")])
+def test_refuses_non_finite_time(until):
+    # exp(-symbol * inf) would give an all-NaN density
+    with pytest.raises(InvalidInput, match=f"time {until} must be finite and non-negative"):
+        advance_macro(gaussian_bump(2 * np.pi, 1.5, 64), 1.5, 1.0, 0.0, until)
+
+
+def _midpoint_bin_means(s, bins, m):
+    H = s.L / bins
+    x = np.arange(bins)[:, None] * H + (np.arange(m) + 0.5) * (H / m)
+    return s(x.ravel()).reshape(bins, m).mean(axis=1)
+
+
+@pytest.mark.parametrize("L, n, bins", [(4 * np.pi, 512, 32), (4 * np.pi, 512, 48), (2 * np.pi, 64, 7)])
+def test_bin_means_are_bin_averages(L, n, bins):
+    # against the 2000-point midpoint rule of the interpolant on each bin,
+    # Richardson-extrapolated with the 1000-point one to O(h^4) (about 1e-18
+    # here); a left-aligned mean of the grid values misses by ~1e-3
+    s = advance_macro(gaussian_bump(L, 1.8, n), 1.5, 1.0, 0.5, 0.5)
+    ref = (4.0 * _midpoint_bin_means(s, bins, 2000) - _midpoint_bin_means(s, bins, 1000)) / 3.0
+    assert np.max(np.abs(s.bin_means(bins) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 32])
+def test_bin_means_single_mode(m):
+    # the mean of 1/L + 0.25 cos(m x) over [a, a + H] in closed form; m = 32 is
+    # the Nyquist mode of the 64-point grid
+    s, _ = _single_mode(m=m)
+    bins, H = 10, 2 * np.pi / 10
+    a = np.arange(bins) * H
+    mean = np.full(bins, 0.25) if m == 0 else 0.25 * (np.sin(m * (a + H)) - np.sin(m * a)) / (m * H)
+    assert np.max(np.abs(s.bin_means(bins) - (1.0 / (2 * np.pi) + mean))) < 1e-15
 
 
 def test_gaussian_bump_normalized():

@@ -414,8 +414,13 @@ def test_time_monotonicity_guard():
     p = _params()
     ens = init_ensemble(replace(p, particles=100))
     ens = advance(ens, 0.2, p, 0.3)
-    with pytest.raises(InvalidInput, match="until=0.1 < current t=0.3"):
+    with pytest.raises(InvalidInput, match="time 0.1 must be finite and non-negative, and not before 0.3"):
         advance(ens, 0.2, p, 0.1)
+
+
+# the messages of params' shared rules: scaling, eps list, report times
+_RUN_REFUSALS = (r"unknown scaling 'hyperbolic'|epsilon values must lie in \(0,1\], at least one and strictly "
+                 r"decreasing; got|time (inf|nan|-0.1|0.1) must be finite and non-negative, and not before")
 
 
 @pytest.mark.parametrize(
@@ -433,7 +438,7 @@ def test_time_monotonicity_guard():
 def test_advance_refusals(eps, until, scaling):
     p = _params()
     ens = init_ensemble(replace(p, particles=100))
-    with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, strictly decreasing eps"):
+    with pytest.raises(InvalidInput, match=_RUN_REFUSALS):
         advance(ens, eps, p, until, scaling=scaling)
 
 
@@ -621,7 +626,7 @@ def test_more_threads_than_cores_same_result(cs):
 def test_block_counts_refusals(scaling, eps_list, times):
     # the shared clock's nested counts need rising rates, so a strictly
     # decreasing eps list; the checks advance makes of one eps and time
-    with pytest.raises(InvalidInput, match="need scaling diffusive or high_field, strictly decreasing eps"):
+    with pytest.raises(InvalidInput, match=_RUN_REFUSALS):
         block_counts(_params(particles=100), scaling, eps_list, times, 1)
 
 

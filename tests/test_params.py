@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +28,12 @@ def test_alpha_range(alpha):
 
 
 def test_epsilon_schedule_checks():
-    with pytest.raises(InvalidInput, match="epsilon_schedule is empty"):
+    rule = r"epsilon values must lie in \(0,1\], at least one and strictly decreasing; got "
+    with pytest.raises(InvalidInput, match=rule + r"\(\)"):
         ModelParams(epsilon_schedule=())
-    with pytest.raises(InvalidInput, match="epsilon_schedule must be strictly decreasing"):
+    with pytest.raises(InvalidInput, match=rule + r"\(0.1, 0.2\)"):
         ModelParams(epsilon_schedule=(0.1, 0.2))
-    with pytest.raises(InvalidInput, match=r"epsilon values must lie in \(0,1\]"):
+    with pytest.raises(InvalidInput, match=rule + r"\(0.2, -0.1\)"):
         ModelParams(epsilon_schedule=(0.2, -0.1))
 
 
@@ -72,8 +74,8 @@ def test_cross_section_bounds():
         (lambda: ModelParams(alpha=True), "alpha=True is not a number"),
         (lambda: ModelParams(domain_length=True), "domain_length=True is not a number"),
         (lambda: ModelParams(final_time=True), "final_time=True is not a number"),
-        (lambda: ModelParams(epsilon_schedule=(True,)), r"epsilon_schedule=\(True,\) is not a number"),
-        (lambda: ModelParams(epsilon_schedule=(0.5, np.True_)), "epsilon_schedule=.* is not a number"),
+        (lambda: ModelParams(epsilon_schedule=(True,)), r"epsilon values must lie in \(0,1\].*got \(True,\)"),
+        (lambda: ModelParams(epsilon_schedule=(0.5, np.True_)), r"epsilon values must lie in \(0,1\].*got \(0.5, "),
         (lambda: ModelParams(vmax_over_inv_eps=True), "vmax_over_inv_eps=True is not a number"),
         (lambda: CrossSection(nu0=True), "nu0=True is not a number"),
         (lambda: CrossSection(amplitude=False), "amplitude=False is not a number"),
@@ -101,6 +103,24 @@ def test_model_params_refuse_non_integer_counts(kw):
     name = next(iter(kw))
     with pytest.raises(InvalidInput, match=f"{name}={kw[name]!r} is not an integer"):
         ModelParams(**kw)
+
+
+_FLOAT_FIELDS = [(CrossSection, "nu0"), (CrossSection, "amplitude"), (FieldSpec, "e0"), (ModelParams, "alpha"),
+                 (ModelParams, "domain_length"), (ModelParams, "final_time"), (ModelParams, "vmax_over_inv_eps")]
+_INT_FIELDS = [(ModelParams, name) for name in ("seed", "particles", "velocity_nodes", "x_bins")]
+
+
+@pytest.mark.parametrize("value", ["1.5", None], ids=["str", "None"])
+@pytest.mark.parametrize("kind, name", _FLOAT_FIELDS + _INT_FIELDS + [(ModelParams, "epsilon_schedule")],
+                         ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_model_types_refuse_strings_and_none(kind, name, value):
+    # one number rule for the model types and the config route: a string or
+    # None is refused by name, not left to a comparison's bare TypeError
+    what = "an integer" if (kind, name) in _INT_FIELDS else "a number"
+    match = (r"epsilon values must lie in \(0,1\].*got " + re.escape(repr(value)) if name == "epsilon_schedule"
+             else re.escape(f"{name}={value!r} is not {what}"))
+    with pytest.raises(InvalidInput, match=match):
+        kind(**{name: value})
 
 
 def test_constant_sigma_is_flat():
@@ -224,6 +244,17 @@ def test_from_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert load_config(path) == p
+
+
+@pytest.mark.parametrize("text, reason", [(b'{"alpha": 1.5,', "Expecting property name"),
+                                          (b'\xff{"alpha": 1.5}', "can't decode byte 0xff")],
+                         ids=["truncated", "not_utf8"])
+def test_load_config_refuses_malformed_json(tmp_path, text, reason):
+    # refused as every input is, with the path and the parser's message
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    with pytest.raises(InvalidInput, match=rf"config file .*cfg\.json is not UTF-8 JSON: .*{reason}"):
+        load_config(path)
 
 
 def test_with_seed():
