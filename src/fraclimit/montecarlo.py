@@ -22,7 +22,8 @@ particle; a flight in the constant field composes exactly at a rejected time.
 Several eps advance on one clock: Poisson counts add, so each eps takes a
 prefix of the candidates drawn for the finest and keeps its own exact law.
 Every row of a pass has one mean, so its counts invert one table of that
-Poisson law (Devroye 1986, III.2), one uniform per particle; every Exp(1)
+Poisson law (Devroye 1986, III.2) through a guide table (III.2.4), O(1) a
+count, one uniform per particle and all rows' from one call; every Exp(1)
 (first flights, the sampler's test variables) is -log1p(-U), by inversion.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
@@ -30,11 +31,12 @@ stream keyed by SeedSequence([seed, block]).  Every Monte Carlo command runs
 through one block-major driver (`block_counts`): each block's initial bump
 is drawn once and copied to one row per eps, all rows are advanced through
 the requested times in order, one shared clock pass per step, and only the
-bin counts and collisions are kept.  So a run holds O(BLOCK) particles per
-eps, and each worker thread draws every pass into the arrays of one
-`_Workspace` for the whole study, which changes no draw.  The driver's pool
-is the package's only one (imported only for more than one thread); results
-depend on the seed alone, not on the number of threads.
+bin counts and collisions are kept; the pass that reaches the last time
+leaves v alone, as nothing reads it after.  So a run holds O(BLOCK)
+particles per eps, and each worker thread draws every pass into the arrays
+of one `_Workspace` for the whole study, which changes no draw.  The
+driver's pool is the package's only one (imported only for more than one
+thread); results depend on the seed alone, not on the number of threads.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .velocity import norm_Z
 BLOCK = 4096  # particles per random stream
 BUMP_WIDTH = 1.8  # width of the initial density bump of the kinetic and macro runs
 _CHUNK = 1 << 15  # sample_M proposals per round: few rounds, and a reused scratch of 2.5 _CHUNK doubles (655 kB)
+_GUIDE = 1 << 10  # cells of a Poisson table's guide; a power of two, so U _GUIDE is exact
 
 
 def _rng_for(seed: int, block: int) -> np.random.Generator:
@@ -103,15 +106,36 @@ def _poisson_pmf(lam: float) -> tuple[int, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)  # a run needs one table per eps row and time step
-def _poisson_table(lam: float) -> tuple[int, np.ndarray]:
-    """(lo, F) for Poisson counts by inversion, k = lo + F.searchsorted(U, "right")
-    (Devroye 1986, III.2): the pmf's running sum over its own total, so each
-    entry keeps its mass and F ends at exactly 1, above every U.  Cached, read-only."""
+def _poisson_table(lam: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, F, guide) for Poisson counts by inversion, k = lo + F.searchsorted(U, "right")
+    (Devroye 1986, III.2): F is the pmf's running sum over its own total, so each
+    entry keeps its mass and F ends at exactly 1, above every U.  The guide table
+    (III.2.4) holds for each cell [c/G, (c+1)/G) of U, G = _GUIDE, the count of F
+    entries <= c/G, or -1 where more than one entry falls inside the cell.  Cached,
+    both arrays read-only."""
     lo, p = _poisson_pmf(lam)
     F = np.cumsum(p)
     F /= F[-1]
-    F.flags.writeable = False
-    return lo, F
+    cells = np.arange(_GUIDE + 1) / _GUIDE
+    guide = F.searchsorted(cells[:-1], side="right")
+    guide[F.searchsorted(cells[1:], side="left") - guide > 1] = -1
+    F.flags.writeable = guide.flags.writeable = False
+    return lo, F, guide
+
+
+def _poisson_counts(u: np.ndarray, lam: float) -> np.ndarray:
+    """Poisson(lam) counts by inversion of the uniforms u, bit for bit
+    lo + F.searchsorted(u, "right") of `_poisson_table(lam)`: the guide
+    gives the count at the start of u's cell (exact, as u G is), one step
+    over the cell's one entry finishes it, and the u in a cell of several
+    entries (-1; one to four of the cells at lam <= 100) search F."""
+    lo, F, guide = _poisson_table(lam)
+    k = guide[(u * _GUIDE).astype(np.intp)]
+    k += F[k] <= u  # F[-1] = 1 > u: a -1 stays
+    slow = (k < 0).nonzero()[0]
+    k[slow] = F.searchsorted(u[slow], side="right")
+    k += lo
+    return k
 
 
 class _Workspace(threading.local):
@@ -238,36 +262,37 @@ def _flight(x, v, dt, E, xfac, eps, L):
 
 
 def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
-                work: _Workspace | None = None) -> np.ndarray:
+                work: _Workspace | None = None, update_v: bool = True) -> np.ndarray:
     """Advance the rows of x and v (shape (m, n), one per eps of the strictly
     decreasing `eps`, so of rising majorant rates r_j) by tau over one shared
     clock per particle in one fused pass.  Returns each row's collisions.
 
     Draws each row's new candidates, Poisson((r_j - r_(j-1)) tau) per
-    particle by inverting one table per mean (one uniform each, row by row),
-    the first flights e0 (Exp(1) by inversion), then the proposals w ~ M with
-    their flights e (`sample_M`'s excesses) row by row, so row j's are the
-    first K_j, plus a zero sentinel slot; at a nonzero amplitude also
-    uniforms U.  Row j takes the pieces of rows <= j, k_j ~ Poisson(r_j tau)
-    candidates per particle: it has the law of its own clock.  Round c of a
-    piece tests its candidate c of the particles with more than c there, and
-    overwrites a rejected w (in a copy of the first K_j but for the last row)
-    with v-.
+    particle by inverting one guided table per mean (one uniform each, all
+    rows' in one call), the first flights e0 (Exp(1) by inversion), then the
+    proposals w ~ M with their flights e (`sample_M`'s excesses) laid out row
+    by row, so row j's are the first K_j, plus a zero sentinel slot; at a
+    nonzero amplitude also uniforms U.  Row j takes the pieces of rows <= j,
+    k_j ~ Poisson(r_j tau) candidates per particle: it has the law of its own
+    clock.  Round c of a piece tests its candidate c of the particles with
+    more than c there, and overwrites a rejected w (in a copy of the first K_j
+    but for the last row) with v-.
     Per-particle sums: one np.add.reduceat over the pieces, added row to row,
-    then the Dirichlet scale tau/(e0 + sum e).  Only x outside [0, L) wrap.
-    The K-sized arrays and the sampler's scratch are `work`'s (fresh ones
-    without it); the returned counts never alias them.
+    then the Dirichlet scale tau/(e0 + sum e); the rest is (m, n) array
+    operations over all rows at once, with each row's constants taken as
+    Python floats.  Only x outside [0, L) wrap.  Without `update_v` (when
+    nothing reads v after the pass) v is left as it was, which changes no
+    draw and no x.  The K-sized arrays and the sampler's scratch are
+    `work`'s (fresh ones without it); the returned counts never alias them.
     """
     m, n = x.shape
     cs, alpha, E, L = params.cross_section, params.alpha, params.field_spec.e0, params.domain_length
     rates = [cs.nu2 / (a**alpha if scaling == "diffusive" else a) for a in eps]
     work = _Workspace() if work is None else work
-    k = np.empty((m, n), dtype=np.int32)
+    k, uk = np.empty((m, n), dtype=np.int32), rng.random((m + 1, n))  # the rows' count uniforms, then e0's
     for j, (r0, r) in enumerate(zip((0.0, *rates), rates)):
-        lo, cdf = _poisson_table((r - r0) * tau)
-        k[j] = cdf.searchsorted(rng.random(n), side="right")
-        k[j] += lo
-    e0 = rng.random(n)
+        k[j] = _poisson_counts(uk[j], (r - r0) * tau)
+    e0 = uk[m]
     _to_exp1(e0)
     bounds = np.zeros((m, n), dtype=np.int64)  # the first candidate of each piece
     np.cumsum(k.ravel()[:-1], out=bounds.ravel()[1:])
@@ -286,39 +311,37 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
 
     scale = tau / (sums(e, m) + e0)
     accepted = np.cumsum(k.sum(axis=1))
+    drift = np.array([E / a for a in eps])[:, None]  # dv/dt per row
+    if update_v:  # each particle's last candidate of the rows up to each, -1 for none
+        last = np.where(empty, -1, bounds + k - 1)
+        for j in range(1, m):  # a row's candidates come after those of the rows before it
+            np.maximum(last[j - 1], last[j], out=last[j])
+        v_end = np.empty((m, n))
 
-    def finish(wj, rows):  # the rows' v at tau and dx less the field's term; wj: each candidate's v after it
-        last, v_end = np.full(n, -1), []  # each particle's last candidate so far
-        for j in range(rows[-1] + 1):
-            last = np.where(empty[j], last, bounds[j] + k[j] - 1)
-            if j in rows:
-                v_end.append(np.where(last < 0, v[j] + (E / eps[j]) * tau, wj[last] + (E / eps[j]) * scale[j] * e[last]))
-        wj *= e[:len(wj)]
-        dx = sums(wj, rows[-1] + 1)
-        for j, vj in zip(rows, v_end):
-            dx[j] += v[j] * e0
-            dx[j] *= scale[j]
-            v[j] = vj
-        return dx
+    def end_v(wj, j):  # row(s) j's v at tau; wj: each candidate's v after it
+        lj = last[j]
+        v_end[j] = np.where(lj < 0, v[j] + drift[j] * tau, wj[lj] + drift[j] * scale[j] * e[lj])
 
     def thin(wj, j):  # row j's accept tests in rounds, piece by piece; a rejected candidate's w in wj becomes v-
-        now, flights, drift = v[j].copy(), e0.copy(), (E / eps[j]) * scale[j]  # as of the latest candidate
+        now, flights, dv = v[j].copy(), e0.copy(), drift[j] * scale[j]  # as of the latest candidate
         for p in range(j + 1):
             order = np.argsort(-k[p])
-            first, before, flight, dv = bounds[p, order], now[order], flights[order], drift[order]
+            first, before, flight, dvp = bounds[p, order], now[order], flights[order], dv[order]
             for c, nc in enumerate(n - np.cumsum(np.bincount(k[p]))[:-1]):  # nc: particles with more than c
                 i = first[:nc] + c
-                v_minus = before[:nc] + dv[:nc] * flight[:nc]
+                v_minus = before[:nc] + dvp[:nc] * flight[:nc]
                 wi = wj[i]
                 keep = u[i] < cs.sigma(wi, v_minus)
                 accepted[j] -= nc - np.count_nonzero(keep)
                 before[:nc] = wj[i] = np.where(keep, wi, v_minus)
                 flight[:nc] = e[i]
             now[order], flights[order] = before, flight
-        return wj
 
     if cs.amplitude == 0.0:
-        dx = finish(w, range(m))
+        if update_v:
+            end_v(w, slice(None))
+        w *= e
+        dx = sums(w, m)
     else:
         u, dx = work.array("u", K), np.empty((m, n))
         rng.random(out=u)
@@ -329,15 +352,25 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
                 Kj = bounds[j + 1, 0]
                 wj = work.array("prefix", Kj + 1)
                 wj[:Kj], wj[Kj] = w[:Kj], 0.0
-            dx[j] = finish(thin(wj, j), [j])[j]
+            thin(wj, j)
+            if update_v:
+                end_v(wj, j)
+            wj *= e[:len(wj)]
+            dx[j] = sums(wj, j + 1)[j]
+    dx += v * e0
+    dx *= scale
+    if update_v:
+        v[...] = v_end
     if E != 0.0:
         e *= e
         s = sums(e, m)
-        for j in range(m):  # row by row: (m, n) temporaries would raise the peak memory
-            s[j] += e0 * e0
-            dx[j] += (E / (2.0 * eps[j])) * scale[j] * scale[j] * s[j]
-    for j in range(m):
-        x[j] += (eps[j] ** (1.0 - alpha) if scaling == "diffusive" else 1.0) * dx[j]
+        s += e0 * e0
+        field = np.array([E / (2.0 * a) for a in eps])[:, None] * scale
+        field *= scale
+        field *= s
+        dx += field
+    dx *= np.array([a ** (1.0 - alpha) if scaling == "diffusive" else 1.0 for a in eps])[:, None]
+    x += dx
     np.mod(x, L, out=x, where=(x < 0) | (x >= L))  # np.mod costs ~9 ns an x; fmod is exact on [0, L)
     return accepted
 
@@ -409,6 +442,7 @@ def block_counts(params: ModelParams, scaling: str, eps_list, times, threads: in
         raise InvalidInput(f"threads={threads} < 1")
     m, N, L, bins = len(eps_list), params.particles, params.domain_length, params.x_bins
     edges, work = np.linspace(0.0, L, bins + 1), _Workspace()  # per worker thread, for this study
+    offset = (2 * np.arange(m)[:, None] + np.arange(min(N, BLOCK)) % 2) * bins  # row j, parity h: (2j + h) bins
 
     def run(block):
         b, sl = block
@@ -416,14 +450,13 @@ def block_counts(params: ModelParams, scaling: str, eps_list, times, threads: in
         x, v = np.empty((2, m, sl.stop - sl.start))
         _draw_block(rng, x[0], v[0], L, params.alpha, BUMP_WIDTH, work)
         x[1:], v[1:] = x[0], v[0]
-        offset = (2 * np.arange(m)[:, None] + np.arange(x.shape[-1]) % 2) * bins  # row j, parity h: (2j + h) bins
         counts = np.empty((m, len(times), 2, bins), dtype=np.intp)
         collisions = np.zeros((m, len(times)), dtype=np.int64)  # per step, then summed
         for k, (t0, t) in enumerate(zip((0.0, *times), times)):
-            if t > t0:
-                collisions[:, k] = _clock_pass(x, v, rng, params, scaling, eps_list, t - t0, work)
+            if t > t0:  # the step that reaches the last time is the last pass: no later one reads v
+                collisions[:, k] = _clock_pass(x, v, rng, params, scaling, eps_list, t - t0, work, t < times[-1])
             i = _bin_index(x, edges)
-            i += offset  # one bincount over every row and parity
+            i += offset[:, :x.shape[-1]]  # one bincount over every row and parity
             counts[:, k] = np.bincount(i.ravel(), minlength=m * 2 * bins).reshape(m, 2, bins)
         return counts, collisions.cumsum(axis=1)
 

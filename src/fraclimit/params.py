@@ -23,11 +23,18 @@ def is_number(x, integral: bool = False) -> bool:
 
 
 def _require_numbers(obj, names, integral: bool = False):
-    """Refuse by name each field of `names` that is not a number (`is_number`)."""
+    """Refuse by name each field of `names` that is not a number (`is_number`)
+    or, unless `integral`, is an int too large for a float."""
     for name in names:
         value = getattr(obj, name)
         if not is_number(value, integral):
             raise InvalidInput(f"{name}={value!r} is not {'an integer' if integral else 'a number'}")
+        if integral:
+            continue
+        try:
+            float(value)
+        except OverflowError:  # an int beyond the largest float
+            raise InvalidInput(f"{name} is an integer too large for a float") from None
 
 
 def require_scaling(scaling):
@@ -224,9 +231,11 @@ def from_config(cfg: dict) -> ModelParams:
 
 
 def load_config(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise InvalidInput(f"config file {path} is not UTF-8 JSON: {err}") from None
+    except OSError as err:  # missing, a directory, unreadable
+        raise InvalidInput(f"config file {path} cannot be read: {err.strerror or err}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise InvalidInput(f"config file {path} is not UTF-8 JSON: {err}") from None
     return from_config(cfg)

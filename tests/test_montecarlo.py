@@ -27,10 +27,12 @@ from fraclimit.cli import main
 from fraclimit.montecarlo import (
     BLOCK,
     _CHUNK,
+    _GUIDE,
     _bin_index,
     _blocks,
     _clock_pass,
     _draw_block,
+    _poisson_counts,
     _poisson_pmf,
     _poisson_table,
     _rng_for,
@@ -161,12 +163,13 @@ def test_poisson_table_law(lam):
     big = ref > 1e-300
     assert np.all(np.abs(pmf[big] - ref[big]) <= 1e-12 * ref[big])
     assert stats.poisson.cdf(lo - 1, lam) + stats.poisson.sf(k[-1], lam) < 1e-15
-    lo_cdf, cdf = _poisson_table(lam)
+    lo_cdf, cdf, guide = _poisson_table(lam)
     assert lo_cdf == lo and len(cdf) == len(pmf) and np.all(np.diff(cdf) >= 0) and cdf[-1] == 1.0
     # the running sum over its own total: the lowest count keeps its mass
     assert abs(cdf[0] - pmf[0] / math.fsum(pmf)) <= 1e-12 * pmf[0] / math.fsum(pmf)
     # built once per mean and read-only, so no caller can spoil another's table
     assert _poisson_table(lam)[1] is cdf and not cdf.flags.writeable
+    assert _poisson_table(lam)[2] is guide and not guide.flags.writeable and len(guide) == _GUIDE
     assert cdf.searchsorted(1.0 - 2.0**-53, side="right") < len(cdf)
     n = 200_000
     observed = np.bincount(cdf.searchsorted(_rng_for(10, 0).random(n), side="right"), minlength=len(cdf))
@@ -180,6 +183,23 @@ def test_poisson_table_law(lam):
     edges[-1] = len(cdf)  # the last bin takes the rest
     obs, exp = np.add.reduceat(observed, edges[:-1]), np.add.reduceat(expected, edges[:-1])
     assert len(obs) >= 2 and stats.chisquare(obs, exp * (n / exp.sum())).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 2.5, 5.6, 44.7, 800.0, 1e4])
+def test_poisson_guide_table_is_the_search(lam):
+    # the guided counts equal the plain inversion lo + F.searchsorted(U,
+    # "right") bit for bit: at both ends of [0, 1), at every entry of F and
+    # the double below it (where one step over a cell's entry decides), and
+    # on random U.  A guide cell holds the count at its start, or -1 where
+    # several entries fall inside it
+    lo, F, guide = _poisson_table(lam)
+    starts = np.arange(_GUIDE) / _GUIDE
+    inside = F.searchsorted(starts + 1.0 / _GUIDE, side="left") - F.searchsorted(starts, side="right")
+    assert np.array_equal(guide, np.where(inside > 1, -1, F.searchsorted(starts, side="right")))
+    assert np.any(guide == -1) and np.any(guide >= 0)
+    on_grid = np.concatenate([F, np.nextafter(F, 0.0)])
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], on_grid[on_grid < 1.0], _rng_for(11, 0).random(1_000_000)])
+    assert np.array_equal(_poisson_counts(u, lam), lo + F.searchsorted(u, side="right"))
 
 
 class _CountingRng:
@@ -354,6 +374,21 @@ def test_thinning_matches_reference(scaling, amplitude):
         assert np.any(xr < 0) and np.any(xr >= L)  # particles left [0, L) on both sides
         assert np.all((x >= 0) & (x <= L))  # and the pass wrapped every one back
         np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+@pytest.mark.parametrize("E", [0.0, 0.5])
+def test_clock_pass_without_v_moves_x_alike(amplitude, E):
+    # a run's last pass skips the velocities nothing reads after it: the
+    # same draws, collisions and x bit for bit, and v left as it was
+    p = _params(cross_section=CrossSection(1.0, amplitude), field_spec=FieldSpec(E), particles=BLOCK + 17)
+    x, v = _rows(init_ensemble(p), 3)
+    x2, v2 = x.copy(), v.copy()
+    rng, rng2, eps_list = _rng_for(4, 2), _rng_for(4, 2), (0.2, 0.1, 0.05)
+    hits = _clock_pass(x, v, rng, p, "diffusive", eps_list, 0.3)
+    assert np.array_equal(_clock_pass(x2, v2, rng2, p, "diffusive", eps_list, 0.3, update_v=False), hits)
+    assert np.array_equal(x2, x) and rng2.random() == rng.random()
+    assert np.array_equal(v2, _rows(init_ensemble(p), 3)[1]) and not np.array_equal(v2, v)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, 0.5])
@@ -591,8 +626,8 @@ def test_clock_pass_memory_is_per_block(cs):
     finally:
         tracemalloc.stop()
     # one block's flights, proposals and thinning uniforms, in buffers reused
-    # from block to block, and the sampler's scratch: 4.1 MB here at constant
-    # sigma, 8.4 MB perturbed; the whole ensemble's flights and proposals
+    # from block to block, and the sampler's scratch: 4.2 MB here at constant
+    # sigma, 8.5 MB perturbed; the whole ensemble's flights and proposals
     # alone would take ~180 MB
     assert peak < 16e6
 

@@ -12,6 +12,7 @@ from fraclimit import (
     from_config,
     load_config,
 )
+from fraclimit.cli import main
 from fraclimit.errors import InvalidInput
 
 
@@ -80,10 +81,16 @@ def test_cross_section_bounds():
         (lambda: CrossSection(nu0=True), "nu0=True is not a number"),
         (lambda: CrossSection(amplitude=False), "amplitude=False is not a number"),
         (lambda: FieldSpec(e0=True), "e0=True is not a number"),
+        # an int no float can hold: refused by name, not a bare OverflowError
+        # (nu0 and e0), nor let through to overflow later (domain_length)
+        (lambda: CrossSection(nu0=10**400), "nu0 is an integer too large for a float"),
+        (lambda: CrossSection(1.0, amplitude=10**400), "amplitude is an integer too large for a float"),
+        (lambda: FieldSpec(10**400), "e0 is an integer too large for a float"),
+        (lambda: ModelParams(domain_length=10**400), "domain_length is an integer too large for a float"),
     ],
     ids=["cross_section", "field", "alpha", "domain_length", "replace_seed", "bool_alpha", "bool_domain_length",
          "bool_final_time", "bool_epsilon_schedule", "numpy_bool_epsilon_schedule", "bool_vmax_over_inv_eps",
-         "bool_nu0", "bool_amplitude", "bool_e0"],
+         "bool_nu0", "bool_amplitude", "bool_e0", "huge_nu0", "huge_amplitude", "huge_e0", "huge_domain_length"],
 )
 def test_model_types_refuse_bad_values_when_built(build, match):
     # refused where the value is made, before a CollisionContext, advance or
@@ -255,6 +262,19 @@ def test_load_config_refuses_malformed_json(tmp_path, text, reason):
     path.write_bytes(text)
     with pytest.raises(InvalidInput, match=rf"config file .*cfg\.json is not UTF-8 JSON: .*{reason}"):
         load_config(path)
+
+
+@pytest.mark.parametrize("make, reason", [(lambda tmp: tmp / "missing.json", "No such file or directory"),
+                                          (lambda tmp: tmp, "Is a directory")], ids=["missing", "directory"])
+def test_load_config_refuses_an_unreadable_path(tmp_path, make, reason):
+    # the OSError of opening the path is a refusal naming it, through the
+    # loader and through the command line alike
+    path = make(tmp_path)
+    match = rf"config file {re.escape(str(path))} cannot be read: {reason}"
+    with pytest.raises(InvalidInput, match=match):
+        load_config(path)
+    with pytest.raises(InvalidInput, match=match):
+        main(["--config", str(path), "--out", str(tmp_path / "out"), "coefficients"])
 
 
 def test_with_seed():
