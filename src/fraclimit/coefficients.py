@@ -74,12 +74,15 @@ def limit_coefficients(ctx: CollisionContext) -> LimitCoefficients:
 
 def limit_model(ctx: CollisionContext, E: float, scaling: str) -> tuple[float, float]:
     """(kappa, drift) of the limit equation in the constant field E: kappa in
-    closed form (diffusive scaling) or 0 (high-field, pure transport).  At
-    constant sigma lambda = -M'/nu0, so the drift D E = mu(E) = int v F dv is
-    E/nu0 in both (the paper's E at nu0 = 1).  Else it is solved on ctx's grid:
-    D E (diffusive, alpha > 1, E != 0) or mu(E) = int v (F - M) dv.
+    closed form (diffusive scaling) or 0 (high-field, pure transport; refused
+    at alpha = 1).  At constant sigma lambda = -M'/nu0, so the drift D E =
+    mu(E) = int v F dv is E/nu0 in both (the paper's E at nu0 = 1).  Else it is
+    solved on ctx's grid: D E (diffusive, alpha > 1, E != 0) or mu(E) = int v (F - M) dv.
     """
     require_scaling(scaling)
+    if scaling == "high_field" and ctx.alpha == 1.0:
+        raise InvalidInput("high-field scaling needs alpha > 1: at alpha = 1 and constant sigma the flights' "
+                           "sum of w s is exactly Cauchy(0, T) at every eps, so pure transport is not the limit")
     cs = ctx.cross_section
     kap = kappa(ctx.alpha, cs.nu0, gamma_of_M(ctx.alpha)) if scaling == "diffusive" else 0.0
     if cs.amplitude == 0.0:

@@ -15,16 +15,20 @@ rejected one leaves v unchanged.  The proposals do not depend on v, so the
 whole clock is drawn up front: K ~ Poisson(rate*tau) candidates in the
 interval tau, K+1 flight times as Dirichlet spacings (normalised
 exponentials), the K after a candidate being the Exp(1) excesses of the
-rejection test that drew its w.  Only the accept tests run in rounds, one
-candidate per particle each; at amplitude 0 (constant sigma) every candidate
-is a collision and there are none.  One fused pass then sums the flights per
-particle; a flight in the constant field composes exactly at a rejected time.
-Several eps advance on one clock: Poisson counts add, so each eps takes a
-prefix of the candidates drawn for the finest and keeps its own exact law.
+rejection test that drew its w.  Several eps advance on one clock: Poisson
+counts add, so the candidates come in pieces, one per eps of those new at its
+rate, and each eps takes the pieces up to its own and keeps its exact law.
 Every row of a pass has one mean, so its counts invert one table of that
 Poisson law (Devroye 1986, III.2) through a guide table (III.2.4), O(1) a
-count, one uniform per particle and all rows' from one call; every Exp(1)
-(first flights, the sampler's test variables) is -log1p(-U), by inversion.
+count; every Exp(1) (first flights, the sampler's test variables) is
+-log(1 - U), by inversion, and every Cauchy draw tan(pi U).  Each piece's
+candidates lie in jagged-diagonal order (Saad 2003, 3.4): one stable radix
+argsort per pass orders its particles by falling count, and round c holds
+candidate c of the nc_c particles with more than c, one contiguous slice.
+The accept tests run round by round (at amplitude 0, constant sigma, every
+candidate is a collision and there are none), and each per-particle sum of
+the fused pass adds a slice per round; a flight in the constant field
+composes exactly at a rejected time.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Every Monte Carlo command runs
@@ -70,19 +74,19 @@ def _blocks(N: int) -> list[slice]:
 
 
 def _to_cauchy(u: np.ndarray):
-    """Uniforms U to standard Cauchy draws tan(pi (U - 1/2)), in place."""
-    u -= 0.5
+    """Uniforms U to standard Cauchy draws tan(pi U), in place (tan has period pi)."""
     u *= np.pi
     np.tan(u, out=u)
 
 
-def _to_exp1(u: np.ndarray):
-    """Uniforms U to Exp(1) draws -log1p(-U), in place, by inversion.  U lies on
-    the 2^-53 grid, so the largest draw is 53 ln 2 ~ 36.7 and the tail mass
-    2^-53 beyond it is lost."""
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.negative(u, out=u)
+def _to_exp1(u: np.ndarray, negated: bool = False):
+    """Uniforms U to Exp(1) draws -log(1 - U), or with `negated` to log(1 - U),
+    in place, by inversion.  U lies on the 2^-53 grid, so 1 - U is exact, the
+    largest draw is 53 ln 2 ~ 36.7 and the tail mass 2^-53 beyond it is lost."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    if not negated:
+        np.negative(u, out=u)
 
 
 def _poisson_pmf(lam: float) -> tuple[int, np.ndarray]:
@@ -154,19 +158,20 @@ class _Workspace(threading.local):
 def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess=None, work=None):
     """Exact draws from M(v) = (1 + v^2)^(-(1+alpha)/2) / Z_M(alpha), alpha >= 1.
 
-    Rejection from a Cauchy proposal (Devroye 1986, II.3): c = tan(pi (U - 1/2))
-    is accepted iff an Exp(1) variate E = -log1p(-U') exceeds
-    t(c) = (alpha-1)/2 log(1 + c^2), i.e. 1 - U' < (1 + c^2)^((1-alpha)/2) =
-    (pi/Z_M) M(c) / Cauchy(c) <= 1, with probability p = Z_M(alpha)/pi (0.76 at
-    alpha = 1.5).  For the m draws still missing a round makes
-    r = min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) proposals from one call of 2r
-    uniforms, the first r for the c and the rest for the E, and keeps the first
-    m accepted.  E is at most 53 ln 2 ~ 36.7, and t(c) < 35.3 at alpha < 2 but
-    for the proposal at U = 0 (c = -1.6e16, t up to 37.4), which can no longer
-    be accepted at alpha > 1.984: a loss of 2^-53 of the proposals.  At
-    alpha = 1, M is the Cauchy law: no test.  `excess` is filled with E - t(c)
-    of each accepted c, i.i.d. Exp(1) and independent of the draws, since the
-    exponential is memoryless (at alpha = 1, fresh Exp(1) draws by inversion).
+    Rejection from a Cauchy proposal (Devroye 1986, II.3): c = tan(pi U) is
+    accepted iff an Exp(1) variate E = -log(1 - U') exceeds
+    t(c) = (alpha-1)/2 log(1 + c^2), tested as log(1 - U') + t(c) < 0, i.e.
+    1 - U' < (1 + c^2)^((1-alpha)/2) = (pi/Z_M) M(c) / Cauchy(c) <= 1, with
+    probability p = Z_M(alpha)/pi (0.76 at alpha = 1.5).  For the m draws still
+    missing a round makes r = min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) proposals
+    from one call of 2r uniforms, the first r for the c and the rest for the E,
+    and keeps the first m accepted.  E is at most 53 ln 2 ~ 36.7, and t(c) < 35.5
+    at alpha < 2 but for the proposal at U = 1/2 (c = 1.6e16, t up to 37.3),
+    which can no longer be accepted at alpha > 1.984: a loss of 2^-53 of the
+    proposals.  At alpha = 1, M is the Cauchy law: no test.  `excess` is filled
+    with E - t(c) of each accepted c, negated from the test's sum, i.i.d. Exp(1)
+    and independent of the draws, since the exponential is memoryless (at
+    alpha = 1, fresh Exp(1) draws by inversion).
     `size=None` returns a scalar; `out` is filled and returned in place of a
     new array.  `out` and `excess` must be writeable C-contiguous float64
     arrays of the result's shape.  `work`, a `_Workspace`, lends the rounds'
@@ -201,17 +206,19 @@ def sample_M(rng: np.random.Generator, alpha: float, size=None, out=None, excess
             u, half = scratch[:2 * r], (r + 1) // 2
             rng.random(out=u)
             _to_cauchy(u[:r])
-            _to_exp1(u[r:])
+            _to_exp1(u[r:], negated=True)
             for c, em in ((u[:half], u[r:r + half]), (u[half:r], u[r + half:])):  # by halves: less scratch
                 t = scratch[2 * r0:2 * r0 + len(c)]
                 np.multiply(c, c, out=t)
                 np.log1p(t, out=t)
                 t *= h
-                em -= t  # E - t(c) > 0 iff E > t(c)
-                i = (em > 0).nonzero()[0][:flat.size - filled]  # the first accepted, no more than are missing
+                em += t  # t(c) - E < 0 iff E > t(c)
+                i = (em < 0).nonzero()[0][:flat.size - filled]  # the first accepted, no more than are missing
                 c.take(i, out=flat[filled:filled + len(i)], mode="clip")  # i is in range; "raise" buffers
                 if xs is not None:
-                    em.take(i, out=xs[filled:filled + len(i)], mode="clip")
+                    x = xs[filled:filled + len(i)]
+                    em.take(i, out=x, mode="clip")
+                    np.negative(x, out=x)
                 filled += len(i)
     return out[()]
 
@@ -261,6 +268,20 @@ def _flight(x, v, dt, E, xfac, eps, L):
     np.mod(x, L, out=x)
 
 
+def _jagged_sums(a: np.ndarray, rows: int, orders: np.ndarray, rounds: list) -> np.ndarray:
+    """(rows, n): per particle, the sums of `a` over its candidates in `_clock_pass`'s
+    pieces up to each row: a slice per round, one scatter per piece, then row to row."""
+    out = np.empty((rows, orders.shape[1]))
+    for j, (order, piece) in enumerate(zip(orders, rounds[:rows])):
+        acc = np.zeros(orders.shape[1])
+        for s, nc in piece:
+            acc[:nc] += a[s:s + nc]
+        out[j, order] = acc
+        if j:
+            out[j] += out[j - 1]
+    return out
+
+
 def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
                 work: _Workspace | None = None, update_v: bool = True) -> np.ndarray:
     """Advance the rows of x and v (shape (m, n), one per eps of the strictly
@@ -270,20 +291,21 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
     Draws each row's new candidates, Poisson((r_j - r_(j-1)) tau) per
     particle by inverting one guided table per mean (one uniform each, all
     rows' in one call), the first flights e0 (Exp(1) by inversion), then the
-    proposals w ~ M with their flights e (`sample_M`'s excesses) laid out row
-    by row, so row j's are the first K_j, plus a zero sentinel slot; at a
-    nonzero amplitude also uniforms U.  Row j takes the pieces of rows <= j,
-    k_j ~ Poisson(r_j tau) candidates per particle: it has the law of its own
-    clock.  Round c of a piece tests its candidate c of the particles with
-    more than c there, and overwrites a rejected w (in a copy of the first K_j
-    but for the last row) with v-.
-    Per-particle sums: one np.add.reduceat over the pieces, added row to row,
-    then the Dirichlet scale tau/(e0 + sum e); the rest is (m, n) array
-    operations over all rows at once, with each row's constants taken as
-    Python floats.  Only x outside [0, L) wrap.  Without `update_v` (when
-    nothing reads v after the pass) v is left as it was, which changes no
-    draw and no x.  The K-sized arrays and the sampler's scratch are
-    `work`'s (fresh ones without it); the returned counts never alias them.
+    proposals w ~ M with their flights e (`sample_M`'s excesses) piece after
+    piece, each in the jagged-diagonal order of the module docstring, so row
+    j's are the first K_j; at a nonzero amplitude also uniforms U.  Row j
+    takes the pieces of rows <= j, k_j ~ Poisson(r_j tau) candidates per
+    particle: it has the law of its own clock.  Per row, the rounds run piece
+    by piece, each on its slice: at a nonzero amplitude they test w against
+    v- and overwrite a rejected w (in a copy of the first K_j but for the last
+    row) with v-, and they carry each particle's latest v and flight on to
+    its v at tau.  Per-particle sums by `_jagged_sums`, then the Dirichlet
+    scale tau/(e0 + sum e); the rest is (m, n) array operations over all rows
+    at once, with each row's constants taken as Python floats.  Only x outside
+    [0, L) wrap.  Without `update_v` (when nothing reads v after the pass) v
+    is left as it was and the rounds run only for the tests, which changes no
+    draw and no x.  The K-sized arrays and the sampler's scratch are `work`'s
+    (fresh ones without it); the returned counts never alias them.
     """
     m, n = x.shape
     cs, alpha, E, L = params.cross_section, params.alpha, params.field_spec.e0, params.domain_length
@@ -294,81 +316,62 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
         k[j] = _poisson_counts(uk[j], (r - r0) * tau)
     e0 = uk[m]
     _to_exp1(e0)
-    bounds = np.zeros((m, n), dtype=np.int64)  # the first candidate of each piece
-    np.cumsum(k.ravel()[:-1], out=bounds.ravel()[1:])
-    K = int(bounds[-1, -1] + k[-1, -1])
-    e, w = work.array("e", K + 1), work.array("w", K + 1)
-    e[K] = w[K] = 0.0
-    sample_M(rng, alpha, out=w[:K], excess=e[:K], work=work)
-    empty = k == 0
-
-    def sums(a, rows):  # (rows, n): per particle, the sums over its candidates of the first rows
-        out = np.add.reduceat(a, bounds[:rows].ravel()).reshape(rows, n)  # an empty piece gets the next entry
-        out[empty[:rows]] = 0.0
-        for j in range(1, rows):  # the cumulative sum over the rows, ~20 times faster than np.cumsum on axis 0
-            out[j] += out[j - 1]
-        return out
-
-    scale = tau / (sums(e, m) + e0)
+    key = k.astype(np.min_scalar_type(k.max()))  # ~k sorts the counts falling
+    orders, rounds, K = np.argsort(np.invert(key, out=key), axis=1, kind="stable"), [], 0
+    for kp in k:  # each round's first slot and width nc_c, the particles with more than c candidates
+        nc = (n - np.cumsum(np.bincount(kp))[:-1]).tolist()
+        rounds.append(list(zip(itertools.accumulate(nc, initial=K), nc)))
+        K += sum(nc)
+    e, w = work.array("e", K), work.array("w", K)
+    sample_M(rng, alpha, out=w, excess=e, work=work)
+    scale = tau / (_jagged_sums(e, m, orders, rounds) + e0)
     accepted = np.cumsum(k.sum(axis=1))
     drift = np.array([E / a for a in eps])[:, None]  # dv/dt per row
-    if update_v:  # each particle's last candidate of the rows up to each, -1 for none
-        last = np.where(empty, -1, bounds + k - 1)
-        for j in range(1, m):  # a row's candidates come after those of the rows before it
-            np.maximum(last[j - 1], last[j], out=last[j])
-        v_end = np.empty((m, n))
+    v_end = np.empty((m, n))
 
-    def end_v(wj, j):  # row(s) j's v at tau; wj: each candidate's v after it
-        lj = last[j]
-        v_end[j] = np.where(lj < 0, v[j] + drift[j] * tau, wj[lj] + drift[j] * scale[j] * e[lj])
-
-    def thin(wj, j):  # row j's accept tests in rounds, piece by piece; a rejected candidate's w in wj becomes v-
+    def run_rounds(wj, j):  # row j's rounds, piece by piece: the accept tests (a rejected w in wj becomes v-), v at tau
         now, flights, dv = v[j].copy(), e0.copy(), drift[j] * scale[j]  # as of the latest candidate
-        for p in range(j + 1):
-            order = np.argsort(-k[p])
-            first, before, flight, dvp = bounds[p, order], now[order], flights[order], dv[order]
-            for c, nc in enumerate(n - np.cumsum(np.bincount(k[p]))[:-1]):  # nc: particles with more than c
-                i = first[:nc] + c
-                v_minus = before[:nc] + dvp[:nc] * flight[:nc]
-                wi = wj[i]
-                keep = u[i] < cs.sigma(wi, v_minus)
-                accepted[j] -= nc - np.count_nonzero(keep)
-                before[:nc] = wj[i] = np.where(keep, wi, v_minus)
-                flight[:nc] = e[i]
+        for order, piece in zip(orders, rounds[:j + 1]):
+            before, flight, dvp = now[order], flights[order], dv[order]
+            for s, nc in piece:
+                wi = wj[s:s + nc]
+                if cs.amplitude != 0.0:
+                    v_minus = before[:nc] + dvp[:nc] * flight[:nc]
+                    keep = u[s:s + nc] < cs.sigma(wi, v_minus)
+                    accepted[j] -= nc - np.count_nonzero(keep)
+                    wi[:] = np.where(keep, wi, v_minus)
+                before[:nc], flight[:nc] = wi, e[s:s + nc]
             now[order], flights[order] = before, flight
+        if update_v:
+            v_end[j] = np.where(k[:j + 1].any(axis=0), now + dv * flights, v[j] + drift[j] * tau)
 
     if cs.amplitude == 0.0:
-        if update_v:
-            end_v(w, slice(None))
+        if update_v:  # every candidate is a collision: the rounds give only v at tau
+            for j in range(m):
+                run_rounds(w, j)
         w *= e
-        dx = sums(w, m)
+        dx = _jagged_sums(w, m, orders, rounds)
     else:
         u, dx = work.array("u", K), np.empty((m, n))
         rng.random(out=u)
         u *= cs.nu2
-        for j in range(m):  # every row but the last thins a copy of its own first K_j, with a zero sentinel
+        for j in range(m):  # every row but the last thins a copy of its own first K_j
             wj = w
             if j < m - 1:
-                Kj = bounds[j + 1, 0]
-                wj = work.array("prefix", Kj + 1)
-                wj[:Kj], wj[Kj] = w[:Kj], 0.0
-            thin(wj, j)
-            if update_v:
-                end_v(wj, j)
+                Kj = int(k[:j + 1].sum())
+                wj = work.array("prefix", Kj)
+                wj[:] = w[:Kj]
+            run_rounds(wj, j)
             wj *= e[:len(wj)]
-            dx[j] = sums(wj, j + 1)[j]
+            dx[j] = _jagged_sums(wj, j + 1, orders, rounds)[j]
     dx += v * e0
     dx *= scale
     if update_v:
         v[...] = v_end
     if E != 0.0:
         e *= e
-        s = sums(e, m)
-        s += e0 * e0
-        field = np.array([E / (2.0 * a) for a in eps])[:, None] * scale
-        field *= scale
-        field *= s
-        dx += field
+        field = np.array([E / (2.0 * a) for a in eps])[:, None] * scale * scale
+        dx += field * (_jagged_sums(e, m, orders, rounds) + e0 * e0)
     dx *= np.array([a ** (1.0 - alpha) if scaling == "diffusive" else 1.0 for a in eps])[:, None]
     x += dx
     np.mod(x, L, out=x, where=(x < 0) | (x >= L))  # np.mod costs ~9 ns an x; fmod is exact on [0, L)

@@ -123,10 +123,16 @@ def test_limit_model_regimes(grid128, ctx15, ctx1, ctx15p):
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_constant_sigma_drift_is_exactly_E_over_nu0(alpha, scaling):
     # lambda = -M'/nu0, so D E = mu(E) = int v F dv = E/nu0; the numeric D E
-    # on a grid to |v| = 1000 misses it by up to 3.2e-4 (alpha = 1)
+    # on a grid to |v| = 1000 misses it by up to 3.2e-4 (alpha = 1).  Under
+    # high-field scaling at alpha = 1 the limit is not pure transport (the
+    # flights' sum of w s is Cauchy(0, T) at every eps): refused
     ctx = CollisionContext(VelocityGrid(128, 1000.0), CrossSection(2.0), alpha)
     for E in (0.5, -0.3, 0.0):
-        assert limit_model(ctx, E, scaling)[1] == E / 2.0
+        if alpha == 1.0 and scaling == "high_field":
+            with pytest.raises(InvalidInput, match="high-field scaling needs alpha > 1: at alpha = 1"):
+                limit_model(ctx, E, scaling)
+        else:
+            assert limit_model(ctx, E, scaling)[1] == E / 2.0
 
 
 def test_high_field_drift_is_mean_velocity_of_F(grid128, ctx15p):

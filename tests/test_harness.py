@@ -559,3 +559,27 @@ def test_cli_refuses_x_dependent_field(tmp_path, command):
     cfg = _write_cfg(tmp_path, field={"kind": "sinusoidal", "e0": 0.5})
     with pytest.raises(InvalidInput, match="unknown field kind 'sinusoidal'"):
         main(["--config", cfg, "--out", str(tmp_path), command])
+
+
+@pytest.mark.parametrize("command", ["coefficients", "converge"])
+def test_cli_refuses_an_out_that_is_a_file(tmp_path, capsys, monkeypatch, command):
+    # refused before any work: nothing printed, and no study started
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("keep", encoding="utf-8")
+    monkeypatch.setattr(cli, "run_convergence", lambda *a, **k: pytest.fail("the study ran"))
+    with pytest.raises(InvalidInput, match=f"--out {out} exists and is not a directory"):
+        main(["--config", cfg, "--out", str(out), command])
+    assert capsys.readouterr().out == "" and out.read_text(encoding="utf-8") == "keep"
+
+
+@pytest.mark.parametrize("command", ["converge", "macro-run"])
+def test_cli_refuses_high_field_at_alpha_one(tmp_path, monkeypatch, command):
+    # at alpha = 1 the high-field limit is not pure transport; converge
+    # refuses it through the macro solve, before any Monte Carlo
+    monkeypatch.setattr(harness.mc, "block_counts", lambda *a, **k: pytest.fail("the Monte Carlo ran"))
+    cfg = _write_cfg(tmp_path, alpha=1.0, field={"kind": "constant", "e0": 0.5})
+    out = tmp_path / "out"
+    with pytest.raises(InvalidInput, match="high-field scaling needs alpha > 1"):
+        main(["--config", cfg, "--out", str(out), command, "--scaling", "high_field"])
+    assert not out.exists()

@@ -23,11 +23,13 @@ from fraclimit import (
     sample_M,
     solve_F,
 )
+from fraclimit import montecarlo
 from fraclimit.cli import main
 from fraclimit.montecarlo import (
     BLOCK,
     _CHUNK,
     _GUIDE,
+    _Workspace,
     _bin_index,
     _blocks,
     _clock_pass,
@@ -107,21 +109,21 @@ def test_sample_M_same_key_same_draws():
 def _sample_M_reference(rng, alpha, n):
     # sample_M's rounds written out plainly: for the m draws still missing,
     # r = min(ceil(m/p + 3 sqrt(m/p)) + 8, _CHUNK) proposals from 2r uniforms
-    # U: Cauchy c = tan(pi (U - 1/2)) from the first r, accepted iff
-    # Exp(1) = -log1p(-U) from the last r exceeds t(c) = (alpha-1)/2 log(1+c^2);
+    # U: Cauchy c = tan(pi U) from the first r, accepted iff
+    # Exp(1) = -log(1 - U) from the last r exceeds t(c) = (alpha-1)/2 log(1+c^2);
     # the first m accepted are kept, with their excesses Exp(1) - t(c).
     # At alpha = 1: n Cauchy draws, then n Exp(1).
     if alpha == 1.0:
-        return np.tan((rng.random(n) - 0.5) * np.pi), -np.log1p(-rng.random(n))
+        return np.tan(rng.random(n) * np.pi), -np.log(1.0 - rng.random(n))
     p = norm_Z(alpha) / math.pi
     v, excess = [], []
     while len(v) < n:
         m = n - len(v)
         r = min(math.ceil(m / p + 3.0 * math.sqrt(m / p)) + 8, _CHUNK)
         u = rng.random(2 * r)
-        c = np.tan((u[:r] - 0.5) * np.pi)
+        c = np.tan(u[:r] * np.pi)
         t = 0.5 * (alpha - 1.0) * np.log1p(c * c)
-        e = -np.log1p(-u[r:])
+        e = -np.log(1.0 - u[r:])
         v.extend(c[e > t][:m])
         excess.extend((e - t)[e > t][:m])
     return np.array(v), np.array(excess)
@@ -278,23 +280,29 @@ def _poisson_by_inversion(u, lam):
 def _clock_pass_reference(x, v, rng, cs, alpha, rates, tau, E, xfacs, eps_list):
     # _clock_pass's draws in the same order: each row's new candidates per
     # particle (coarsest eps first) by inversion of one uniform each, the
-    # first flights -log1p(-U), then the proposals with their flights (the
-    # sampler's excesses) laid out row by row and within a row particle by
-    # particle.  Each row takes each particle's candidates of the rows up to
-    # its own, thinned and summed in a plain loop; returns x unwrapped, and
-    # also the size of the summed displacement terms, the counts k_j and the
-    # accepted counts.  x and v have one row per rate
+    # first flights -log(1 - U), then the proposals with their flights (the
+    # sampler's excesses) laid out row by row, and within a row round by
+    # round: round c holds candidate c of each particle with more than c,
+    # particles by falling count, then by index.  Each row takes each
+    # particle's candidates of the rows up to its own, thinned and summed in
+    # a plain loop; returns x unwrapped, and also the size of the summed
+    # displacement terms, the counts k_j and the accepted counts.  x and v
+    # have one row per rate
     m, n = x.shape
     new = [_poisson_by_inversion(rng.random(n), (r - r0) * tau) for r0, r in zip((0.0, *rates), rates)]
-    e0 = -np.log1p(-rng.random(n))
+    e0 = -np.log(1.0 - rng.random(n))
     K = int(np.sum(new))
     w, e = _sample_M_reference(rng, alpha, K)
     u = rng.random(K) * cs.nu2 if cs.amplitude else np.zeros(K)
     slots, j = [[] for _ in range(n)], 0  # each particle's candidate indices, in order
     for counts in new:
+        order = sorted(range(n), key=lambda i: -counts[i])  # a stable sort
         for i in range(n):
-            slots[i].append(list(range(j, j + counts[i])))
-            j += counts[i]
+            slots[i].append([])
+        for c in range(max(counts, default=0)):
+            for i in order[:np.count_nonzero(counts > c)]:
+                slots[i][-1].append(j)
+                j += 1
     x_out, v_out, size = np.empty((3, m, n))
     accepted = np.zeros(m, dtype=np.int64)
     for row, (xfac, eps) in enumerate(zip(xfacs, eps_list)):
@@ -350,6 +358,52 @@ def test_clock_pass_matches_reference(scaling, E, mean_k):
         assert np.any(xr < 0) and np.any(xr >= L)  # particles left [0, L) on both sides
         assert np.all((x >= 0) & (x <= L))  # and the pass wrapped every one back
         np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * E * tau / eps)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+@pytest.mark.parametrize("eps_list, mean", [
+    ((0.05,), 29.0), ((0.1,), 1.5),  # one dense piece, one sparse one
+    ((0.2, 0.1, 0.05), 28.9),  # piece means 5.6, 10.2 and 28.9
+    ((0.2, 0.2 * (1.0 - 1e-9), 0.1), 2.7),  # means 1.5, ~1e-8 (every particle empty) and 2.7
+])
+def test_jagged_sums_match_fsum(monkeypatch, amplitude, eps_list, mean):
+    # every per-particle sum of a pass (flights, w e and e^2 at E != 0; at a
+    # nonzero amplitude each row's thinned copy) against math.fsum over the
+    # particle's candidates in the pieces up to each row: round c of a piece
+    # holds candidate c of its first nc_c particles in the piece's order, and
+    # the rounds tile the summed array
+    cs, n = CrossSection(1.0, amplitude), 600
+    rates, _ = _pass_args("diffusive", eps_list, cs.nu2)
+    p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=n)
+    calls, jagged_sums = [], montecarlo._jagged_sums
+
+    def spy(a, rows, orders, rounds):
+        out = jagged_sums(a, rows, orders, rounds)
+        calls.append((a.copy(), rows, orders, rounds, out.copy()))
+        return out
+
+    monkeypatch.setattr(montecarlo, "_jagged_sums", spy)
+    x, v = _rows(init_ensemble(p), len(eps_list))
+    tau = mean / (rates[-1] - (rates[-2] if len(rates) > 1 else 0.0))  # the finest piece's mean
+    _clock_pass(x, v, _rng_for(12, 0), p, "diffusive", eps_list, tau)
+    assert len(calls) == (3 if amplitude == 0.0 else len(eps_list) + 2)
+    for a, rows, orders, rounds, out in calls:
+        slots = [[[] for _ in range(n)] for _ in range(rows)]
+        for piece, order, rounds_p in zip(slots, orders, rounds):
+            widths = [nc for _, nc in rounds_p]
+            assert widths == sorted(widths, reverse=True) and (not widths or widths[0] <= n)
+            for s, nc in rounds_p:
+                for r in range(nc):
+                    piece[order[r]].append(s + r)
+        assert sorted(i for piece in slots for own in piece for i in own) == list(range(len(a)))
+        for j in range(rows):
+            for i in range(n):
+                own = a[[c for piece in slots[:j + 1] for c in piece[i]]]
+                assert abs(out[j, i] - math.fsum(own)) <= 1e-12 * math.fsum(np.abs(own))
+    if len(eps_list) == 3 and mean < 3:
+        assert calls[0][3][1] == [] and calls[0][3][0] and calls[0][3][2]  # an all-empty piece between two others
+    widest = max(len(rounds_p) for rounds_p in calls[0][3])
+    assert widest > 40 if mean > 20 else widest < 15
 
 
 @pytest.mark.parametrize("scaling", ["diffusive", "high_field"])
@@ -626,10 +680,28 @@ def test_clock_pass_memory_is_per_block(cs):
     finally:
         tracemalloc.stop()
     # one block's flights, proposals and thinning uniforms, in buffers reused
-    # from block to block, and the sampler's scratch: 4.2 MB here at constant
-    # sigma, 8.5 MB perturbed; the whole ensemble's flights and proposals
+    # from block to block, and the sampler's scratch: 4.3 MB here at constant
+    # sigma, 8.3 MB perturbed; the whole ensemble's flights and proposals
     # alone would take ~180 MB
     assert peak < 16e6
+
+
+def test_workspace_arrays_stay_at_most_2_mib():
+    # each reused buffer is its own 1-D array of at most 2 MiB on the finest
+    # block of the constant-sigma studies (alpha = 1.5, eps = 0.05, tau = 0.5).
+    # glibc serves a request above its mmap threshold by a fresh mapping, and
+    # freeing such a block raises the threshold to its size for the rest of
+    # the process, so a larger buffer would change how fast every later 2 MB
+    # temporary of the process is allocated (ROADMAP item 2: the bench's
+    # calibration kernel).  At amplitude 0.5 the majorant is 1.5 times larger,
+    # and so are the buffers (2.3 MB)
+    p = _params(field_spec=FieldSpec(0.5), particles=BLOCK)
+    x, v = _rows(init_ensemble(p), 3)
+    work = _Workspace()
+    _clock_pass(x, v, _rng_for(3, 0), p, "diffusive", (0.2, 0.1, 0.05), 0.5, work)
+    sizes = {name: a.nbytes for name, a in vars(work).items()}
+    assert set(sizes) == {"e", "w", "sampler"} and all(a.ndim == 1 for a in vars(work).values())
+    assert 2**20 < sizes["e"] and max(sizes.values()) <= 2 * 2**20  # ~183k candidates of 8 bytes, plus 1/16
 
 
 @pytest.mark.parametrize("cs", [CrossSection(1.0), CrossSection(1.0, 0.5)])
