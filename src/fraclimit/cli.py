@@ -197,8 +197,11 @@ def main(argv=None) -> int:
         raise InvalidInput(f"--threads {args.threads} < 1")
     if getattr(args, "field", None) is not None and not math.isfinite(args.field):
         raise InvalidInput(f"--field {args.field} is not finite")
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise InvalidInput(f"--out {args.out} exists and is not a directory")
+    top = os.path.abspath(args.out)
+    while not os.path.lexists(top):  # the nearest existing ancestor, where os.makedirs starts
+        top = os.path.dirname(top)
+    if not os.path.isdir(top):
+        raise InvalidInput(f"--out {args.out}: {top} exists and is not a directory")
     return args.fn(args)
 
 

@@ -25,10 +25,11 @@ count; every Exp(1) (first flights, the sampler's test variables) is
 candidates lie in jagged-diagonal order (Saad 2003, 3.4): one stable radix
 argsort per pass orders its particles by falling count, and round c holds
 candidate c of the nc_c particles with more than c, one contiguous slice.
-The accept tests run round by round (at amplitude 0, constant sigma, every
-candidate is a collision and there are none), and each per-particle sum of
-the fused pass adds a slice per round; a flight in the constant field
-composes exactly at a rejected time.
+The accept tests run round by round, one sweep per eps over its pieces that
+also sums its thinned w e (at amplitude 0, constant sigma, every candidate
+is a collision and there are none), and each per-particle sum of the fused
+pass adds a slice per round; a flight in the constant field composes exactly
+at a rejected time.
 
 Particles are split into fixed blocks of BLOCK; each block owns a PCG64DXSM
 stream keyed by SeedSequence([seed, block]).  Every Monte Carlo command runs
@@ -295,17 +296,18 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
     piece, each in the jagged-diagonal order of the module docstring, so row
     j's are the first K_j; at a nonzero amplitude also uniforms U.  Row j
     takes the pieces of rows <= j, k_j ~ Poisson(r_j tau) candidates per
-    particle: it has the law of its own clock.  Per row, the rounds run piece
-    by piece, each on its slice: at a nonzero amplitude they test w against
-    v- and overwrite a rejected w (in a copy of the first K_j but for the last
-    row) with v-, and they carry each particle's latest v and flight on to
-    its v at tau.  Per-particle sums by `_jagged_sums`, then the Dirichlet
-    scale tau/(e0 + sum e); the rest is (m, n) array operations over all rows
-    at once, with each row's constants taken as Python floats.  Only x outside
-    [0, L) wrap.  Without `update_v` (when nothing reads v after the pass) v
-    is left as it was and the rounds run only for the tests, which changes no
-    draw and no x.  The K-sized arrays and the sampler's scratch are `work`'s
-    (fresh ones without it); the returned counts never alias them.
+    particle: it has the law of its own clock.  Per row, one sweep runs the
+    rounds piece by piece, each on its slice: at a nonzero amplitude it tests
+    w against v- and sums w e, v- in place of a rejected w, as `_jagged_sums`
+    does (it never writes w), and it carries each particle's latest v and
+    flight on to its v at tau.  The other per-particle sums by `_jagged_sums`,
+    then the Dirichlet scale tau/(e0 + sum e); the rest is (m, n) array
+    operations over all rows at once, with each row's constants taken as
+    Python floats.  Only x outside [0, L) wrap.  Without `update_v` (when
+    nothing reads v after the pass) v is left as it was and the sweeps run
+    only for the tests and sums, which changes no draw and no x.  The K-sized
+    arrays and the sampler's scratch are `work`'s (fresh ones without it);
+    the returned counts never alias them.
     """
     m, n = x.shape
     cs, alpha, E, L = params.cross_section, params.alpha, params.field_spec.e0, params.domain_length
@@ -327,43 +329,33 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
     scale = tau / (_jagged_sums(e, m, orders, rounds) + e0)
     accepted = np.cumsum(k.sum(axis=1))
     drift = np.array([E / a for a in eps])[:, None]  # dv/dt per row
-    v_end = np.empty((m, n))
-
-    def run_rounds(wj, j):  # row j's rounds, piece by piece: the accept tests (a rejected w in wj becomes v-), v at tau
+    v_end, thin = np.empty((m, n)), cs.amplitude != 0.0
+    if thin:
+        u, dx = work.array("u", K), np.zeros((m, n))
+        rng.random(out=u)
+        u *= cs.nu2
+    for j in range(m if thin or update_v else 0):  # row j's sweep: the tests, dx[j] += w e (v- if rejected), v at tau
         now, flights, dv = v[j].copy(), e0.copy(), drift[j] * scale[j]  # as of the latest candidate
         for order, piece in zip(orders, rounds[:j + 1]):
             before, flight, dvp = now[order], flights[order], dv[order]
+            acc = np.zeros(n) if thin else None
             for s, nc in piece:
-                wi = wj[s:s + nc]
-                if cs.amplitude != 0.0:
+                wi, ei = w[s:s + nc], e[s:s + nc]
+                if thin:
                     v_minus = before[:nc] + dvp[:nc] * flight[:nc]
                     keep = u[s:s + nc] < cs.sigma(wi, v_minus)
                     accepted[j] -= nc - np.count_nonzero(keep)
-                    wi[:] = np.where(keep, wi, v_minus)
-                before[:nc], flight[:nc] = wi, e[s:s + nc]
+                    wi = np.where(keep, wi, v_minus)
+                    acc[:nc] += wi * ei
+                before[:nc], flight[:nc] = wi, ei
             now[order], flights[order] = before, flight
+            if thin:  # summed from zero per piece, then piece after piece: _jagged_sums' bits
+                dx[j, order] += acc
         if update_v:
             v_end[j] = np.where(k[:j + 1].any(axis=0), now + dv * flights, v[j] + drift[j] * tau)
-
-    if cs.amplitude == 0.0:
-        if update_v:  # every candidate is a collision: the rounds give only v at tau
-            for j in range(m):
-                run_rounds(w, j)
+    if not thin:  # every candidate is a collision: the sweeps gave only v at tau
         w *= e
         dx = _jagged_sums(w, m, orders, rounds)
-    else:
-        u, dx = work.array("u", K), np.empty((m, n))
-        rng.random(out=u)
-        u *= cs.nu2
-        for j in range(m):  # every row but the last thins a copy of its own first K_j
-            wj = w
-            if j < m - 1:
-                Kj = int(k[:j + 1].sum())
-                wj = work.array("prefix", Kj)
-                wj[:] = w[:Kj]
-            run_rounds(wj, j)
-            wj *= e[:len(wj)]
-            dx[j] = _jagged_sums(wj, j + 1, orders, rounds)[j]
     dx += v * e0
     dx *= scale
     if update_v:
@@ -406,14 +398,15 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Each point's bin in np.histogram(x, bins, range=(0, L)), for x in [0, L],
     given that histogram's edges = np.linspace(0, L, bins + 1).
 
-    The index x bins/L, clipped to the bins, is within one of the true bin;
-    it is corrected against the edges as NumPy does, and L falls in the last
-    bin.  np.searchsorted on the edges gives the same, several times slower.
+    The index x bins/L, capped at bins - 1 (x >= 0 keeps it >= 0), is within
+    one of the true bin; it is corrected against the edges as NumPy does, and
+    L falls in the last bin.  np.searchsorted on the edges: the same, slower.
     """
     bins, L = len(edges) - 1, edges[-1]  # linspace ends exactly at L
-    i = np.clip((x * (bins / L)).astype(np.intp), 0, bins - 1)
-    i -= x < edges[i]
-    i += (x >= edges[i + 1]) & (i != bins - 1)
+    i = (x * (bins / L)).astype(np.intp)
+    np.minimum(i, bins - 1, out=i)
+    i -= x < edges.take(i)
+    i += (x >= edges.take(i + 1)) & (i != bins - 1)
     return i
 
 

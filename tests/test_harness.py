@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -563,14 +564,16 @@ def test_cli_refuses_x_dependent_field(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["coefficients", "converge"])
 def test_cli_refuses_an_out_that_is_a_file(tmp_path, capsys, monkeypatch, command):
-    # refused before any work: nothing printed, and no study started
+    # refused before any work: nothing printed, and no study started; also
+    # a directory to be made under the file
     cfg = _write_cfg(tmp_path)
-    out = tmp_path / "taken"
-    out.write_text("keep", encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
     monkeypatch.setattr(cli, "run_convergence", lambda *a, **k: pytest.fail("the study ran"))
-    with pytest.raises(InvalidInput, match=f"--out {out} exists and is not a directory"):
-        main(["--config", cfg, "--out", str(out), command])
-    assert capsys.readouterr().out == "" and out.read_text(encoding="utf-8") == "keep"
+    for out in (taken, taken / "sub"):
+        with pytest.raises(InvalidInput, match=re.escape(f"--out {out}: {taken} exists and is not a directory")):
+            main(["--config", cfg, "--out", str(out), command])
+        assert capsys.readouterr().out == "" and taken.read_text(encoding="utf-8") == "keep"
 
 
 @pytest.mark.parametrize("command", ["converge", "macro-run"])

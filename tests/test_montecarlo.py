@@ -367,11 +367,12 @@ def test_clock_pass_matches_reference(scaling, E, mean_k):
     ((0.2, 0.2 * (1.0 - 1e-9), 0.1), 2.7),  # means 1.5, ~1e-8 (every particle empty) and 2.7
 ])
 def test_jagged_sums_match_fsum(monkeypatch, amplitude, eps_list, mean):
-    # every per-particle sum of a pass (flights, w e and e^2 at E != 0; at a
-    # nonzero amplitude each row's thinned copy) against math.fsum over the
-    # particle's candidates in the pieces up to each row: round c of a piece
-    # holds candidate c of its first nc_c particles in the piece's order, and
-    # the rounds tile the summed array
+    # every per-particle sum of a pass (flights, e^2 at E != 0, and w e at
+    # constant sigma; at a nonzero amplitude each row's sweep sums its own
+    # thinned w e) against math.fsum over the particle's candidates in the
+    # pieces up to each row: round c of a piece holds candidate c of its
+    # first nc_c particles in the piece's order, and the rounds tile the
+    # summed array
     cs, n = CrossSection(1.0, amplitude), 600
     rates, _ = _pass_args("diffusive", eps_list, cs.nu2)
     p = _params(cross_section=cs, field_spec=FieldSpec(0.5), particles=n)
@@ -386,7 +387,7 @@ def test_jagged_sums_match_fsum(monkeypatch, amplitude, eps_list, mean):
     x, v = _rows(init_ensemble(p), len(eps_list))
     tau = mean / (rates[-1] - (rates[-2] if len(rates) > 1 else 0.0))  # the finest piece's mean
     _clock_pass(x, v, _rng_for(12, 0), p, "diffusive", eps_list, tau)
-    assert len(calls) == (3 if amplitude == 0.0 else len(eps_list) + 2)
+    assert len(calls) == (3 if amplitude == 0.0 else 2)
     for a, rows, orders, rounds, out in calls:
         slots = [[[] for _ in range(n)] for _ in range(rows)]
         for piece, order, rounds_p in zip(slots, orders, rounds):
@@ -411,7 +412,8 @@ def test_jagged_sums_match_fsum(monkeypatch, amplitude, eps_list, mean):
 def test_thinning_matches_reference(scaling, amplitude):
     # perturbed sigma: the rounds' accept tests against a plain loop's, on
     # the same draws; a rejection keeps v- and the flight goes on.  One eps,
-    # then three, where every row but the last thins a copy of the proposals
+    # then three, where each row's sweep sums its own thinned w e, the
+    # coarser rows over a prefix of the proposals, which no row rewrites
     for eps_list in [(0.1,), (0.4, 0.2, 0.1)]:
         alpha, E, eps = 1.5, 0.5, eps_list[-1]
         cs = CrossSection(1.0, amplitude)
@@ -686,7 +688,7 @@ def test_clock_pass_memory_is_per_block(cs):
     assert peak < 16e6
 
 
-def test_workspace_arrays_stay_at_most_2_mib():
+def test_workspace_arrays_stay_at_most_2_mib(monkeypatch):
     # each reused buffer is its own 1-D array of at most 2 MiB on the finest
     # block of the constant-sigma studies (alpha = 1.5, eps = 0.05, tau = 0.5).
     # glibc serves a request above its mmap threshold by a fresh mapping, and
@@ -694,7 +696,7 @@ def test_workspace_arrays_stay_at_most_2_mib():
     # the process, so a larger buffer would change how fast every later 2 MB
     # temporary of the process is allocated (ROADMAP item 2: the bench's
     # calibration kernel).  At amplitude 0.5 the majorant is 1.5 times larger,
-    # and so are the buffers (2.3 MB)
+    # and so are the buffers (2.3 MB): there only their names are checked
     p = _params(field_spec=FieldSpec(0.5), particles=BLOCK)
     x, v = _rows(init_ensemble(p), 3)
     work = _Workspace()
@@ -702,6 +704,19 @@ def test_workspace_arrays_stay_at_most_2_mib():
     sizes = {name: a.nbytes for name, a in vars(work).items()}
     assert set(sizes) == {"e", "w", "sampler"} and all(a.ndim == 1 for a in vars(work).values())
     assert 2**20 < sizes["e"] and max(sizes.values()) <= 2 * 2**20  # ~183k candidates of 8 bytes, plus 1/16
+    # perturbed: each row's sweep thins and sums without a copy of its
+    # proposals, and never writes them (read-only once drawn)
+    p = replace(p, cross_section=CrossSection(1.0, 0.5))
+    x, v = _rows(init_ensemble(p), 3)
+    work, sample = _Workspace(), montecarlo.sample_M
+
+    def sample_read_only(*args, out, **kw):
+        sample(*args, out=out, **kw)
+        out.flags.writeable = False
+
+    monkeypatch.setattr(montecarlo, "sample_M", sample_read_only)
+    _clock_pass(x, v, _rng_for(3, 0), p, "diffusive", (0.2, 0.1, 0.05), 0.5, work)
+    assert set(vars(work)) == {"e", "w", "u", "sampler"}
 
 
 @pytest.mark.parametrize("cs", [CrossSection(1.0), CrossSection(1.0, 0.5)])
