@@ -13,9 +13,8 @@ from .velocity import _LAG_W, _LAG_Z, _WG, _XG, VelocityGrid, VelocityProfile, e
 # panel edges before the kink, in units of 0.5/nu_min; 0.5 * 2^7 > 45, so the
 # last one always lies past the 45/nu_min truncation
 _DOUBLING = 2.0 ** np.arange(8)
-# quadrature points per block when assembling or applying a flight plan:
-# bounds the (PANEL_PTS x points) and (points x columns) arrays; at 1024 the
-# former hold 16384 entries, no more than a 128 x 128 matrix of the u solve
+# quadrature points per block when assembling a flight plan: bounds the
+# (PANEL_PTS x points) arrays to 16384 entries, those of a 128 x 128 matrix
 _PLAN_BLOCK = 1024
 
 
@@ -30,7 +29,8 @@ class CollisionContext:
     symmetry (at the price of an O(tail-mass) offset from nu0 for the
     constant cross section), and it is the same closed form off the grid.
     Immutable after construction, except for two memos keyed by the field
-    value E: the last flight plan of A^-1 (see `flight_inverse`), and
+    value E: the last interpolating flight plan of A^-1 (see
+    `apply_A_inverse`; only the power iteration builds one), and
     u = (F - M)/E at E = 0 and the last E (see `equilibrium._solve_u`).
     """
 
@@ -74,8 +74,7 @@ def apply_Q(f: VelocityProfile, ctx: CollisionContext) -> VelocityProfile:
 
 
 class _FlightPlan(NamedTuple):
-    """A^-1 at one field value E > 0: (A^-1 h)_i = (P h)_i + sum w h(q) over
-    the tail points (q, w) of row i, which lie beyond vmax."""
+    """A^-1 at one E > 0: (A^-1 h)_i = (P h)_i + sum w h(q) over row i's tail points beyond vmax."""
 
     E: float
     P: np.ndarray
@@ -90,7 +89,7 @@ def _flight_points(E: float, ctx: CollisionContext):
     Returns (row, s, c, z): point k adds c_k exp(z_k - damp_k) h(v_row - E s_k)
     to row `row`, with damp = int_0^s nu(v - E t) dt.  Rows v > 0 get only
     their panels before the kink s0 = v/E: past it, all of them share one
-    set of points (see `_build_flight_plan`).
+    set of points (see `_flight_quadrature`).
     """
     v = ctx.grid.nodes
     n2 = len(v) // 2
@@ -112,14 +111,17 @@ def _flight_points(E: float, ctx: CollisionContext):
     return tuple(np.concatenate(parts) for parts in zip(lag, leg))
 
 
-def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
-    g = ctx.grid
-    n, n2 = g.n, g.n // 2
+def _flight_quadrature(E: float, ctx: CollisionContext):
+    """A^-1 at E > 0 as points q along the flights: ((row, q, w), (r, qs, ws)).
+
+    (A^-1 h)_i sums w h(q) over row i's points (`_flight_points`) and, for
+    v_i > 0, adds r_i sum ws h(qs): past the kink, s = v/E + z/nu_min, all
+    rows v > 0 share q = -E z/nu_min, and their damping splits into a row
+    part A v/E + B/E log1p(v) and a point part A z/nu_min + B/E log1p(|q|).
+    """
     A, B = ctx.nu_coefficients
-    # the points of `_flight_points`: point k adds w_k h(q_k) to row `row`,
-    # with q = v - E s and w = c exp(z - damp)
     row, s, c, z = _flight_points(E, ctx)
-    v = g.nodes[row]
+    v = ctx.grid.nodes[row]
     q = v - E * s
     # the damping int_0^s nu(v - E t) dt of nu = A + B/(1+|w|) in closed form,
     # A s plus B/E times the log of (1 + max(|v|,|q|))/(1 + min(|v|,|q|)) while
@@ -128,7 +130,18 @@ def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
     logs = np.where((q >= 0) == (v >= 0), np.log1p(E * s / (1.0 + np.minimum(av, aq))),
                     np.log1p(av) + np.log1p(aq))
     w = c * np.exp(z - A * s - B / E * logs)
-    del v, s, c, z, av, aq, logs  # free the point temporaries before P's blocks allocate
+    zn = _LAG_Z / ctx.nu_min
+    qs = -E * zn
+    ws = _LAG_W / ctx.nu_min * np.exp(_LAG_Z - A * zn - B / E * np.log1p(E * zn))
+    vp = ctx.grid.nodes[ctx.grid.n // 2:]
+    r = np.exp(-A * vp / E - B / E * np.log1p(vp))
+    return (row, q, w), (r, qs, ws)
+
+
+def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
+    g = ctx.grid
+    n, n2 = g.n, g.n // 2
+    (row, q, w), (r, qs, ws) = _flight_quadrature(E, ctx)
     P = np.zeros(n * n)
     outside = np.abs(q) > g.vmax
     for lo in range(0, len(q), _PLAN_BLOCK):
@@ -139,19 +152,12 @@ def _build_flight_plan(E: float, ctx: CollisionContext) -> _FlightPlan:
         coef *= w[blk][inside]
         P += np.bincount(cols.ravel(), coef.ravel(), minlength=n * n)
     P = P.reshape(n, n)
-    # rows v > 0 past the kink, s = v/E + z/nu_min, share the points
-    # q = -E z/nu_min, and their damping splits into a row part
-    # A v/E + B/E log1p(v) and a point part A z/nu_min + B/E log1p(|q|): their
-    # block of P is the rank-one r (x) p, p the weighted rows of the points
-    zn = _LAG_Z / ctx.nu_min
-    qs = -E * zn
-    ws = _LAG_W / ctx.nu_min * np.exp(_LAG_Z - A * zn - B / E * np.log1p(E * zn))
-    vp = g.nodes[n2:]
-    r = np.exp(-A * vp / E - B / E * np.log1p(vp))
+    # the shared points: their block of P is the rank-one r (x) p, p the
+    # weighted rows of the points inside the grid; those beyond vmax join the
+    # tail points once per row
     far = -qs > g.vmax
     cols, coef = g.interp_rows(qs[~far])
     P[n2:] += np.outer(r, np.bincount(cols.ravel(), (coef * ws[~far]).ravel(), minlength=n))
-    # their points beyond vmax join the tail points once per row
     rows_out = np.concatenate([row[outside], np.repeat(np.arange(n2, n), np.count_nonzero(far))])
     q_out = np.concatenate([q[outside], np.tile(qs[far], n2)])
     w_out = np.concatenate([w[outside], np.outer(r, ws[far]).ravel()])
@@ -162,35 +168,40 @@ def apply_A_inverse(h: VelocityProfile, E: float, ctx: CollisionContext) -> Velo
     """Inverse of A = nu + E d/dv along accelerated flights.
 
     (A^-1 h)(v) = int_0^inf exp(-int_0^s nu(v - E tau) dtau) h(v - E s) ds,
-    with the damping integral in closed form (`_build_flight_plan`), free of
+    with the damping integral in closed form (`_flight_quadrature`), free of
     cancellation at any E.  nu and h may have a |v|-type kink at v = 0, so
     the s-integral is split at the crossing s = v/E: composite Gauss-Legendre
-    before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.  Beyond
-    vmax, h is its power-law tail fit, and a diverging fit is refused.
+    before it, shifted Gauss-Laguerre (scaled by 1/min(nu)) after it.  The
+    context memoises a plan per E: the points inside [-vmax, vmax] collapse
+    into one interpolating n x n matrix P; beyond vmax, h is its tail fit, a
+    diverging fit refused.  E = 0 divides by nu; E < 0 mirrors onto |E| (nu
+    is even, the grid symmetric).
     """
     ctx.check_profile(h)
-    out = flight_inverse(E, ctx, h.values[:, None], lambda q: ctx.grid.interp(h.values, q)[:, None])
-    return VelocityProfile(ctx.grid, out[:, 0])
-
-
-def flight_inverse(E: float, ctx: CollisionContext, nodal: np.ndarray, beyond) -> np.ndarray:
-    """A^-1 (see `apply_A_inverse`) of the columns of `nodal` (n x m), whose
-    values at points |q| > vmax are `beyond(q)` (len(q) x m); exact values
-    make the result linear.  The context memoises a flight plan per E: its
-    points inside [-vmax, vmax] collapse into one interpolating n x n matrix P.
-    E = 0 divides by nu; E < 0 mirrors onto |E| (nu is even, the grid symmetric).
-    """
+    g = ctx.grid
     if E == 0.0:
-        return nodal / ctx.nu.values[:, None]
+        return VelocityProfile(g, h.values / ctx.nu.values)
     if E < 0.0:
-        return flight_inverse(-E, ctx, nodal[::-1], lambda q: beyond(-q))[::-1]
+        return VelocityProfile(g, apply_A_inverse(VelocityProfile(g, h.values[::-1]), -E, ctx).values[::-1])
     plan = ctx._flight_plan
     if plan is None or plan.E != E:
         plan = ctx._flight_plan = _build_flight_plan(E, ctx)
-    out = plan.P @ nodal
-    for lo in range(0, len(plan.q_out), _PLAN_BLOCK):
-        blk = slice(lo, lo + _PLAN_BLOCK)
-        np.add.at(out, plan.rows_out[blk], plan.w_out[blk, None] * beyond(plan.q_out[blk]))
+    out = plan.P @ h.values
+    np.add.at(out, plan.rows_out, plan.w_out * g.interp(h.values, plan.q_out))
+    return VelocityProfile(g, out)
+
+
+def flight_integral(f, E: float, ctx: CollisionContext) -> np.ndarray:
+    """A^-1 (`apply_A_inverse`) at the nodes, (m, n), of m functions known at
+    every point, f(points) of shape (m, len(points)): the flight quadrature
+    takes f at its own points, so nothing is interpolated and no plan built."""
+    if E == 0.0:
+        return f(ctx.grid.nodes) / ctx.nu.values
+    if E < 0.0:
+        return flight_integral(lambda q: f(-q), -E, ctx)[:, ::-1]
+    (row, q, w), (r, qs, ws) = _flight_quadrature(E, ctx)
+    out = np.array([np.bincount(row, w * fk, minlength=ctx.grid.n) for fk in f(q)])
+    out[:, ctx.grid.n // 2:] += np.outer(f(qs) @ ws, r)
     return out
 
 

@@ -1,6 +1,6 @@
 """Field-modified equilibrium F(v,E), the auxiliary field lambda, and derived objects.
 
-F = M + E u with u = (F - M)/E from one linear solve, and u = lambda at E = 0;
+F = M + E u with u = (F - M)/E from one rank-two solve, and u = lambda at E = 0;
 R = E u, G = E (u - lambda) and mu = E int v u are never differences of profiles.
 The closed form at constant sigma builds its 128-point rule on first use.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import CollisionContext, apply_A_inverse, apply_K, apply_Q, apply_T, flight_inverse
+from .collision import CollisionContext, apply_A_inverse, apply_K, apply_Q, apply_T, flight_integral
 from .errors import InvalidInput, SolverFailure
 from .velocity import VelocityProfile, eval_M, moment, norm_Z
 
@@ -64,36 +64,29 @@ def _solve_u(E: float, ctx: CollisionContext) -> np.ndarray:
 
 
 def _assemble_u(E: float, ctx: CollisionContext) -> np.ndarray:
-    """u = (F - M)/E: (I - B) u = -A^-1 dM/dv with sum w_i u_i = 0, B = A^-1 K.
+    """u = (F - M)/E: (I - A^-1 K) u = -A^-1 dM/dv with sum w_i u_i = 0.
 
-    This is E dF/dv = Q(F) for F = M + E u, as K(M) = nu M.  K and dM/dv are
-    exact beyond vmax, so the system is linear.  At E = 0, A = nu and
-    Q(u) = dM/dv: u = lambda.
-    Solved for u/M (the L^2(M^-1) weighting; unscaled, far tails of ~1e-21
-    come out as roundoff): the border column is 1, the constraint row w*M.
-    E times the multiplier is the defect of F; it tracks the power iteration's
-    eig - 1 (within 1 % on VelocityGrid(128, 40)) and is refused above its 1e-6.
+    This is E dF/dv = Q(F) for F = M + E u, as K(M) = nu M.  sigma is rank
+    two, K u = M (nu0 <u> + a g <g u>) with g = 1/(1+|v|) and <.> K's grid
+    sums: bordered by mu along M, u = r + a S c - mu M for r = -A^-1 dM/dv
+    and c = A^-1 (M g), both exact (`flight_integral`), and (S, mu) solving
+    the 2 x 2 system S = <g u>, <u> = 0.  At E = 0, A = nu and Q(u) = dM/dv:
+    u = lambda.  E mu is the defect of F; it tracks the power iteration's
+    eig - 1 (within 1 % on VelocityGrid(128, 40)) and is refused above 1e-6.
     """
-    g, n, M, alpha = ctx.grid, ctx.grid.n, ctx.M.values, ctx.alpha
-
-    def beyond(q):
-        gain = eval_M(q, alpha)[:, None] * ctx.cross_section.sigma(q[:, None], g.nodes) * g.weights
-        return np.column_stack([gain, eval_M_deriv(q, alpha)])
-
-    nodal = np.column_stack([M[:, None] * ctx.sigma_matrix * g.weights, eval_M_deriv(g.nodes, alpha)])
-    X = flight_inverse(E, ctx, nodal, beyond)
-    A = np.block([[np.eye(n) - X[:, :n] * M / M[:, None], np.ones((n, 1))],
-                  [g.weights * M, np.zeros(1)]])
-    b = np.append(-X[:, n] / M, 0.0)
+    g, M, alpha, a = ctx.grid, ctx.M.values, ctx.alpha, ctx.cross_section.amplitude
+    r, c = flight_integral(lambda q: np.stack([-eval_M_deriv(q, alpha), eval_M(q, alpha) / (1.0 + np.abs(q))]), E, ctx)
+    w, gw = g.weights, g.weights / (1.0 + np.abs(g.nodes))
+    system = np.array([[1.0 - a * (gw @ c), gw @ M], [-a * (w @ c), w @ M]])
     try:
-        sol = np.linalg.solve(A, b)
+        S, mu = np.linalg.solve(system, [gw @ r, w @ r])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - grid pathology
         raise SolverFailure(str(exc)) from exc
-    if not abs(E * sol[n]) <= 1e-6:
-        raise SolverFailure(f"border multiplier {E * sol[n]:.3e} (times E) exceeds 1e-6 at E={E}")
+    if not abs(E * mu) <= 1e-6:
+        raise SolverFailure(f"border multiplier {E * mu:.3e} (times E) exceeds 1e-6 at E={E}")
+    u = r + a * S * c - mu * M
     # shifting u along the null vector F = M + E u only rescales F; the shift
     # to zero tail-corrected mass makes E u = F - M with F at the mass of M
-    u = M * sol[:n]
     F = VelocityProfile(g, M + E * u)
     return u - moment(VelocityProfile(g, u), 0) / moment(F, 0) * F.values
 

@@ -92,19 +92,7 @@ def run_operator_study(params: ModelParams) -> dict:
     rows = []
     for eps in eps_list:
         le = L_eps(phi, eps, E, ctx)
-        rows.append(
-            {
-                "eps": eps,
-                "sup_error": float(np.max(np.abs(le.rho - lim.rho))),
-                "l2_error": float(np.sqrt(np.mean((le.rho - lim.rho) ** 2) * params.domain_length)),
-            }
-        )
+        rows.append({"eps": eps, "sup_error": float(np.max(np.abs(le.rho - lim.rho))),
+                     "l2_error": float(np.sqrt(np.mean((le.rho - lim.rho) ** 2) * params.domain_length))})
     order, monotone = fit_order(eps_list, [r["sup_error"] for r in rows])
-    return {
-        "alpha": alpha,
-        "E": E,
-        "drift": drift_gen,
-        "rows": rows,
-        "fitted_order": order,
-        "monotone": monotone,
-    }
+    return {"alpha": alpha, "E": E, "drift": drift_gen, "rows": rows, "fitted_order": order, "monotone": monotone}

@@ -300,7 +300,8 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
     rounds piece by piece, each on its slice: at a nonzero amplitude it tests
     w against v- and sums w e, v- in place of a rejected w, as `_jagged_sums`
     does (it never writes w), and it carries each particle's latest v and
-    flight on to its v at tau.  The other per-particle sums by `_jagged_sums`,
+    flight on to its v at tau (untested, at amplitude 0, row j runs piece j
+    only, on from row j - 1's).  The other per-particle sums by `_jagged_sums`,
     then the Dirichlet scale tau/(e0 + sum e); the rest is (m, n) array
     operations over all rows at once, with each row's constants taken as
     Python floats.  Only x outside [0, L) wrap.  Without `update_v` (when
@@ -335,8 +336,11 @@ def _clock_pass(x, v, rng, params: ModelParams, scaling: str, eps, tau: float,
         rng.random(out=u)
         u *= cs.nu2
     for j in range(m if thin or update_v else 0):  # row j's sweep: the tests, dx[j] += w e (v- if rejected), v at tau
-        now, flights, dv = v[j].copy(), e0.copy(), drift[j] * scale[j]  # as of the latest candidate
-        for order, piece in zip(orders, rounds[:j + 1]):
+        first = 0 if thin else j  # untested, pieces < j carry on as row j - 1's sweep left them
+        if first == 0:
+            now, flights = v[j].copy(), e0.copy()  # as of the latest candidate
+        dv = drift[j] * scale[j]
+        for order, piece in zip(orders[first:], rounds[first:j + 1]):
             before, flight, dvp = now[order], flights[order], dv[order]
             acc = np.zeros(n) if thin else None
             for s, nc in piece:

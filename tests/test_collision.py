@@ -15,7 +15,7 @@ from fraclimit import (
     eval_M,
     gamma_of_M,
 )
-from fraclimit.collision import _flight_points
+from fraclimit.collision import _flight_points, flight_integral
 from fraclimit.equilibrium import solve_F
 from fraclimit.errors import InvalidInput
 
@@ -222,14 +222,17 @@ def test_A_inverse_matches_per_point_quadrature(ctx15p_short, E):
 
 
 def test_A_inverse_plan_memo_not_stale(ctx15p_short):
-    # one context solving at E1, E2, E1 gives bitwise what fresh contexts give
+    # one context applying A^-1 (the plan memo) and solving for F (the u memo)
+    # at E1, E2, E1 gives bitwise what fresh contexts give
     grid = ctx15p_short.grid
     ctx = CollisionContext(grid, CrossSection(1.0, 0.5), 1.5)
+    h = VelocityProfile(grid, ctx.nu.values * ctx.M.values)
     fields = (0.3, 0.1, 0.3)
-    shared = [solve_F(E, ctx).profile.values for E in fields]
-    for E, got in zip(fields, shared):
-        fresh = solve_F(E, CollisionContext(grid, CrossSection(1.0, 0.5), 1.5))
-        assert np.array_equal(got, fresh.profile.values)
+    shared = [(apply_A_inverse(h, E, ctx).values, solve_F(E, ctx).profile.values) for E in fields]
+    for E, (got_a, got_F) in zip(fields, shared):
+        fresh = CollisionContext(grid, CrossSection(1.0, 0.5), 1.5)
+        assert np.array_equal(got_a, apply_A_inverse(h, E, fresh).values)
+        assert np.array_equal(got_F, solve_F(E, fresh).profile.values)
 
 
 def _panel_points_per_row(E, ctx):
@@ -308,3 +311,35 @@ def test_A_inverse_shared_block_matches_per_point_assembly(ctx15p_short, amplitu
     # at E = 0.5 some shared points lie beyond vmax: every row v > 0 gets them
     shared_out = np.unique(ctx._flight_plan.rows_out[v[ctx._flight_plan.rows_out] > 0])
     assert len(shared_out) == (ctx.grid.n // 2 if E == 0.5 else 0)
+
+
+def _two_smooth(q):
+    # two functions known at every point, one odd-skewed and one even
+    return np.stack([eval_M(q, 1.5) * (1 + 0.4 * np.tanh(q)), 1.0 / (1.0 + q * q)])
+
+
+def test_flight_integral_field_free_divides_by_nu(ctx15p):
+    got = flight_integral(_two_smooth, 0.0, ctx15p)
+    assert np.array_equal(got, _two_smooth(ctx15p.grid.nodes) / ctx15p.nu.values)
+
+
+@pytest.mark.parametrize("E", [0.5, 0.05])
+def test_flight_integral_mirrors_negative_field(ctx15p_short, E):
+    # nu is even and the grid symmetric: A^-1 at -E of f(q) is A^-1 at E of f(-q), reversed
+    got = flight_integral(_two_smooth, -E, ctx15p_short)
+    assert np.array_equal(got, flight_integral(lambda q: _two_smooth(-q), E, ctx15p_short)[:, ::-1])
+    assert not np.allclose(got, flight_integral(_two_smooth, E, ctx15p_short))
+
+
+@pytest.mark.parametrize("E", [0.5, -0.5, 0.05, 5.0])
+@pytest.mark.parametrize("vmax", [40.0, 200.0])
+def test_flight_integral_matches_A_inverse(vmax, E):
+    # the exact integrals against the interpolating plan on the nodal values
+    # (and their tail fit beyond vmax): the same quadrature, so they differ
+    # only by interpolation error
+    ctx = CollisionContext(VelocityGrid(128, vmax), CrossSection(1.0, 0.5), 1.5)
+    got = flight_integral(_two_smooth, E, ctx)
+    assert ctx._flight_plan is None
+    for exact, nodal in zip(got, _two_smooth(ctx.grid.nodes)):
+        ref = apply_A_inverse(VelocityProfile(ctx.grid, nodal), E, ctx).values
+        assert np.max(np.abs(exact - ref)) <= 1e-7 * np.max(np.abs(ref))

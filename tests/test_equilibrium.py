@@ -17,7 +17,8 @@ from fraclimit import (
     solve_F,
     solve_lambda,
 )
-from fraclimit.equilibrium import _laguerre128, eval_M_deriv
+from fraclimit.collision import _build_flight_plan
+from fraclimit.equilibrium import _assemble_u, _laguerre128, eval_M_deriv
 from fraclimit.errors import InvalidInput, SolverFailure
 
 
@@ -115,6 +116,66 @@ def test_cli_equilibrium_assembles_each_u_once(tmp_path, monkeypatch):
     assert sorted(calls) == [0.0, 0.5]
 
 
+@pytest.mark.parametrize("argv", [["equilibrium", "--field", "0.5", "--raw-field"], ["operator-check"]])
+def test_cli_perturbed_builds_no_flight_plan(tmp_path, monkeypatch, argv):
+    # u takes A^-1 at the flight quadrature's own points: no interpolating plan
+    from fraclimit import collision
+    from fraclimit.cli import main
+
+    made, init = [], collision.CollisionContext.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(collision.CollisionContext, "__init__", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1.5, "cross_section": {"kind": "PerturbedConstant",
+                                                               "nu0": 1.0, "amplitude": 0.5},
+                               "field": {"kind": "constant", "e0": 0.5}}), encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), *argv]) == 0
+    assert made and all(ctx._flight_plan is None for ctx in made)
+
+
+def _bordered_u(E, ctx):
+    """u = (F - M)/E by the dense bordered solve in u/M: the n columns of
+    A^-1 K and A^-1 dM/dv through the interpolating flight plan (exact
+    values beyond vmax, E < 0 mirrored), the border column 1 and the
+    constraint row w M, then the shift to zero tail-corrected mass."""
+    g, n, M, alpha = ctx.grid, ctx.grid.n, ctx.M.values, ctx.alpha
+
+    def beyond(q):
+        gain = eval_M(q, alpha)[:, None] * ctx.cross_section.sigma(q[:, None], g.nodes) * g.weights
+        return np.column_stack([gain, eval_M_deriv(q, alpha)])
+
+    nodal = np.column_stack([M[:, None] * ctx.sigma_matrix * g.weights, eval_M_deriv(g.nodes, alpha)])
+    if E == 0.0:
+        X = nodal / ctx.nu.values[:, None]
+    else:
+        s = 1 if E > 0 else -1
+        plan = _build_flight_plan(abs(E), ctx)
+        X = plan.P @ nodal[::s]
+        np.add.at(X, plan.rows_out, plan.w_out[:, None] * beyond(s * plan.q_out))
+        X = X[::s]
+    A = np.block([[np.eye(n) - X[:, :n] * M / M[:, None], np.ones((n, 1))],
+                  [g.weights * M, np.zeros(1)]])
+    u = M * np.linalg.solve(A, np.append(-X[:, n] / M, 0.0))[:n]
+    F = VelocityProfile(g, M + E * u)
+    return u - moment(VelocityProfile(g, u), 0) / moment(F, 0) * F.values
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("amplitude", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("E", [0.0, 0.05, -0.05, 0.5])
+def test_rank_two_u_matches_bordered_reference(grid128, alpha, amplitude, E):
+    # the rank-two solve and the dense one solve the same system; they differ
+    # only where the plan interpolates the integrands that u takes exactly
+    ctx = CollisionContext(grid128, CrossSection(1.0, amplitude), alpha)
+    ref = _bordered_u(E, ctx)
+    u = _assemble_u(E, ctx)
+    assert np.max(np.abs(u - ref)) <= (1e-13 if E == 0.0 else 1e-7) * np.max(np.abs(ref))
+
+
 def test_perturbed_sigma_uses_linear_solve(ctx15p):
     F = solve_F(0.25, ctx15p)
     assert F.method == "linear"
@@ -163,6 +224,13 @@ def test_drift_mu_over_E_tends_to_int_v_lambda(nodes, vmax, cross_section, alpha
     def gap(E):
         return abs(drift_mu(E, ctx) / E / D - 1.0)
 
+    if cross_section.amplitude == 0.0:
+        # constant sigma: u = -A^-1 dM/dv - mu M, and nu int v A^-1 h =
+        # int v h + E int h/nu, so int v u = int M/nu = D at every E: the gap
+        # is roundoff
+        for E in (1e-2, 1e-4, 1e-6, 1e-8, 1e-12, 1e-16):
+            assert gap(E) <= 1e-12
+        return
     assert gap(1e-4) <= gap(1e-2) / 10
     for E in (1e-6, 1e-8, 1e-12, 1e-16):
         assert gap(E) <= 1e-6
