@@ -35,9 +35,9 @@ def _open(args, name: str):
 
 
 def _write_csv(fh, header: str, rows):
-    fh.write(header + "\n")
-    for row in rows:
-        fh.write(",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row) + "\n")
+    """Write header and rows in one write, floats as f"{c:.12g}" and anything else as str."""
+    fh.write("\n".join([header, *(",".join([f"{c:.12g}" if isinstance(c, float) else str(c) for c in row])
+                                   for row in rows)]) + "\n")
 
 
 def cmd_equilibrium(args) -> int:

@@ -17,12 +17,8 @@ def c_d_alpha(alpha: float) -> float:
     """Fractional-Laplacian kernel constant alpha 2^(alpha-1) Gamma((alpha+d)/2) / (pi^(d/2) Gamma((2-alpha)/2)), d = 1."""
     if not 0.0 < alpha < 2.0:
         raise InvalidInput(f"alpha={alpha} outside (0,2)")
-    return (
-        alpha
-        * 2.0 ** (alpha - 1.0)
-        * math.gamma((alpha + 1.0) / 2.0)
-        / (math.pi**0.5 * math.gamma((2.0 - alpha) / 2.0))
-    )
+    return (alpha * 2.0 ** (alpha - 1.0) * math.gamma((alpha + 1.0) / 2.0)
+            / (math.pi**0.5 * math.gamma((2.0 - alpha) / 2.0)))
 
 
 def gamma_of_M(alpha: float) -> float:

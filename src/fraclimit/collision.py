@@ -60,11 +60,9 @@ class CollisionContext:
 
 
 def apply_K(f: VelocityProfile, ctx: CollisionContext) -> VelocityProfile:
-    """Gain term K(f)(v) = M(v) * sum_j w_j sigma(v, v_j) f(v_j)."""
+    """Gain term K(f)(v) = M(v) * sum_j w_j sigma(v, v_j) f(v_j), one matrix-vector product."""
     ctx.check_profile(f)
-    g = ctx.grid
-    gain = ctx.M.values * (g.weights[None, :] * ctx.sigma_matrix * f.values[None, :]).sum(axis=1)
-    return VelocityProfile(g, gain)
+    return VelocityProfile(ctx.grid, ctx.M.values * (ctx.sigma_matrix @ (ctx.grid.weights * f.values)))
 
 
 def apply_Q(f: VelocityProfile, ctx: CollisionContext) -> VelocityProfile:
@@ -118,17 +116,15 @@ def _flight_quadrature(E: float, ctx: CollisionContext):
     v_i > 0, adds r_i sum ws h(qs): past the kink, s = v/E + z/nu_min, all
     rows v > 0 share q = -E z/nu_min, and their damping splits into a row
     part A v/E + B/E log1p(v) and a point part A z/nu_min + B/E log1p(|q|).
+    The damping has one branch, that of a flight on one side of 0.
     """
     A, B = ctx.nu_coefficients
     row, s, c, z = _flight_points(E, ctx)
     v = ctx.grid.nodes[row]
     q = v - E * s
-    # the damping int_0^s nu(v - E t) dt of nu = A + B/(1+|w|) in closed form,
-    # A s plus B/E times the log of (1 + max(|v|,|q|))/(1 + min(|v|,|q|)) while
-    # the flight stays on one side of 0, or of (1+|v|)(1+|q|) once it crossed it
-    av, aq = np.abs(v), np.abs(q)
-    logs = np.where((q >= 0) == (v >= 0), np.log1p(E * s / (1.0 + np.minimum(av, aq))),
-                    np.log1p(av) + np.log1p(aq))
+    # damping int_0^s nu(v - E t) dt = A s + B/E log((1 + max(|v|,|q|))/(1 + min(|v|,|q|))):
+    # no flight crosses 0, as rows v < 0 move away from it and rows v > 0 stop at the kink
+    logs = np.log1p(E * s / (1.0 + np.minimum(np.abs(v), np.abs(q))))
     w = c * np.exp(z - A * s - B / E * logs)
     zn = _LAG_Z / ctx.nu_min
     qs = -E * zn

@@ -70,12 +70,16 @@ def _assemble_u(E: float, ctx: CollisionContext) -> np.ndarray:
     two, K u = M (nu0 <u> + a g <g u>) with g = 1/(1+|v|) and <.> K's grid
     sums: bordered by mu along M, u = r + a S c - mu M for r = -A^-1 dM/dv
     and c = A^-1 (M g), both exact (`flight_integral`), and (S, mu) solving
-    the 2 x 2 system S = <g u>, <u> = 0.  At E = 0, A = nu and Q(u) = dM/dv:
-    u = lambda.  E mu is the defect of F; it tracks the power iteration's
-    eig - 1 (within 1 % on VelocityGrid(128, 40)) and is refused above 1e-6.
+    the 2 x 2 system S = <g u>, <u> = 0 (M and -dM/dv = (1+alpha) q M/(1+q^2)
+    from one power).  At E = 0, A = nu and Q(u) = dM/dv: u = lambda.  E mu is
+    the defect of F; it tracks the power iteration's eig - 1 (within 1 % on
+    VelocityGrid(128, 40)) and is refused above 1e-6.
     """
     g, M, alpha, a = ctx.grid, ctx.M.values, ctx.alpha, ctx.cross_section.amplitude
-    r, c = flight_integral(lambda q: np.stack([-eval_M_deriv(q, alpha), eval_M(q, alpha) / (1.0 + np.abs(q))]), E, ctx)
+    def rhs(q):  # -dM/dv and M g at the flight points q
+        m = eval_M(q, alpha)
+        return np.stack([(1.0 + alpha) * q * m / (1.0 + q * q), m / (1.0 + np.abs(q))])
+    r, c = flight_integral(rhs, E, ctx)
     w, gw = g.weights, g.weights / (1.0 + np.abs(g.nodes))
     system = np.array([[1.0 - a * (gw @ c), gw @ M], [-a * (w @ c), w @ M]])
     try:

@@ -189,24 +189,27 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 def _tail_fit3(vv: np.ndarray, pp: np.ndarray, side: str) -> tuple[float, float, float]:
-    """Fit log p = log c - q log v + log(1 + b v^-2), linearized in (log c, q, b).
-
-    Raises TailDivergence, naming the side, its nodes and its values, when
-    the system is singular or c, q or b is not finite (three roundoff values
-    can put log c past the float range).
-    """
-    sol = np.full(3, np.nan)
-    if np.all(np.isfinite(pp)):
-        A = np.column_stack([np.ones(3), -np.log(vv), vv ** -2.0])
-        try:  # three points, three unknowns: exactly determined
-            sol = np.linalg.solve(A, np.log(pp))
-        except np.linalg.LinAlgError:  # singular: sol stays nan
-            pass
-        if np.all(np.isfinite(sol)) and sol[0] <= _LOG_MAX:
+    """Fit log p = log c - q log v + b v^-2 (log(1 + b v^-2) linearized), on Python floats:
+    rows 1 - 0 and 2 - 1 give a 2 x 2 system in (q, b), solved by Cramer's rule,
+    and row 2 gives log c.  Raises TailDivergence, naming the side, its nodes and
+    its values, when one is not positive and finite, the system is singular
+    (det = 0) or c, q or b is not finite (three roundoff values can put log c
+    past the float range)."""
+    sol = [math.nan] * 3
+    v, p = vv.tolist(), pp.tolist()
+    if all(0.0 < x < math.inf for x in v + p):
+        lv, lp, u = [math.log(x) for x in v], [math.log(x) for x in p], [1.0 / x / x for x in v]
+        a11, a12, r1 = lv[0] - lv[1], u[1] - u[0], lp[1] - lp[0]
+        a21, a22, r2 = lv[1] - lv[2], u[2] - u[1], lp[2] - lp[1]
+        det = a11 * a22 - a12 * a21
+        if det != 0.0:
+            q, b = (r1 * a22 - a12 * r2) / det, (a11 * r2 - r1 * a21) / det
+            sol = [lp[2] + q * lv[2] - b * u[2], q, b]
+        if all(map(math.isfinite, sol)) and sol[0] <= _LOG_MAX:
             return math.exp(sol[0]), sol[1], sol[2]
     raise TailDivergence(
-        f"{side} tail fit c|v|^-q (1 + b v^-2) is not finite: |v| = {vv.tolist()}, "
-        f"|values| {pp.tolist()}, (log c, q, b) = {sol.tolist()}"
+        f"{side} tail fit c|v|^-q (1 + b v^-2) is not finite: |v| = {v}, "
+        f"|values| {p}, (log c, q, b) = {sol}"
     )
 
 
@@ -229,11 +232,11 @@ class Tail:
     @staticmethod
     def fit(vv: np.ndarray, pp: np.ndarray, side: str) -> tuple[float, float, float]:
         """Signed (c, q, b) of pp ~ c v^-q (1 + b v^-2) at increasing v = vv."""
-        s = np.sign(pp[-1])
-        if s == 0 or np.any(s * pp <= 0):
+        s = float(np.sign(pp[-1]))
+        if s == 0 or any(s * x <= 0 for x in pp.tolist()):
             return 0.0, 2.0, 0.0
         c, q, b = _tail_fit3(vv, s * pp, side)
-        return float(s) * c, q, b
+        return s * c, q, b
 
     def __call__(self, x) -> np.ndarray:
         """Tail values at points x (meant for |x| > vmax)."""

@@ -15,7 +15,7 @@ from fraclimit import (
     eval_M,
     gamma_of_M,
 )
-from fraclimit.collision import _flight_points, flight_integral
+from fraclimit.collision import _flight_points, _flight_quadrature, flight_integral
 from fraclimit.equilibrium import solve_F
 from fraclimit.errors import InvalidInput
 
@@ -343,3 +343,35 @@ def test_flight_integral_matches_A_inverse(vmax, E):
     for exact, nodal in zip(got, _two_smooth(ctx.grid.nodes)):
         ref = apply_A_inverse(VelocityProfile(ctx.grid, nodal), E, ctx).values
         assert np.max(np.abs(exact - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def _flight_integral_two_branch(f, E, ctx):
+    """`flight_integral` at E > 0 with the damping's crossed branch
+    log1p(|v|) + log1p(|q|) kept for flights that pass 0."""
+    A, B = ctx.nu_coefficients
+    n = ctx.grid.n
+    row, s, c, z = _flight_points(E, ctx)
+    v = ctx.grid.nodes[row]
+    q = v - E * s
+    av, aq = np.abs(v), np.abs(q)
+    logs = np.where((q >= 0) == (v >= 0), np.log1p(E * s / (1.0 + np.minimum(av, aq))),
+                    np.log1p(av) + np.log1p(aq))
+    w = c * np.exp(z - A * s - B / E * logs)
+    _, (r, qs, ws) = _flight_quadrature(E, ctx)
+    out = np.array([np.bincount(row, w * fk, minlength=n) for fk in f(q)])
+    out[:, n // 2:] += np.outer(f(qs) @ ws, r)
+    return out
+
+
+@pytest.mark.parametrize("n, vmax", [(128, 40.0), (128, 200.0), (160, 1e6)])
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+def test_no_flight_crosses_zero(n, vmax, amplitude):
+    # the damping has one branch because no quadrature point lies across 0
+    # from its row: rows v < 0 move away from 0, rows v > 0 stop at the kink
+    ctx = CollisionContext(VelocityGrid(n, vmax), CrossSection(1.0, amplitude), 1.5)
+    for E in np.geomspace(1e-9, 50.0, 56):
+        row, s, _, _ = _flight_points(E, ctx)
+        v = ctx.grid.nodes[row]
+        assert np.all((v - E * s >= 0) == (v >= 0)), E
+    for E in (1e-9, 1e-4, 0.05, 0.5, 5.0, 50.0):
+        assert np.array_equal(flight_integral(_two_smooth, E, ctx), _flight_integral_two_branch(_two_smooth, E, ctx))

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import re
@@ -586,3 +587,17 @@ def test_cli_refuses_high_field_at_alpha_one(tmp_path, monkeypatch, command):
     with pytest.raises(InvalidInput, match="high-field scaling needs alpha > 1"):
         main(["--config", cfg, "--out", str(out), command, "--scaling", "high_field"])
     assert not out.exists()
+
+
+def test_write_csv_bytes():
+    # floats as f"{c:.12g}", anything else (ints, strings) as str, one line per row
+    rows = [(float("nan"), float("inf"), -float("inf")), (-0.0, 5e-324, 1e16), (3, "x", 0.1 + 0.2),
+            (np.float64(2.5), np.int64(7), True)]
+    buf = io.StringIO()
+    cli._write_csv(buf, "a,b,c", rows)
+    assert buf.getvalue() == ("a,b,c\nnan,inf,-inf\n-0,4.94065645841e-324,1e+16\n3,x,0.3\n2.5,7,True\n")
+    rule = "".join(",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row) + "\n" for row in rows)
+    assert buf.getvalue() == "a,b,c\n" + rule
+    buf = io.StringIO()
+    cli._write_csv(buf, "t,x,rho", [])
+    assert buf.getvalue() == "t,x,rho\n"

@@ -14,7 +14,7 @@ from fraclimit import (
 )
 from fraclimit.equilibrium import eval_M_deriv
 from fraclimit.errors import InvalidInput, TailDivergence
-from fraclimit.velocity import PANEL_PTS, Tail
+from fraclimit.velocity import _LOG_MAX, PANEL_PTS, Tail, _tail_fit3
 
 
 def test_build_grid_validation():
@@ -153,9 +153,10 @@ def test_interp_rows_linear_form(grid128):
     assert np.max(np.abs(lin - eval_M(x, 1.5))) < 1e-9
 
 
-@pytest.mark.parametrize("vv", [[2.0, 2.0, 3.0], [1e160, 2e160, 3e160]])
+@pytest.mark.parametrize("vv", [[2.0, 2.0, 3.0], [1e160, 2e160, 3e160], [1e170, 2e170, 3e170]])
 def test_tail_fit_refuses_singular_system(vv):
-    # a repeated node, or v^-2 underflowing to 0: the 3 x 3 system is singular
+    # a repeated node, or v^-2 underflowing to subnormals or to 0: the system
+    # is singular (det = 0) or leaves b not finite
     with pytest.raises(TailDivergence, match=r"right tail fit .* is not finite"):
         Tail.fit(np.array(vv), np.array([1.0, 0.5, 0.2]), "right")
 
@@ -170,6 +171,65 @@ def test_tail_fit_far_grid_pins_c_and_q(c, q, b):
     tail = Tail(g, c * np.abs(g.nodes) ** -q * (1.0 + b * g.nodes**-2.0))
     for cf, qf, bf in (tail.right, tail.left):
         assert abs(cf / c - 1.0) <= 5e-11 and abs(qf - q) <= 5e-12 and np.isfinite(bf)
+
+
+def _tail_fit_reference(vv, pp):
+    """(log c, q, b) of log p = log c - q log v + b v^-2 by a pivoted 3 x 3 LU solve."""
+    return np.linalg.solve(np.column_stack([np.ones(3), -np.log(vv), vv**-2.0]), np.log(pp))
+
+
+@pytest.mark.parametrize("vmax", [10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("c, q, b", [(0.3, 2.5, 4.0), (5.0, 2.2, -3.0), (1e-3, 3.5, 50.0), (40.0, 3.0, 0.0)])
+def test_tail_fit_closed_form_matches_linear_solve(vmax, c, q, b):
+    # the Cramer solve of the row differences against the 3 x 3 solve, on
+    # exact and perturbed tails, both sides, both signs: log c and q agree to
+    # 1e-10 relative (b, a v^-2 term, is ill-determined on far grids)
+    g = VelocityGrid(128, vmax)
+    rng = np.random.default_rng(int(np.log10(vmax)))
+    exact = c * np.abs(g.nodes) ** -q * (1.0 + b * g.nodes**-2.0)
+    for values in (exact, exact * (1.0 + 1e-3 * rng.uniform(-1, 1, g.n)), exact * (1.0 + np.sign(g.nodes) * 0.2)):
+        for sign in (1.0, -1.0):
+            tail = Tail(g, sign * values)
+            for (cf, qf, bf), vv, pp in ((tail.right, g.nodes[-3:], values[-3:]),
+                                         (tail.left, -g.nodes[:3][::-1], values[:3][::-1])):
+                ref = _tail_fit_reference(vv, pp)
+                assert np.sign(cf) == sign and np.isfinite(bf)
+                assert abs(np.log(abs(cf)) - ref[0]) <= 1e-10 * abs(ref[0])
+                assert abs(qf - ref[1]) <= 1e-10 * abs(ref[1])
+
+
+@pytest.mark.parametrize("vv, pp", [
+    ([10.0, 20.0, 40.0], [1.0, np.nan, 0.2]),  # a value not finite
+    ([10.0, 20.0, 40.0], [1.0, np.inf, 0.2]),
+    ([10.0, np.inf, 40.0], [1.0, 0.5, 0.2]),  # a node not finite
+    ([10.0, 20.0, 40.0], [1.0, 0.0, 0.2]),  # log 0
+    ([10.0, 20.0, 40.0], [1.0, -0.5, 0.2]),  # log of a negative value
+    ([-10.0, 20.0, 40.0], [1.0, 0.5, 0.2]),
+    ([0.0, 20.0, 40.0], [1.0, 0.5, 0.2]),  # 1/v^2 at v = 0
+    ([1e-200, 2e-200, 3e-200], [1.0, 0.5, 0.2]),  # v^-2 overflows
+])
+def test_tail_fit_refusals_are_tail_divergence(vv, pp):
+    # a refusal is TailDivergence with the one message, never a bare
+    # ZeroDivisionError, ValueError or OverflowError from float arithmetic
+    # (singular systems: test_tail_fit_refuses_singular_system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TailDivergence, match=r"^right tail fit c\|v\|\^-q \(1 \+ b v\^-2\) is not finite: "
+                                                 r"\|v\| = \[.*\], \|values\| \[.*\], \(log c, q, b\) = \[.*\]$"):
+            _tail_fit3(np.array(vv), np.array(pp), "right")
+
+
+def test_tail_fit_log_c_bound():
+    # log c just inside the float range is a finite fit, just past it refused
+    vv = np.array([10.0, 20.0, 40.0])
+    for log_c, ok in ((_LOG_MAX - 1.0, True), (_LOG_MAX + 1.0, False)):
+        pp = np.exp(log_c - 2.0 * np.log(vv))
+        if ok:
+            c, q, b = _tail_fit3(vv, pp, "left")
+            assert np.isfinite(c) and abs(q - 2.0) < 1e-12
+        else:
+            with pytest.raises(TailDivergence, match="left tail fit"):
+                _tail_fit3(vv, pp, "left")
 
 
 _pos = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
